@@ -16,7 +16,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import LabError, SizeLimitExceeded, ValidationError
 from .factor import CheckResult
-from .fincat import DEFAULT_SEARCH_LIMIT, Congruence, classify, whisker
+from .fincat import (
+    DEFAULT_SEARCH_LIMIT,
+    Congruence,
+    classify,
+    congruence_context_witness,
+    whisker,
+)
 from .theory import (
     Algebra,
     AlgebraHom,
@@ -64,7 +70,8 @@ def reflect(A: Algebra, E: Extension) -> Reflection:
     cong = algebra_congruence_closure(A, pairs)
     reflected, unit = quotient_algebra(A, cong)
     check = satisfies(reflected, E)
-    assert check, "reflection failed to reach the subclass: %r" % (check.witness,)
+    if not check:
+        raise LabError("reflection failed to reach the subclass", witness=check.witness)
     return Reflection(unit, reflected, cong)
 
 
@@ -201,7 +208,7 @@ def enumerate_quotient_algebras(
             rep = min(cl)
             for m in cl:
                 rel[m] = rep
-        if not _composition_closed(C, rel):
+        if congruence_context_witness(C, rel) is not None:
             continue
         cong = Congruence(C, classes)
         if congruence_operation_witness(A, cong) is not None:
@@ -209,28 +216,6 @@ def enumerate_quotient_algebras(
         quot, h = quotient_algebra(A, cong)
         out.append((cong, quot, h))
     return tuple(out)
-
-
-def _composition_closed(C, rel: Mapping[str, str]) -> bool:
-    mors = [m.name for m in C.morphisms]
-    related = [
-        (u, v)
-        for u in mors
-        for v in mors
-        if u < v and rel[u] == rel[v]
-    ]
-    for (u, v) in related:
-        for p in mors:
-            if C.cod(p) != C.dom(u):
-                continue
-            up = C.compose(u, p)
-            vp = C.compose(v, p)
-            for q in mors:
-                if C.dom(q) != C.cod(u):
-                    continue
-                if rel[C.compose(q, up)] != rel[C.compose(q, vp)]:
-                    return False
-    return True
 
 
 # -- isomorphism of algebras ------------------------------------------

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BoundaryMismatch
+from .errors import BoundaryMismatch, LabError
 from .fincat import (
     DEFAULT_SEARCH_LIMIT,
     FinCategory,
@@ -62,7 +62,8 @@ class Factorisation:
 
 def _check_split(f: Functor, left: Functor, right: Functor) -> Factorisation:
     fact = Factorisation(f, left, right)
-    assert fact.recompose() == f, "factorisation does not recompose"
+    if fact.recompose() != f:
+        raise LabError("factorisation of %s does not recompose" % (f.name or "?"))
     return fact
 
 

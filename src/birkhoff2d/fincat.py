@@ -2,9 +2,12 @@
 
 Everything is tabulated.  A category stores its full composition table, so
 all laws are decided by direct inspection and every construction in the
-package stays finite and deterministic.  Values validate themselves at
-construction time and are immutable afterwards; structural equality ignores
-the display name.
+package stays finite and deterministic.  Next to the table each category
+carries its composable-triple table ``(g, f, g after f)`` and, per object,
+the morphisms ending and starting there, so the law checks, congruence
+closure and functor search visit only composable data.  Values validate
+themselves at construction time and are immutable afterwards; structural
+equality ignores the display name.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -61,11 +64,26 @@ class FinCategory:
         self.identities: Dict[str, str] = dict(identities)
         self.composition: Dict[Tuple[str, str], str] = dict(composition)
         self._mor: Dict[str, Morphism] = {m.name: m for m in self.morphisms}
+        self._objset = frozenset(self.objects)
+        # per-object in- and out-lists, declaration order; an unknown
+        # endpoint gets a list too, and _validate rejects it before use
+        self._ending_at: Dict[str, List[str]] = {a: [] for a in self.objects}
+        self._starting_at: Dict[str, List[str]] = {a: [] for a in self.objects}
+        for m in self.morphisms:
+            self._ending_at.setdefault(m.cod, []).append(m.name)
+            self._starting_at.setdefault(m.dom, []).append(m.name)
         self._validate()
         self._hom: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), ())
             self._hom[(m.dom, m.cod)] += (m.name,)
+        # every (g, f, g after f), in composable_pairs() order
+        comp = self.composition
+        self._triples: Tuple[Tuple[str, str, str], ...] = tuple(
+            (g.name, f, comp[(g.name, f)])
+            for g in self.morphisms
+            for f in self._ending_at[g.dom]
+        )
         self._identity_names = frozenset(self.identities.values())
         self._key = (
             self.objects,
@@ -111,9 +129,8 @@ class FinCategory:
 
     def composable_pairs(self) -> Iterator[Tuple[str, str]]:
         for g in self.morphisms:
-            for f in self.morphisms:
-                if f.cod == g.dom:
-                    yield (g.name, f.name)
+            for f in self._ending_at[g.dom]:
+                yield (g.name, f)
 
     def parallel_pairs(self) -> Iterator[Tuple[str, str]]:
         """Unordered pairs of distinct parallel morphisms, declaration order."""
@@ -140,12 +157,12 @@ class FinCategory:
     # -- validation ----------------------------------------------------
 
     def _validate(self) -> None:
-        if len(set(self.objects)) != len(self.objects):
+        if len(self._objset) != len(self.objects):
             raise ValidationError("duplicate object names", witness=self.objects)
         if len(self._mor) != len(self.morphisms):
             raise ValidationError("duplicate morphism names")
         for m in self.morphisms:
-            if m.dom not in set(self.objects) or m.cod not in set(self.objects):
+            if m.dom not in self._objset or m.cod not in self._objset:
                 raise ValidationError(
                     "morphism %s has unknown endpoint" % m.name, witness=(m.name, m.dom, m.cod)
                 )
@@ -159,10 +176,12 @@ class FinCategory:
                     "identity of %s is not an endomorphism of %s" % (a, a), witness=a
                 )
         for a in self.identities:
-            if a not in set(self.objects):
+            if a not in self._objset:
                 raise ValidationError("identity listed for unknown object %s" % a, witness=a)
+        comp = self.composition
+        ending_at = self._ending_at
         # table keys refer to known composable morphisms
-        for (g, f) in self.composition:
+        for (g, f) in comp:
             if g not in self._mor or f not in self._mor:
                 raise IllTypedComposition(
                     "composition entry over unknown morphisms", witness=(g, f)
@@ -171,50 +190,47 @@ class FinCategory:
                 raise IllTypedComposition(
                     "entry (%s, %s) is not a composable pair" % (g, f), witness=(g, f)
                 )
-            if self.composition[(g, f)] not in self._mor:
+            if comp[(g, f)] not in self._mor:
                 raise IllTypedComposition(
                     "entry (%s, %s) has unknown result" % (g, f), witness=(g, f)
                 )
-        # totality
-        for (g, f) in self.composable_pairs():
-            if (g, f) not in self.composition:
-                raise IllTypedComposition(
-                    "missing composition entry for (%s, %s)" % (g, f), witness=(g, f)
-                )
+        # totality: every key is a composable pair, so equal counts suffice
+        if len(comp) != sum(len(ending_at[g.dom]) for g in self.morphisms):
+            for (g, f) in self.composable_pairs():
+                if (g, f) not in comp:
+                    raise IllTypedComposition(
+                        "missing composition entry for (%s, %s)" % (g, f), witness=(g, f)
+                    )
         # identity laws first: a bad explicit entry like (id_b, u) -> id_b is
         # reported as a law violation, not a typing problem
         for m in self.morphisms:
-            left = self.composition[(self.identities[m.cod], m.name)]
+            left = comp[(self.identities[m.cod], m.name)]
             if left != m.name:
                 raise IdentityLawViolation(
                     "id after %s is %s" % (m.name, left),
                     witness=(self.identities[m.cod], m.name),
                 )
-            right = self.composition[(m.name, self.identities[m.dom])]
+            right = comp[(m.name, self.identities[m.dom])]
             if right != m.name:
                 raise IdentityLawViolation(
                     "%s after id is %s" % (m.name, right),
                     witness=(m.name, self.identities[m.dom]),
                 )
-        for (g, f), h in self.composition.items():
+        for (g, f), h in comp.items():
             hm = self._mor[h]
             if hm.dom != self._mor[f].dom or hm.cod != self._mor[g].cod:
                 raise IllTypedComposition(
                     "result of (%s, %s) has wrong boundary" % (g, f), witness=(g, f)
                 )
-        for h in self.morphisms:
-            for g in self.morphisms:
-                if g.cod != h.dom:
-                    continue
-                for f in self.morphisms:
-                    if f.cod != g.dom:
-                        continue
-                    a = self.composition[(h.name, self.composition[(g.name, f.name)])]
-                    b = self.composition[(self.composition[(h.name, g.name)], f.name)]
-                    if a != b:
+        for hm in self.morphisms:
+            h = hm.name
+            for g in ending_at[hm.dom]:
+                hg = comp[(h, g)]
+                for f in ending_at[self._mor[g].dom]:
+                    if comp[(h, comp[(g, f)])] != comp[(hg, f)]:
                         raise AssociativityViolation(
-                            "associativity fails on (%s, %s, %s)" % (h.name, g.name, f.name),
-                            witness=(h.name, g.name, f.name),
+                            "associativity fails on (%s, %s, %s)" % (h, g, f),
+                            witness=(h, g, f),
                         )
 
     def revalidate(self) -> "FinCategory":
@@ -333,28 +349,30 @@ class Functor:
 def functor_law_witness(source, target, on_objects, on_morphisms):
     """First broken functor law, or None.  Shared by the constructor and
     the enumerator so candidates are filtered exactly once."""
+    target_objects = target._objset
     for a in source.objects:
         b = on_objects.get(a)
         if b is None:
             return ("object %s unmapped" % a, a)
-        if b not in set(target.objects):
+        if b not in target_objects:
             return ("object %s mapped outside target" % a, a)
+    target_mor = target._mor
     for m in source.morphisms:
         v = on_morphisms.get(m.name)
         if v is None:
             return ("morphism %s unmapped" % m.name, m.name)
-        if not target.has_morphism(v):
+        vm = target_mor.get(v)
+        if vm is None:
             return ("morphism %s mapped outside target" % m.name, m.name)
-        vm = target.morphism(v)
         if vm.dom != on_objects[m.dom] or vm.cod != on_objects[m.cod]:
             return ("morphism %s: boundary not preserved" % m.name, m.name)
     for a in source.objects:
-        if on_morphisms[source.identity(a)] != target.identity(on_objects[a]):
+        if on_morphisms[source.identities[a]] != target.identities[on_objects[a]]:
             return ("identity of %s not preserved" % a, a)
-    for (g, f) in source.composable_pairs():
-        lhs = on_morphisms[source.compose(g, f)]
-        rhs = target.compose(on_morphisms[g], on_morphisms[f])
-        if lhs != rhs:
+    # boundaries are preserved, so every image pair is composable in target
+    target_comp = target.composition
+    for (g, f, h) in source._triples:
+        if on_morphisms[h] != target_comp[(on_morphisms[g], on_morphisms[f])]:
             return ("composition (%s, %s) not preserved" % (g, f), (g, f))
     return None
 
@@ -608,22 +626,11 @@ class Congruence:
                     raise NonParallelGenerator(
                         "class %r mixes non-parallel morphisms" % (cl,), witness=cl
                     )
-        for cl in self.classes:
-            u = cl[0]
-            for v in cl[1:]:
-                for p in base.morphisms:
-                    if p.cod != base.dom(u):
-                        continue
-                    for q in base.morphisms:
-                        if q.dom != base.cod(u):
-                            continue
-                        a = base.compose(q.name, base.compose(u, p.name))
-                        b = base.compose(q.name, base.compose(v, p.name))
-                        if self.rep_of[a] != self.rep_of[b]:
-                            raise ValidationError(
-                                "not closed under composition at (%s, %s)" % (u, v),
-                                witness=(u, v, p.name, q.name),
-                            )
+        witness = congruence_context_witness(base, self.rep_of)
+        if witness is not None:
+            raise ValidationError(
+                "not closed under composition at (%s, %s)" % witness[:2], witness=witness
+            )
         self._key = (base._key, self.classes)
         self._hash = hash(self._key)
 
@@ -641,6 +648,30 @@ class Congruence:
 
     def __repr__(self) -> str:
         return "Congruence(%d classes on %s)" % (len(self.classes), self.base.name or "?")
+
+
+def congruence_context_witness(C: FinCategory, rep_of: Dict[str, str]):
+    """First context that breaks a partition of C's parallel morphisms, or None.
+
+    ``rep_of`` maps each morphism to its class representative.  The
+    partition is a congruence when every v related to its representative u
+    stays related under one-sided contexts u.p ~ v.p and q.u ~ q.v; closure
+    under the two-sided contexts q.u.p ~ q.v.p follows by applying both.  A
+    witness is (u, v, p, q) with an identity on the side left unused.
+    """
+    comp = C.composition
+    for m in C.morphisms:
+        v = m.name
+        u = rep_of[v]
+        if u == v:
+            continue
+        for p in C._ending_at[m.dom]:
+            if rep_of[comp[(u, p)]] != rep_of[comp[(v, p)]]:
+                return (u, v, p, C.identities[m.cod])
+        for q in C._starting_at[m.cod]:
+            if rep_of[comp[(q, u)]] != rep_of[comp[(q, v)]]:
+                return (u, v, C.identities[m.dom], q)
+    return None
 
 
 class _UnionFind:
@@ -666,7 +697,11 @@ class _UnionFind:
 
 def _saturate(A: FinCategory, generators, extra_rule=None) -> Congruence:
     """Close a relation on morphisms under composition contexts (and any
-    extra rule) with union-find plus a worklist, then package the classes."""
+    extra rule) with union-find plus a worklist, then package the classes.
+
+    Each merged pair (u, v) is pushed through the one-sided contexts u.p ~ v.p
+    and q.u ~ q.v only; a two-sided context q.u.p is reached by merging q.u
+    with q.v first and then precomposing that pair."""
     uf = _UnionFind(m.name for m in A.morphisms)
     work: List[Tuple[str, str]] = []
     for (u, v) in generators:
@@ -678,20 +713,18 @@ def _saturate(A: FinCategory, generators, extra_rule=None) -> Congruence:
             )
         if uf.union(u, v):
             work.append((u, v))
+    comp = A.composition
     while work:
         u, v = work.pop()
-        for p in A.morphisms:
-            if p.cod != A.dom(u):
-                continue
-            up = A.compose(u, p.name)
-            vp = A.compose(v, p.name)
-            for q in A.morphisms:
-                if q.dom != A.cod(u):
-                    continue
-                a = A.compose(q.name, up)
-                b = A.compose(q.name, vp)
-                if uf.union(a, b):
-                    work.append((a, b))
+        um = A._mor[u]
+        for p in A._ending_at[um.dom]:
+            a, b = comp[(u, p)], comp[(v, p)]
+            if uf.union(a, b):
+                work.append((a, b))
+        for q in A._starting_at[um.cod]:
+            a, b = comp[(q, u)], comp[(q, v)]
+            if uf.union(a, b):
+                work.append((a, b))
         if extra_rule is not None:
             for (a, b) in extra_rule(u, v):
                 if uf.union(a, b):
@@ -788,8 +821,21 @@ def classify(F: Functor) -> FunctorFlags:
 
 # -- enumeration -------------------------------------------------------
 
-_FUNCTOR_CACHE: Dict[Tuple[FinCategory, FinCategory], Tuple[Functor, ...]] = {}
-_NAT_CACHE: Dict[Tuple[Functor, Functor], Tuple[NatTransformation, ...]] = {}
+# Each entry keeps the size of the search that filled it: functors with
+# (object-map count, nodes visited), transformations with the largest partial
+# product of the component space.  A hit raises exactly when the cold search
+# would have, so a result never depends on what the cache already holds.
+_FUNCTOR_CACHE: Dict[Tuple[FinCategory, FinCategory], Tuple[Tuple[Functor, ...], int, int]] = {}
+_NAT_CACHE: Dict[Tuple[Functor, Functor], Tuple[Tuple[NatTransformation, ...], int]] = {}
+
+
+def _functor_limit_check(n_obj_maps: int, visited: int, limit: int) -> None:
+    if n_obj_maps > limit:
+        raise SizeLimitExceeded(
+            "object-map space %d exceeds limit %d" % (n_obj_maps, limit)
+        )
+    if visited > limit:
+        raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
 
 
 def enumerate_functors(
@@ -799,49 +845,54 @@ def enumerate_functors(
 
     Backtracking over object maps then morphism maps; raises
     SizeLimitExceeded when the search frontier would pass ``limit``.
+    Each composition triple is checked once per node, at the step that
+    assigns its last non-identity morphism; identities are fixed by the
+    object map, so a triple of identities always holds.
     """
     cached = _FUNCTOR_CACHE.get((A, B))
     if cached is not None:
-        return cached
+        out, n_obj_maps, visited = cached
+        _functor_limit_check(n_obj_maps, visited, limit)
+        return out
     n_obj_maps = len(B.objects) ** len(A.objects) if A.objects else 1
-    if n_obj_maps > limit:
-        raise SizeLimitExceeded(
-            "object-map space %d exceeds limit %d" % (n_obj_maps, limit)
-        )
+    _functor_limit_check(n_obj_maps, 0, limit)
     non_identity = [m for m in A.morphisms if not A.is_identity(m.name)]
-    pair_list = [(g, f, h) for (g, f), h in A.composition.items()]
+    step = {m.name: k for k, m in enumerate(non_identity)}
+    checks: List[List[Tuple[str, str, str]]] = [[] for _ in non_identity]
+    for (g, f, h) in A._triples:
+        k = max(step.get(g, -1), step.get(f, -1), step.get(h, -1))
+        if k >= 0:
+            checks[k].append((g, f, h))
+    B_comp = B.composition
     results: List[Functor] = []
     visited = 0
+    omap: Dict[str, str] = {}
+    mmap: Dict[str, str] = {}
+
+    def backtrack(k: int):
+        nonlocal visited
+        if k == len(non_identity):
+            results.append(Functor(A, B, omap, dict(mmap)))
+            return
+        m = non_identity[k]
+        for cand in B.hom(omap[m.dom], omap[m.cod]):
+            visited += 1
+            if visited > limit:
+                raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
+            mmap[m.name] = cand
+            for (g, f, h) in checks[k]:
+                if B_comp[(mmap[g], mmap[f])] != mmap[h]:
+                    break
+            else:
+                backtrack(k + 1)
+            del mmap[m.name]
+
     for combo in itertools.product(B.objects, repeat=len(A.objects)):
         omap = dict(zip(A.objects, combo))
         mmap = {A.identity(a): B.identity(omap[a]) for a in A.objects}
-
-        def backtrack(k: int):
-            nonlocal visited
-            if k == len(non_identity):
-                results.append(Functor(A, B, omap, dict(mmap)))
-                return
-            m = non_identity[k]
-            for cand in B.hom(omap[m.dom], omap[m.cod]):
-                visited += 1
-                if visited > limit:
-                    raise SizeLimitExceeded(
-                        "functor search exceeded limit %d" % limit
-                    )
-                mmap[m.name] = cand
-                ok = True
-                for (g, f, h) in pair_list:
-                    if g in mmap and f in mmap and h in mmap:
-                        if B.compose(mmap[g], mmap[f]) != mmap[h]:
-                            ok = False
-                            break
-                if ok:
-                    backtrack(k + 1)
-                del mmap[m.name]
-
         backtrack(0)
     out = tuple(results)
-    _FUNCTOR_CACHE[(A, B)] = out
+    _FUNCTOR_CACHE[(A, B)] = (out, n_obj_maps, visited)
     return out
 
 
@@ -853,13 +904,17 @@ def enumerate_nat_transformations(
         raise BoundaryMismatch("need parallel functors")
     cached = _NAT_CACHE.get((F, G))
     if cached is not None:
-        return cached
+        out, peak = cached
+        if peak > limit:
+            raise SizeLimitExceeded("component space exceeds limit %d" % limit)
+        return out
     A, B = F.source, F.target
     slots = [B.hom(F.obj(a), G.obj(a)) for a in A.objects]
-    total = 1
+    total = peak = 1
     for s in slots:
         total *= len(s)
-        if total > limit:
+        peak = max(peak, total)
+        if peak > limit:
             raise SizeLimitExceeded("component space exceeds limit %d" % limit)
     results = []
     for combo in itertools.product(*slots):
@@ -874,5 +929,5 @@ def enumerate_nat_transformations(
         if natural:
             results.append(NatTransformation(F, G, comps))
     out = tuple(results)
-    _NAT_CACHE[(F, G)] = out
+    _NAT_CACHE[(F, G)] = (out, peak)
     return out

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BoundaryMismatch, SizeLimitExceeded
+from .errors import BoundaryMismatch, LabError, SizeLimitExceeded
 from .factor import CheckResult
 from .fincat import (
     DEFAULT_SEARCH_LIMIT,
@@ -153,7 +153,8 @@ def coequify(phi: NatTransformation, psi: NatTransformation):
     gens = [(phi.at(k), psi.at(k)) for k in K.objects]
     cong = congruence_closure(A, gens)
     C, q = quotient_by_congruence(A, cong)
-    assert whisker(q, phi, "left") == whisker(q, psi, "left")
+    if whisker(q, phi, "left") != whisker(q, psi, "left"):
+        raise LabError("quotient does not coequify %s and %s" % (phi.name or "?", psi.name or "?"))
     return q, C
 
 
@@ -386,7 +387,8 @@ def immediate_convergence_check(f: Functor, max_size: int = DEFAULT_APEX_CAP) ->
         {m.name: f.mor(m.name) for m in C.morphisms},
         name="eps",
     )
-    assert compose_functors(eps, q) == f
+    if compose_functors(eps, q) != f:
+        raise LabError("comparison after quotient does not give back %s" % (f.name or "?"))
     return ConvergenceResult(classify(eps).faithful, q, eps)
 
 

@@ -1135,7 +1135,10 @@ def algebra_congruence_closure(
                     yield (A.op_mor(op.name, tu), A.op_mor(op.name, tv))
 
     cong = _saturate(A.carrier, generators, extra_rule=op_rule)
-    assert congruence_operation_witness(A, cong) is None
+    witness = congruence_operation_witness(A, cong)
+    if witness is not None:
+        raise NotOperationClosed("saturated congruence is not operation-closed",
+                                 witness=witness)
     return cong
 
 

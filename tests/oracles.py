@@ -41,17 +41,17 @@ QUOTIENT_COUNTS = {
 }
 
 
-def count_functors_bruteforce(A, B):
-    """Count functors A -> B from first principles.
+def functors_bruteforce(A, B):
+    """Every functor A -> B as an (object map, morphism map) pair.
 
     Enumerates every object map, then every boundary-respecting choice
-    of morphism images with identities forced, and keeps the ones that
-    preserve all composites.
+    of morphism images with identities forced, both as plain products in
+    declaration order, and keeps the ones that preserve all composites.
     """
     a_objects = list(A.objects)
     a_mors = [m.name for m in A.morphisms]
-    pairs = list(A.composable_pairs())
-    count = 0
+    pairs = [(g.name, f.name) for g in A.morphisms for f in A.morphisms if f.cod == g.dom]
+    found = []
     for images in itertools.product(B.objects, repeat=len(a_objects)):
         omap = dict(zip(a_objects, images))
         pools = []
@@ -69,8 +69,13 @@ def count_functors_bruteforce(A, B):
                 mmap[A.compose(g, f)] == B.compose(mmap[g], mmap[f])
                 for (g, f) in pairs
             ):
-                count += 1
-    return count
+                found.append((omap, mmap))
+    return found
+
+
+def count_functors_bruteforce(A, B):
+    """Count functors A -> B from first principles."""
+    return len(functors_bruteforce(A, B))
 
 
 def saturate_pairs(C, generators):

@@ -13,8 +13,12 @@ from birkhoff2d.errors import (
     IllTypedComposition,
     MissingIdentity,
     NonParallelGenerator,
+    SizeLimitExceeded,
+    ValidationError,
 )
+from birkhoff2d import fincat
 from birkhoff2d.fincat import (
+    Congruence,
     Functor,
     classify,
     compose_functors,
@@ -82,6 +86,43 @@ def test_broken_associativity_rejected():
         validate_category(raw)
 
 
+def test_first_associativity_witness_is_pinned():
+    # fails on (b, c, a) and on (c, b, a); the scan runs h, then g into
+    # h's domain, then f into g's domain, each in declaration order
+    table = {("a", "a"): "a", ("a", "b"): "b", ("a", "c"): "a",
+             ("b", "a"): "a", ("b", "b"): "b", ("b", "c"): "b",
+             ("c", "a"): "c", ("c", "b"): "b", ("c", "c"): "c"}
+    raw = _raw(
+        ["x"],
+        [("1", "x", "x"), ("a", "x", "x"), ("b", "x", "x"), ("c", "x", "x")],
+        {"x": "1"},
+        [[g, f, h] for (g, f), h in sorted(table.items())],
+    )
+    with pytest.raises(AssociativityViolation) as exc:
+        validate_category(raw)
+    assert exc.value.witness == ("b", "c", "a")
+    assert str(exc.value) == "associativity fails on (b, c, a)"
+
+
+def test_first_identity_law_witness_is_pinned():
+    # t breaks the right identity law, the later s the left one
+    raw = _raw(
+        ["0", "1"],
+        [("id0", "0", "0"), ("id1", "1", "1"), ("t", "0", "1"), ("s", "0", "1")],
+        {"0": "id0", "1": "id1"},
+        [["t", "id0", "s"], ["id1", "s", "t"]],
+    )
+    with pytest.raises(IdentityLawViolation) as exc:
+        validate_category(raw)
+    assert exc.value.witness == ("t", "id0")
+    assert str(exc.value) == "t after id is s"
+    raw["composition"] = [["id1", "t", "s"], ["s", "id0", "t"]]
+    with pytest.raises(IdentityLawViolation) as exc:
+        validate_category(raw)
+    assert exc.value.witness == ("id1", "t")
+    assert str(exc.value) == "id after t is s"
+
+
 def test_missing_composite_rejected():
     raw = _raw(["x"], [("1", "x", "x"), ("a", "x", "x")], {"x": "1"}, [])
     with pytest.raises(IllTypedComposition):
@@ -120,10 +161,16 @@ def test_congruence_closure_is_a_fixpoint(cats):
     assert congruence_closure(C, pairs) == cong
 
 
-@settings(max_examples=40, deadline=None)
+def _closure_category(name):
+    if name == "d2xz2z2":
+        return product_category(corpus.category("d2"), corpus.category("z2z2"))[0]
+    return corpus.category(name)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_congruence_closure_random_generators(data):
-    C = corpus.category(data.draw(st.sampled_from(["p", "z2z2", "z2"])))
+    C = _closure_category(data.draw(st.sampled_from(["p", "z2z2", "z2", "d2xz2z2"])))
     parallel = list(C.parallel_pairs())
     gens = data.draw(st.lists(st.sampled_from(parallel), max_size=3)) if parallel else []
     cong = congruence_closure(C, gens)
@@ -131,6 +178,33 @@ def test_congruence_closure_random_generators(data):
     assert got == oracles.naive_congruence_classes(C, gens)
     for (u, v) in gens:
         assert cong.related(u, v)
+
+
+def _hom_wise_partitions(C):
+    """Every partition of C's morphisms that refines the hom-sets."""
+    keys = sorted({(m.dom, m.cod) for m in C.morphisms})
+    per_hom = [list(oracles.set_partitions(C.hom(a, b))) for (a, b) in keys]
+    for combo in itertools.product(*per_hom):
+        yield [block for part in combo for block in part]
+
+
+def test_congruence_check_agrees_with_the_definition(cats):
+    z2, P = cats["z2"], cats["p"]
+    categories = [P, cats["d2"], product_category(z2, z2)[0], product_category(P, z2)[0]]
+    verdicts = []
+    for C in categories:
+        for classes in _hom_wise_partitions(C):
+            rep = {u: min(block) for block in classes for u in block}
+            try:
+                Congruence(C, classes)
+                accepted = True
+            except ValidationError as exc:
+                u, v, p, q = exc.witness
+                assert rep[u] == rep[v] and (C.is_identity(p) or C.is_identity(q))
+                accepted = False
+            assert accepted == oracles._is_congruence(C, rep), (C.name, classes)
+            verdicts.append(accepted)
+    assert True in verdicts and False in verdicts
 
 
 def test_closure_rejects_non_parallel_generators(cats):
@@ -182,6 +256,32 @@ def test_functor_counts_match_frozen_matrix(cats):
 def test_functor_counts_match_bruteforce_recount(cats):
     for (src, dst), expected in oracles.FUNCTOR_MATRIX.items():
         assert oracles.count_functors_bruteforce(cats[src], cats[dst]) == expected
+
+
+def test_enumeration_order_matches_product_then_filter(cats):
+    D = product_category(cats["d2"], cats["z2z2"])[0]
+    pairs = [(cats[a], cats[b]) for (a, b) in oracles.FUNCTOR_MATRIX] + [(D, cats["z2z2"])]
+    for A, B in pairs:
+        got = [(F.on_objects, F.on_morphisms) for F in enumerate_functors(A, B)]
+        assert got == oracles.functors_bruteforce(A, B), (A.name, B.name)
+    assert len(enumerate_functors(D, cats["z2z2"])) == 256
+
+
+def test_search_limits_ignore_cache_history(cats):
+    z2z2 = cats["z2z2"]
+    fincat._FUNCTOR_CACHE.pop((z2z2, z2z2), None)
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_functors(z2z2, z2z2, limit=3)
+    assert len(enumerate_functors(z2z2, z2z2)) == 16
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_functors(z2z2, z2z2, limit=3)
+    idf = identity_functor(z2z2)
+    fincat._NAT_CACHE.pop((idf, idf), None)
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_nat_transformations(idf, idf, limit=3)
+    assert len(enumerate_nat_transformations(idf, idf)) == 4
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_nat_transformations(idf, idf, limit=3)
 
 
 def test_enumeration_contains_identity_and_is_cached(cats):
