@@ -21,6 +21,7 @@ from .fincat import (
     Congruence,
     classify,
     congruence_context_witness,
+    lifts,
     whisker,
 )
 from .theory import (
@@ -30,8 +31,10 @@ from .theory import (
     algebra_congruence_closure,
     algebra_two_cells,
     compose_algebra_homs,
+    congruence_operation_witness,
     enumerate_algebra_homs,
     eval_expr,
+    is_algebra_hom,
     product_algebra,
     quotient_algebra,
     reflexive_coequifier_algebra,
@@ -198,8 +201,6 @@ def enumerate_quotient_algebras(
             raise SizeLimitExceeded(
                 "quotient search space exceeds limit (%d partitions > %d)" % (total, limit)
             )
-    from .theory import congruence_operation_witness
-
     out = []
     for combo in itertools.product(*partition_lists):
         classes = [cl for part in combo for cl in part]
@@ -403,40 +404,7 @@ def audit_closure(
     )
 
 
-# -- inclusion and orthogonality characterisation ---------------------
-
-
-def verify_fully_faithful_inclusion(
-    E: Extension, A: Algebra, B: Algebra, limit: int = DEFAULT_SEARCH_LIMIT
-) -> CheckResult:
-    """The hom-category between two subclass members is the same whether
-    they are viewed as algebras of the extension or of the base.
-
-    In this representation extension algebras are base algebras with
-    extra equations, so this is a consistency check of the encoding: both
-    hom-categories are computed and compared entity by entity.
-    """
-    for X in (A, B):
-        ok = satisfies(X, E)
-        if not ok:
-            raise ValidationError(
-                "%s does not satisfy the extension" % (X.name or "?"), witness=ok.witness
-            )
-    base_homs = enumerate_algebra_homs(A, B, limit=limit)
-    ext_homs = enumerate_algebra_homs(A, B, limit=limit)
-    if base_homs != ext_homs:
-        return CheckResult(False, {"kind": "hom-sets differ"})
-    pairs = 0
-    for h in base_homs:
-        for k in base_homs:
-            if algebra_two_cells(h, k, limit=limit) != algebra_two_cells(h, k, limit=limit):
-                return CheckResult(False, {"kind": "2-cells differ", "pair": (h.name, k.name)})
-            pairs += 1
-    return CheckResult(
-        True,
-        {"homs": len(base_homs), "pairs": pairs,
-         "note": "inclusion acts as the identity on hom-categories"},
-    )
+# -- orthogonality characterisation -----------------------------------
 
 
 def verify_orthogonality_characterisation(
@@ -483,8 +451,8 @@ def verify_unit_terminal(
             continue
         mediators = [
             u
-            for u in enumerate_algebra_homs(R.reflected, Q, limit=limit)
-            if compose_algebra_homs(u, R.unit) == h
+            for u in lifts(R.unit.functor, h.functor, limit=limit)
+            if is_algebra_hom(u, R.reflected, Q)
         ]
         if len(mediators) != 1:
             return CheckResult(

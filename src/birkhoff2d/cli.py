@@ -121,10 +121,8 @@ def cmd_factor(args, ws: Workspace) -> int:
         "right": {"on_objects": fact.right.on_objects, "on_morphisms": fact.right.on_morphisms},
     }
     if args.out:
-        fpath = _resolve(args.functor, Path(".").resolve())
-        raw = json.loads(fpath.read_text())
-        src = _resolve(raw["source"], fpath.parent)
-        tgt = _resolve(raw["target"], fpath.parent)
+        src = ws.path_of(f.source)
+        tgt = ws.path_of(f.target)
         out = Path(args.out)
         _write(out, "middle.json", category_to_json(fact.middle))
         _write(out, "left.json", functor_to_json(fact.left, _rel(src, out), "middle.json"))
@@ -174,9 +172,7 @@ def cmd_kernel(args, ws: Workspace) -> int:
         "coequified_by_input": coequifies(f, kd.phi, kd.psi),
     }
     if args.out:
-        fpath = _resolve(args.functor, Path(".").resolve())
-        raw = json.loads(fpath.read_text())
-        src = _resolve(raw["source"], fpath.parent)
+        src = ws.path_of(f.source)
         out = Path(args.out)
         _write(out, "apex.json", category_to_json(kd.apex))
         _write(out, "s.json", functor_to_json(kd.s, "apex.json", _rel(src, out)))
@@ -209,11 +205,7 @@ def cmd_coequify(args, ws: Workspace) -> int:
         "projection_bo_full": flags.bo_full,
     }
     if args.out:
-        ppath = _resolve(args.phi, Path(".").resolve())
-        raw_phi = json.loads(ppath.read_text())
-        spath = _resolve(raw_phi["from"], ppath.parent)
-        raw_s = json.loads(spath.read_text())
-        apath = _resolve(raw_s["target"], spath.parent)
+        apath = ws.path_of(phi.source.target)
         out = Path(args.out)
         _write(out, "quotient.json", category_to_json(C))
         _write(out, "projection.json", functor_to_json(q, _rel(apath, out), "quotient.json"))
@@ -325,13 +317,9 @@ def cmd_quotients(args, ws: Workspace) -> int:
     return 0
 
 
-def _load_catalog(ws: Workspace, directory: str):
-    return ws.catalog(directory)
-
-
 def cmd_audit(args, ws: Workspace) -> int:
     E = ws.extension(args.extension)
-    catalog = _load_catalog(ws, args.catalog)
+    catalog = ws.catalog(args.catalog)
     algebras = [a for (_, a) in catalog]
     by_name = dict(catalog)
     subs = ()
@@ -364,7 +352,7 @@ def cmd_audit(args, ws: Workspace) -> int:
 
 def cmd_ortho_char(args, ws: Workspace) -> int:
     E = ws.extension(args.extension)
-    catalog = _load_catalog(ws, args.catalog)
+    catalog = ws.catalog(args.catalog)
     res = birkhoff.verify_orthogonality_characterisation(
         E, [a for (_, a) in catalog], limit=args.limit
     )
@@ -513,16 +501,10 @@ def run(argv=None) -> int:
     ws = Workspace()
     try:
         return args.func(args, ws)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except ValidationError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 2
-    except LabError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LabError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import BoundaryMismatch, LabError
 from .fincat import (
@@ -30,6 +30,7 @@ from .fincat import (
     congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
+    lifts,
     quotient_by_congruence,
     whisker,
 )
@@ -193,11 +194,7 @@ def diagonal_fillins(
     square y.f == g.x around f: A -> B and g: C -> D."""
     if compose_functors(y, f) != compose_functors(g, x):
         raise BoundaryMismatch("square does not commute")
-    out = []
-    for d in enumerate_functors(f.target, g.source, limit=limit):
-        if compose_functors(d, f) == x and compose_functors(g, d) == y:
-            out.append(d)
-    return tuple(out)
+    return lifts(f, x, g, y, limit=limit)
 
 
 def check_orthogonal_morphisms(
@@ -211,14 +208,8 @@ def check_orthogonal_morphisms(
     g * alpha == beta * f, there is exactly one delta: d => d' with
     delta * f == alpha and g * delta == beta.
     """
-    A, B = f.source, f.target
-    C, D = g.source, g.target
-    squares: List[Tuple[Functor, Functor]] = []
-    for x in enumerate_functors(A, C, limit=limit):
-        gx = compose_functors(g, x)
-        for y in enumerate_functors(B, D, limit=limit):
-            if compose_functors(y, f) == gx:
-                squares.append((x, y))
+    squares = [(x, y) for x in enumerate_functors(f.source, g.source, limit=limit)
+               for y in lifts(f, compose_functors(g, x), limit=limit)]
     diag: Dict[Tuple[Functor, Functor], Functor] = {}
     for (x, y) in squares:
         ds = diagonal_fillins(f, g, x, y, limit=limit)

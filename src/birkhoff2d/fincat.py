@@ -5,9 +5,12 @@ all laws are decided by direct inspection and every construction in the
 package stays finite and deterministic.  Next to the table each category
 carries its composable-triple table ``(g, f, g after f)`` and, per object,
 the morphisms ending and starting there, so the law checks, congruence
-closure and functor search visit only composable data.  Values validate
-themselves at construction time and are immutable afterwards; structural
-equality ignores the display name.
+closure and functor search visit only composable data.  Every search for
+functors with a prescribed restriction (plain enumeration, :func:`lifts`
+along a functor, mediators of kernel data) runs on one constrained
+backtracker, :func:`functor_maps`.  Values validate themselves at
+construction time and are immutable afterwards; structural equality ignores
+the display name.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -17,8 +20,9 @@ byte-identical results.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AssociativityViolation,
@@ -93,6 +97,7 @@ class FinCategory:
         )
         self._hash = hash(self._key)
         self._inverses: Optional[Dict[str, str]] = None
+        self._search_plan = None  # filled by the functor search on first use
 
     # -- basic queries -------------------------------------------------
 
@@ -637,9 +642,6 @@ class Congruence:
     def related(self, u: str, v: str) -> bool:
         return self.rep_of[u] == self.rep_of[v]
 
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Congruence) and self._key == other._key
 
@@ -695,13 +697,18 @@ class _UnionFind:
         return True
 
 
-def _saturate(A: FinCategory, generators, extra_rule=None) -> Congruence:
-    """Close a relation on morphisms under composition contexts (and any
-    extra rule) with union-find plus a worklist, then package the classes.
+def congruence_closure(
+    A: FinCategory, generators: Iterable[Tuple[str, str]], extra_rule=None
+) -> Congruence:
+    """Least congruence relating each generator pair and closed under
+    ``extra_rule`` (pairs to relate whenever u ~ v), by union-find plus a
+    worklist.
 
     Each merged pair (u, v) is pushed through the one-sided contexts u.p ~ v.p
     and q.u ~ q.v only; a two-sided context q.u.p is reached by merging q.u
-    with q.v first and then precomposing that pair."""
+    with q.v first and then precomposing that pair.  Reaches a fixpoint:
+    feeding the result's pairs back in changes nothing.
+    """
     uf = _UnionFind(m.name for m in A.morphisms)
     work: List[Tuple[str, str]] = []
     for (u, v) in generators:
@@ -735,14 +742,6 @@ def _saturate(A: FinCategory, generators, extra_rule=None) -> Congruence:
     return Congruence(A, list(classes.values()))
 
 
-def congruence_closure(A: FinCategory, generators: Iterable[Tuple[str, str]]) -> Congruence:
-    """Least congruence relating each generator pair.
-
-    Reaches a fixpoint: feeding the result's pairs back in changes nothing.
-    """
-    return _saturate(A, generators)
-
-
 def quotient_by_congruence(A: FinCategory, cong: Congruence):
     """Quotient category and its projection functor.
 
@@ -751,26 +750,24 @@ def quotient_by_congruence(A: FinCategory, cong: Congruence):
     """
     if cong.base != A:
         raise BoundaryMismatch("congruence lives on a different category")
+    rep = cong.rep_of
     morphisms = []
     done = set()
     for m in A.morphisms:
-        r = cong.rep_of[m.name]
+        r = rep[m.name]
         if r not in done:
             done.add(r)
             morphisms.append(Morphism(r, m.dom, m.cod))
-    identities = {a: cong.rep_of[A.identity(a)] for a in A.objects}
-    composition = {}
-    for g in morphisms:
-        for f in morphisms:
-            if f.cod == g.dom:
-                composition[(g.name, f.name)] = cong.rep_of[A.compose(g.name, f.name)]
+    identities = {a: rep[A.identity(a)] for a in A.objects}
+    composition = {(g, f): rep[h] for (g, f, h) in A._triples
+                   if rep[g] == g and rep[f] == f}
     Q = FinCategory(A.objects, morphisms, identities, composition,
                     name="%s/~" % (A.name or "?"))
     q = Functor(
         A,
         Q,
         {a: a for a in A.objects},
-        {m.name: cong.rep_of[m.name] for m in A.morphisms},
+        {m.name: rep[m.name] for m in A.morphisms},
         name="q",
     )
     return Q, q
@@ -821,11 +818,11 @@ def classify(F: Functor) -> FunctorFlags:
 
 # -- enumeration -------------------------------------------------------
 
-# Each entry keeps the size of the search that filled it: functors with
-# (object-map count, nodes visited), transformations with the largest partial
-# product of the component space.  A hit raises exactly when the cold search
-# would have, so a result never depends on what the cache already holds.
-_FUNCTOR_CACHE: Dict[Tuple[FinCategory, FinCategory], Tuple[Tuple[Functor, ...], int, int]] = {}
+# Each entry keeps the size of the search that filled it: functors with the
+# nodes visited, transformations with the largest partial product of the
+# component space.  A hit raises exactly when the cold search would have, so a
+# result never depends on what the cache already holds.
+_FUNCTOR_CACHE: Dict[Tuple[FinCategory, FinCategory], Tuple[Tuple[Functor, ...], int]] = {}
 _NAT_CACHE: Dict[Tuple[Functor, Functor], Tuple[Tuple[NatTransformation, ...], int]] = {}
 
 
@@ -838,33 +835,48 @@ def _functor_limit_check(n_obj_maps: int, visited: int, limit: int) -> None:
         raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
 
 
-def enumerate_functors(
-    A: FinCategory, B: FinCategory, limit: int = DEFAULT_SEARCH_LIMIT
-) -> Tuple[Functor, ...]:
-    """All functors A -> B, in a fixed deterministic order.
+def _search_plan(A: FinCategory):
+    """A's non-identity morphisms in assignment order, and each composition
+    triple filed under the step that assigns its last non-identity member;
+    built once per category."""
+    if A._search_plan is None:
+        non_identity = [m for m in A.morphisms if not A.is_identity(m.name)]
+        step = {m.name: k for k, m in enumerate(non_identity)}
+        checks: List[List[Tuple[str, str, str]]] = [[] for _ in non_identity]
+        for (g, f, h) in A._triples:
+            k = max(step.get(g, -1), step.get(f, -1), step.get(h, -1))
+            if k >= 0:
+                checks[k].append((g, f, h))
+        A._search_plan = (non_identity, checks)
+    return A._search_plan
 
-    Backtracking over object maps then morphism maps; raises
-    SizeLimitExceeded when the search frontier would pass ``limit``.
-    Each composition triple is checked once per node, at the step that
-    assigns its last non-identity morphism; identities are fixed by the
-    object map, so a triple of identities always holds.
+
+def functor_maps(
+    A: FinCategory,
+    B: FinCategory,
+    limit: int = DEFAULT_SEARCH_LIMIT,
+    objects: Optional[Dict[str, Sequence[str]]] = None,
+    accept: Optional[Callable[[str, str], bool]] = None,
+) -> Tuple[List[Tuple[Dict[str, str], Dict[str, str]]], int]:
+    """The functor search: the (object map, morphism map) pair of every
+    functor A -> B whose object images come from ``objects`` (per object of
+    A, a subsequence of B.objects; all of B.objects when omitted) and whose
+    non-identity morphism images pass ``accept(u, image)``, together with
+    the nodes visited.
+
+    Backtracking over object maps then morphism maps, in declaration
+    order, so a constrained search returns its results in the order the
+    unconstrained one lists them.  Each composition triple is checked
+    once per node, at the step that assigns its last non-identity
+    morphism; identities are fixed by the object map, so a triple of
+    identities always holds.  Raises SizeLimitExceeded when the
+    object-map space or the nodes visited pass ``limit``.
     """
-    cached = _FUNCTOR_CACHE.get((A, B))
-    if cached is not None:
-        out, n_obj_maps, visited = cached
-        _functor_limit_check(n_obj_maps, visited, limit)
-        return out
-    n_obj_maps = len(B.objects) ** len(A.objects) if A.objects else 1
-    _functor_limit_check(n_obj_maps, 0, limit)
-    non_identity = [m for m in A.morphisms if not A.is_identity(m.name)]
-    step = {m.name: k for k, m in enumerate(non_identity)}
-    checks: List[List[Tuple[str, str, str]]] = [[] for _ in non_identity]
-    for (g, f, h) in A._triples:
-        k = max(step.get(g, -1), step.get(f, -1), step.get(h, -1))
-        if k >= 0:
-            checks[k].append((g, f, h))
+    slots = [B.objects if objects is None else objects[a] for a in A.objects]
+    _functor_limit_check(math.prod(len(s) for s in slots), 0, limit)
+    non_identity, checks = _search_plan(A)
     B_comp = B.composition
-    results: List[Functor] = []
+    results: List[Tuple[Dict[str, str], Dict[str, str]]] = []
     visited = 0
     omap: Dict[str, str] = {}
     mmap: Dict[str, str] = {}
@@ -872,13 +884,15 @@ def enumerate_functors(
     def backtrack(k: int):
         nonlocal visited
         if k == len(non_identity):
-            results.append(Functor(A, B, omap, dict(mmap)))
+            results.append((dict(omap), dict(mmap)))
             return
         m = non_identity[k]
         for cand in B.hom(omap[m.dom], omap[m.cod]):
             visited += 1
             if visited > limit:
                 raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
+            if accept is not None and not accept(m.name, cand):
+                continue
             mmap[m.name] = cand
             for (g, f, h) in checks[k]:
                 if B_comp[(mmap[g], mmap[f])] != mmap[h]:
@@ -887,13 +901,65 @@ def enumerate_functors(
                 backtrack(k + 1)
             del mmap[m.name]
 
-    for combo in itertools.product(B.objects, repeat=len(A.objects)):
+    for combo in itertools.product(*slots):
         omap = dict(zip(A.objects, combo))
         mmap = {A.identity(a): B.identity(omap[a]) for a in A.objects}
         backtrack(0)
-    out = tuple(results)
-    _FUNCTOR_CACHE[(A, B)] = (out, n_obj_maps, visited)
+    return results, visited
+
+
+def enumerate_functors(
+    A: FinCategory, B: FinCategory, limit: int = DEFAULT_SEARCH_LIMIT
+) -> Tuple[Functor, ...]:
+    """All functors A -> B, in a fixed deterministic order (cached)."""
+    cached = _FUNCTOR_CACHE.get((A, B))
+    if cached is not None:
+        out, visited = cached
+        _functor_limit_check(len(B.objects) ** len(A.objects), visited, limit)
+        return out
+    maps, visited = functor_maps(A, B, limit)
+    out = tuple(Functor(A, B, o, m) for o, m in maps)
+    _FUNCTOR_CACHE[(A, B)] = (out, visited)
     return out
+
+
+def lifts(
+    f: Functor,
+    x: Functor,
+    g: Optional[Functor] = None,
+    y: Optional[Functor] = None,
+    limit: int = DEFAULT_SEARCH_LIMIT,
+) -> Tuple[Functor, ...]:
+    """Every d: f.target -> x.target with d after f == x and, when g is
+    given, g after d == y; in enumerate_functors order.
+
+    The image of f pins d there; g restricts every other object and
+    morphism to those g sends where y does.  The search visits a subset of
+    the nodes of the unconstrained one, so it never stops at a limit that
+    enumerating every functor and filtering would have passed.
+    """
+    B, C = f.target, x.target
+    if f.source != x.source or (g is not None and (g.source != C or y.source != B)):
+        raise BoundaryMismatch("lift problem does not fit together")
+    obj_pin: Dict[str, str] = {}
+    for a, b in f.on_objects.items():
+        if obj_pin.setdefault(b, x.obj(a)) != x.obj(a):
+            return ()
+    mor_pin: Dict[str, str] = {}
+    for u, v in f.on_morphisms.items():
+        if mor_pin.setdefault(v, x.mor(u)) != x.mor(u):
+            return ()
+    # d(id_b) is pinned only where b is, and there to the identity of d(b)
+    objects = {}
+    for b in B.objects:
+        cands = [obj_pin[b]] if b in obj_pin else C.objects
+        objects[b] = [c for c in cands if g is None or g.obj(c) == y.obj(b)]
+
+    def accept(u: str, cand: str) -> bool:
+        return mor_pin.get(u, cand) == cand and (g is None or g.mor(cand) == y.mor(u))
+
+    maps, _ = functor_maps(B, C, limit, objects, accept)
+    return tuple(Functor(B, C, o, m) for o, m in maps)
 
 
 def enumerate_nat_transformations(

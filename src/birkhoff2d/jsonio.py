@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError
 from .fincat import FinCategory, Functor, NatTransformation, validate_category
 from .theory import (
     Algebra,
@@ -213,12 +213,15 @@ class Workspace:
 
     A reference inside a file is a path relative to that file's
     directory.  Paths given directly to the loader methods are resolved
-    against ``root`` (default: the current directory).
+    against ``root`` (default: the current directory).  Every loaded
+    entity remembers the file it came from (:meth:`path_of`).
     """
 
     def __init__(self, root: Union[str, Path, None] = None):
         self.root = Path(root) if root is not None else Path(".")
         self._cache: Dict[Path, object] = {}
+        # keyed by id: equal entities read from different files keep their own path
+        self._paths: Dict[int, Path] = {}
 
     def _resolve(self, ref: Union[str, Path], base: Optional[Path]) -> Path:
         p = Path(ref)
@@ -267,7 +270,12 @@ class Workspace:
         else:  # pragma: no cover - entity_kind is exhaustive
             raise UsageError("cannot load %s" % kind)
         self._cache[path] = out
+        self._paths[id(out)] = path
         return out
+
+    def path_of(self, entity) -> Path:
+        """The resolved file an entity was loaded from."""
+        return self._paths[id(entity)]
 
     def _functor_from(self, data, here: Path, name: str) -> Functor:
         src = self.category(data["source"], base=here)

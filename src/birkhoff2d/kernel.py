@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BoundaryMismatch, LabError, SizeLimitExceeded
 from .factor import CheckResult
@@ -30,8 +30,10 @@ from .fincat import (
     coproduct_category,
     enumerate_functors,
     enumerate_nat_transformations,
+    functor_maps,
     identity_functor,
     identity_nat,
+    lifts,
     quotient_by_congruence,
     whisker,
 )
@@ -181,11 +183,10 @@ def verify_coequifier_2d(
         return CheckResult(False, {"reason": "q does not coequify the data"})
     for X in test_categories:
         factor_of: Dict[Functor, Functor] = {}
-        cand = enumerate_functors(C, X, limit=limit)
         for h in enumerate_functors(A, X, limit=limit):
             if not coequifies(h, phi, psi):
                 continue
-            hbars = [hb for hb in cand if compose_functors(hb, q) == h]
+            hbars = lifts(q, h, limit=limit)
             if len(hbars) != 1:
                 return CheckResult(
                     False,
@@ -228,6 +229,10 @@ def verify_kernel_universal(
         return CheckResult(False, {"reason": "kernel data does not target f's source"})
     if not coequifies(f, kd.phi, kd.psi):
         return CheckResult(False, {"reason": "f does not coequify the data"})
+    # matching phi components fixes the s and t object images as well
+    apex_by_cells: Dict[Tuple[str, str], List[str]] = {}
+    for o in kd.apex.objects:
+        apex_by_cells.setdefault((kd.phi.at(o), kd.psi.at(o)), []).append(o)
     for KP in apexes:
         for s2 in enumerate_functors(KP, A, limit=limit):
             for t2 in enumerate_functors(KP, A, limit=limit):
@@ -237,7 +242,7 @@ def verify_kernel_universal(
                     for psi2 in nats:
                         if whisker(f, psi2, "left") != f_phi2:
                             continue
-                        n = _count_mediators(kd, KP, s2, t2, phi2, psi2, limit)
+                        n = _count_mediators(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit)
                         if n != 1:
                             return CheckResult(
                                 False,
@@ -249,56 +254,15 @@ def verify_kernel_universal(
     return CheckResult(True)
 
 
-def _count_mediators(kd, KP, s2, t2, phi2, psi2, limit) -> int:
+def _count_mediators(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit) -> int:
     """Number of functors m: KP -> apex with s.m == s2, t.m == t2,
-    phi * m == phi2 and psi * m == psi2, by constrained backtracking."""
-    K = kd.apex
-    obj_cands: Dict[str, List[str]] = {}
-    for k in KP.objects:
-        cands = [
-            o
-            for o in K.objects
-            if kd.s.obj(o) == s2.obj(k)
-            and kd.t.obj(o) == t2.obj(k)
-            and kd.phi.at(o) == phi2.at(k)
-            and kd.psi.at(o) == psi2.at(k)
-        ]
-        obj_cands[k] = cands
-        if not cands:
-            return 0
-    non_identity = [m for m in KP.morphisms if not KP.is_identity(m.name)]
-    pair_list = [(g, f_, h) for (g, f_), h in KP.composition.items()]
-    count = 0
-    visited = 0
-    for combo in itertools.product(*(obj_cands[k] for k in KP.objects)):
-        omap = dict(zip(KP.objects, combo))
-        mmap = {KP.identity(k): K.identity(omap[k]) for k in KP.objects}
+    phi * m == phi2 and psi * m == psi2."""
+    objects = {k: apex_by_cells.get((phi2.at(k), psi2.at(k)), ()) for k in KP.objects}
 
-        def backtrack(i: int):
-            nonlocal count, visited
-            if i == len(non_identity):
-                count += 1
-                return
-            mo = non_identity[i]
-            for cand in K.hom(omap[mo.dom], omap[mo.cod]):
-                visited += 1
-                if visited > limit:
-                    raise SizeLimitExceeded("mediator search exceeded limit %d" % limit)
-                if kd.s.mor(cand) != s2.mor(mo.name) or kd.t.mor(cand) != t2.mor(mo.name):
-                    continue
-                mmap[mo.name] = cand
-                ok = True
-                for (g, f_, h) in pair_list:
-                    if g in mmap and f_ in mmap and h in mmap:
-                        if K.compose(mmap[g], mmap[f_]) != mmap[h]:
-                            ok = False
-                            break
-                if ok:
-                    backtrack(i + 1)
-                del mmap[mo.name]
+    def accept(u: str, cand: str) -> bool:
+        return kd.s.mor(cand) == s2.mor(u) and kd.t.mor(cand) == t2.mor(u)
 
-        backtrack(0)
-    return count
+    return len(functor_maps(KP, kd.apex, limit, objects, accept)[0])
 
 
 @dataclass(frozen=True)
@@ -400,6 +364,20 @@ def immediate_convergence_check(f: Functor, max_size: int = DEFAULT_APEX_CAP) ->
 # the first counterexample.
 
 
+def _parallel_pairs_below(functors, flag, targets, limit):
+    """(h, X, f, g, 2-cells f => g) for every h among the functors with the
+    given class flag and every parallel pair f, g out of h's target into a
+    test category X."""
+    for h in functors:
+        if not getattr(classify(h), flag):
+            continue
+        for X in targets:
+            across = enumerate_functors(h.target, X, limit=limit)
+            for f in across:
+                for g in across:
+                    yield h, X, f, g, enumerate_nat_transformations(f, g, limit=limit)
+
+
 def lemma_cancel_two_cells(
     functors: Sequence[Functor],
     targets: Sequence[FinCategory],
@@ -409,28 +387,20 @@ def lemma_cancel_two_cells(
     f, g out of h's target into a test category, whiskering with h is a
     bijection from 2-cells f => g to 2-cells f.h => g.h."""
     checked = cells = 0
-    for h in functors:
-        if not classify(h).bo_full:
-            continue
-        A = h.target
-        for X in targets:
-            across = enumerate_functors(A, X, limit=limit)
-            for f in across:
-                for g in across:
-                    alphas = enumerate_nat_transformations(f, g, limit=limit)
-                    betas = enumerate_nat_transformations(
-                        compose_functors(f, h), compose_functors(g, h), limit=limit
-                    )
-                    whiskered = [whisker(h, a, "right") for a in alphas]
-                    if len(set(whiskered)) != len(whiskered) or set(whiskered) != set(betas):
-                        return CheckResult(
-                            False,
-                            {"functor": h.name or h.on_objects, "test_category": X.name,
-                             "pair": (f.on_objects, g.on_objects),
-                             "upstairs": len(alphas), "downstairs": len(betas)},
-                        )
-                    checked += 1
-                    cells += len(betas)
+    for h, X, f, g, alphas in _parallel_pairs_below(functors, "bo_full", targets, limit):
+        betas = enumerate_nat_transformations(
+            compose_functors(f, h), compose_functors(g, h), limit=limit
+        )
+        whiskered = [whisker(h, a, "right") for a in alphas]
+        if len(set(whiskered)) != len(whiskered) or set(whiskered) != set(betas):
+            return CheckResult(
+                False,
+                {"functor": h.name or h.on_objects, "test_category": X.name,
+                 "pair": (f.on_objects, g.on_objects),
+                 "upstairs": len(alphas), "downstairs": len(betas)},
+            )
+        checked += 1
+        cells += len(betas)
     return CheckResult(True, {"pairs": checked, "cells": cells})
 
 
@@ -442,45 +412,25 @@ def lemma_so_faithful(
     """For every surjective-on-objects h among the functors, whiskering
     with h never identifies two distinct parallel 2-cells."""
     checked = cells = 0
-    for h in functors:
-        if not classify(h).so:
-            continue
-        A = h.target
-        for X in targets:
-            across = enumerate_functors(A, X, limit=limit)
-            for f in across:
-                for g in across:
-                    alphas = enumerate_nat_transformations(f, g, limit=limit)
-                    whiskered = {whisker(h, a, "right") for a in alphas}
-                    if len(whiskered) != len(alphas):
-                        return CheckResult(
-                            False,
-                            {"functor": h.name or h.on_objects, "test_category": X.name,
-                             "pair": (f.on_objects, g.on_objects),
-                             "cells": len(alphas), "images": len(whiskered)},
-                        )
-                    checked += 1
-                    cells += len(alphas)
+    for h, X, f, g, alphas in _parallel_pairs_below(functors, "so", targets, limit):
+        whiskered = {whisker(h, a, "right") for a in alphas}
+        if len(whiskered) != len(alphas):
+            return CheckResult(
+                False,
+                {"functor": h.name or h.on_objects, "test_category": X.name,
+                 "pair": (f.on_objects, g.on_objects),
+                 "cells": len(alphas), "images": len(whiskered)},
+            )
+        checked += 1
+        cells += len(alphas)
     return CheckResult(True, {"pairs": checked, "cells": cells})
 
 
 def induced_between_quotients(q1: Functor, q2: Functor) -> Optional[Functor]:
     """The functor u with u . q1 == q2, when q1's identifications are
     also made by q2; None otherwise.  Requires q1 surjective."""
-    A = q1.source
-    on_obj: Dict[str, str] = {}
-    for a in A.objects:
-        key, val = q1.obj(a), q2.obj(a)
-        if on_obj.get(key, val) != val:
-            return None
-        on_obj[key] = val
-    on_mor: Dict[str, str] = {}
-    for m in A.morphisms:
-        key, val = q1.mor(m.name), q2.mor(m.name)
-        if on_mor.get(key, val) != val:
-            return None
-        on_mor[key] = val
-    return Functor(q1.target, q2.target, on_obj, on_mor, name="induced")
+    found = lifts(q1, q2)
+    return found[0] if found else None
 
 
 def lemma_coeq_refl(

@@ -39,11 +39,12 @@ from .fincat import (
     FinCategory,
     Functor,
     NatTransformation,
-    PowerSpan,
-    _saturate,
     classify,
+    compose_functors,
+    congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
+    identity_functor,
     power,
     power_span,
     quotient_by_congruence,
@@ -446,15 +447,6 @@ class Extension:
             base.check_equation(l, r)
         self._key = (base._key, self.added_two_cell_equations)
 
-    def extended_presentation(self) -> Presentation:
-        return Presentation(
-            self.base.signature,
-            self.base.term_equations,
-            self.base.generators,
-            self.base.two_cell_equations + self.added_two_cell_equations,
-            name=(self.name or "?") + "-total",
-        )
-
     def __eq__(self, other):
         return isinstance(other, Extension) and self._key == other._key
 
@@ -527,7 +519,6 @@ class Algebra:
         if set(generators) - set(self._gen):
             raise SignatureMismatch("interpretation for unknown generator")
         self._validate()
-        self._functor_cache: Dict[str, Functor] = {}
         self._key = (
             presentation._key,
             carrier._key,
@@ -660,25 +651,6 @@ class Algebra:
                     raise ValidationError(
                         "2-cell equation %d fails at %r" % (i, t), witness=(i, t)
                     )
-
-    # -- materialized views --------------------------------------------
-
-    def op_functor(self, name: str) -> Functor:
-        """The operation as a functor carrier^arity -> carrier."""
-        cached = self._functor_cache.get(name)
-        if cached is not None:
-            return cached
-        n = self.presentation.signature.arity[name]
-        span = power(self.carrier, n)
-        F = Functor(
-            span.category,
-            self.carrier,
-            {span.obj_of[t]: self._op_obj[name][t] for t in map(tuple, itertools.product(self.carrier.objects, repeat=n))},
-            {span.mor_of[t]: self._op_mor[name][t] for t in map(tuple, self.mor_tuples(n))},
-            name=name,
-        )
-        self._functor_cache[name] = F
-        return F
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self._key == other._key
@@ -819,52 +791,14 @@ def satisfies(alg: Algebra, E: Union[Extension, Presentation]) -> CheckResult:
     for i, (l, r) in enumerate(cell_eqs):
         n = pres.resolve_arity(l, r)
         for t in alg.obj_tuples(n):
-            lv = _eval_with(alg, pres, l, t, n)
-            rv = _eval_with(alg, pres, r, t, n)
+            lv = eval_expr(alg, l, t, n)
+            rv = eval_expr(alg, r, t, n)
             if lv != rv:
                 return CheckResult(
                     False,
                     {"kind": "two_cell", "equation": i, "tuple": t, "lhs": lv, "rhs": rv},
                 )
     return CheckResult(True)
-
-
-def _eval_with(alg: Algebra, pres: Presentation, e: TwoCellExpr, objs, arity: int) -> str:
-    """Evaluate with boundary lookups against the given presentation (the
-    algebra's own presentation is structurally equal; this keeps cache use
-    on the caller's instance)."""
-    C = alg.carrier
-    if isinstance(e, IdCell):
-        return C.identity(eval_term_obj(alg, e.term, objs))
-    if isinstance(e, GenCell):
-        return alg.gen_at(e.name, objs)
-    if isinstance(e, InvCell):
-        inv = C.inverse(alg.gen_at(e.name, objs))
-        if inv is None:
-            raise NonInvertibleComponent("no inverse for %s at %r" % (e.name, objs))
-        return inv
-    if isinstance(e, VCompCell):
-        return C.compose(
-            _eval_with(alg, pres, e.after, objs, arity),
-            _eval_with(alg, pres, e.before, objs, arity),
-        )
-    if isinstance(e, SubstCell):
-        src_vals: List[str] = []
-        comp_mors: List[str] = []
-        for a in e.args:
-            if isinstance(a, _TERM_TYPES):
-                o = eval_term_obj(alg, a, objs)
-                src_vals.append(o)
-                comp_mors.append(C.identity(o))
-            else:
-                s_term, _ = pres.boundary(a, arity)
-                src_vals.append(eval_term_obj(alg, s_term, objs))
-                comp_mors.append(_eval_with(alg, pres, a, objs, arity))
-        head_comp = _eval_with(alg, pres, e.head, tuple(src_vals), len(e.args))
-        _, ht = pres.boundary(e.head, len(e.args))
-        action = eval_term_mor(alg, ht, tuple(comp_mors))
-        return C.compose(action, head_comp)
-    raise TypeError(e)
 
 
 # -- homomorphisms -----------------------------------------------------
@@ -939,15 +873,11 @@ class AlgebraHom:
 
 
 def compose_algebra_homs(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
-    from .fincat import compose_functors
-
     return AlgebraHom(f.source, g.target, compose_functors(g.functor, f.functor),
                       name="%s.%s" % (g.name or "?", f.name or "?"))
 
 
 def identity_algebra_hom(A: Algebra) -> AlgebraHom:
-    from .fincat import identity_functor
-
     return AlgebraHom(A, A, identity_functor(A.carrier), name="id")
 
 
@@ -1134,7 +1064,7 @@ def algebra_congruence_closure(
                     tv = rest[:pos] + (v,) + rest[pos:]
                     yield (A.op_mor(op.name, tu), A.op_mor(op.name, tv))
 
-    cong = _saturate(A.carrier, generators, extra_rule=op_rule)
+    cong = congruence_closure(A.carrier, generators, extra_rule=op_rule)
     witness = congruence_operation_witness(A, cong)
     if witness is not None:
         raise NotOperationClosed("saturated congruence is not operation-closed",
@@ -1204,8 +1134,6 @@ def reflexive_coequifier_algebra(
     A = u.target
     K = u.source
     gens = [(phi.at(k), psi.at(k)) for k in K.carrier.objects]
-    from .fincat import congruence_closure
-
     cong = congruence_closure(A.carrier, gens)
     if congruence_operation_witness(A, cong) is not None:
         raise LiftFailure(

@@ -7,6 +7,8 @@ corpus-sized inputs, which is the point.
 """
 import itertools
 
+from birkhoff2d.fincat import Functor, compose_functors, enumerate_functors, whisker
+
 # Functor counts between the six bundled categories, derived by hand
 # from the composition tables (object map choices times constrained
 # morphism image choices) and frozen here.
@@ -190,3 +192,47 @@ def count_quotient_algebras(A):
         if _is_congruence(C, rep) and _ops_descend(A, rep):
             count += 1
     return count
+
+
+# Enumerate-then-filter definitions of the lift searches, as the package
+# stated them before every such search ran on one constrained backtracker.
+# They list every functor with the package's enumerator and keep the ones
+# with the prescribed restriction.
+
+
+def fillins_by_filter(f, g, x, y):
+    """Every d out of f's target into g's source with d.f == x and
+    g.d == y, in enumeration order."""
+    return tuple(
+        d for d in enumerate_functors(f.target, g.source)
+        if compose_functors(d, f) == x and compose_functors(g, d) == y
+    )
+
+
+def mediator_signatures(kd, KP):
+    """For every functor m: KP -> apex of the kernel data, the tuple
+    (s.m, t.m, phi * m, psi * m) a candidate datum must equal for m to
+    mediate into kd."""
+    return [
+        (compose_functors(kd.s, m), compose_functors(kd.t, m),
+         whisker(m, kd.phi, "right"), whisker(m, kd.psi, "right"))
+        for m in enumerate_functors(KP, kd.apex)
+    ]
+
+
+def induced_by_hand(q1, q2):
+    """The functor u with u.q1 == q2 read off pointwise, or None when q1
+    identifies something q2 keeps apart."""
+    A = q1.source
+    on_obj, on_mor = {}, {}
+    for a in A.objects:
+        key, val = q1.obj(a), q2.obj(a)
+        if on_obj.get(key, val) != val:
+            return None
+        on_obj[key] = val
+    for m in A.morphisms:
+        key, val = q1.mor(m.name), q2.mor(m.name)
+        if on_mor.get(key, val) != val:
+            return None
+        on_mor[key] = val
+    return Functor(q1.target, q2.target, on_obj, on_mor, name="induced")

@@ -8,7 +8,6 @@ from birkhoff2d.birkhoff import (
     check_algebra_orthogonal,
     enumerate_quotient_algebras,
     reflect,
-    verify_fully_faithful_inclusion,
     verify_orthogonality_characterisation,
     verify_reflection_free,
     verify_unit_terminal,
@@ -208,13 +207,3 @@ def test_unit_is_terminal_among_subclass_quotients(catalog, coherence):
         assert res, (name, res.witness)
         counts[name] = res.witness["quotients_in_subclass"]
     assert counts == {"sigma_assoc": 1, "xor_strict": 2, "two_max": 1}
-
-
-def test_inclusion_preserves_hom_categories(catalog, coherence):
-    res = verify_fully_faithful_inclusion(
-        coherence, catalog["xor_strict"], catalog["two_max"])
-    assert res
-    assert res.witness["homs"] >= 1
-    with pytest.raises(ValidationError):
-        verify_fully_faithful_inclusion(
-            coherence, catalog["sigma_assoc"], catalog["xor_strict"])

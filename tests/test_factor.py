@@ -1,17 +1,25 @@
 """Factorisation systems and enriched orthogonality."""
 import pytest
 
+import oracles
 from birkhoff2d import corpus
 from birkhoff2d.factor import (
     FACTOR_SYSTEMS,
     check_orthogonal_morphisms,
     check_orthogonal_object,
+    diagonal_fillins,
     factor_bof,
     factor_bo_ff,
     factor_so_ioff,
     factorisation_sound,
 )
-from birkhoff2d.fincat import Functor, classify, identity_functor
+from birkhoff2d.fincat import (
+    Functor,
+    classify,
+    compose_functors,
+    enumerate_functors,
+    identity_functor,
+)
 from birkhoff2d.kernel import bof_kernel, coequify, induced_between_quotients
 
 
@@ -107,3 +115,23 @@ def test_left_and_right_classes_are_orthogonal_sample(all_functors):
         for m in faithful:
             res = check_orthogonal_morphisms(e, m)
             assert res, (e.name, m.name, res.witness)
+
+
+def test_fillins_match_enumerate_then_filter(all_functors):
+    """Every commuting square of every quotient/mono pair (one fill-in
+    each), and of every functor against every quotient (none, one, two or
+    four), gets the fill-ins of the old filter, as the same tuple."""
+    quotients = [f for f in all_functors if classify(f).bo_full]
+    monos = [g for g in all_functors if classify(g).faithful]
+    pairs = [(f, g) for f in quotients for g in monos]
+    pairs += [(f, g) for f in all_functors for g in quotients]
+    counts = {}
+    for f, g in pairs:
+        for x in enumerate_functors(f.source, g.source):
+            gx = compose_functors(g, x)
+            for y in enumerate_functors(f.target, g.target):
+                if compose_functors(y, f) == gx:
+                    ds = diagonal_fillins(f, g, x, y)
+                    assert ds == oracles.fillins_by_filter(f, g, x, y)
+                    counts[len(ds)] = counts.get(len(ds), 0) + 1
+    assert counts == {0: 1080, 1: 7488, 2: 534, 4: 240}

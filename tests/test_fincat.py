@@ -28,6 +28,7 @@ from birkhoff2d.fincat import (
     enumerate_nat_transformations,
     identity_functor,
     identity_nat,
+    lifts,
     product_category,
     quotient_by_congruence,
     validate_category,
@@ -35,6 +36,7 @@ from birkhoff2d.fincat import (
     whisker,
 )
 from birkhoff2d.jsonio import category_to_json
+from birkhoff2d.kernel import coequify
 
 import oracles
 
@@ -282,6 +284,27 @@ def test_search_limits_ignore_cache_history(cats):
     assert len(enumerate_nat_transformations(idf, idf)) == 4
     with pytest.raises(SizeLimitExceeded):
         enumerate_nat_transformations(idf, idf, limit=3)
+
+
+def test_pinned_search_stays_under_a_limit_the_full_search_passes(cats):
+    """Lifts along the quotient of the parallel pair visit a subset of the
+    nodes of the full search: with a limit below the object-map space of
+    the quotient's functors into z2z2 they still come out, in the order of
+    enumerating and filtering, while the full enumeration raises."""
+    q, Q = coequify(*corpus.coequifier_data()[0])
+    z2z2 = cats["z2z2"]
+    limit = len(z2z2.objects) ** len(Q.objects) - 1
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_functors(Q, z2z2, limit=limit)
+    everything = enumerate_functors(Q, z2z2)
+    found = 0
+    for x in enumerate_functors(cats["p"], z2z2):
+        got = lifts(q, x, limit=limit)
+        assert got == tuple(d for d in everything if compose_functors(d, q) == x)
+        found += len(got)
+    assert found == len(everything) == 4
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_functors(Q, z2z2, limit=limit)
 
 
 def test_enumeration_contains_identity_and_is_cached(cats):

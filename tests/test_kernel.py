@@ -1,7 +1,8 @@
 """Kernel data, coequifiers, reflexivization and convergence."""
 import pytest
 
-from birkhoff2d import corpus
+import oracles
+from birkhoff2d import corpus, kernel
 from birkhoff2d.errors import BoundaryMismatch
 from birkhoff2d.factor import factor_bof
 from birkhoff2d.fincat import (
@@ -9,11 +10,14 @@ from birkhoff2d.fincat import (
     NatTransformation,
     classify,
     compose_functors,
+    coproduct_category,
     identity_functor,
     identity_nat,
+    lifts,
     whisker,
 )
 from birkhoff2d.kernel import (
+    KernelData,
     ReflexiveData,
     bof_kernel,
     coequifies,
@@ -126,8 +130,6 @@ def test_undersized_datum_fails_universality(cats):
     """A degenerate datum on a single-object apex is coequified by the
     collapse functor but has no room for the candidate picking u and v
     apart, so terminality fails with zero mediators."""
-    from birkhoff2d.kernel import KernelData
-
     f = corpus.collapse_functor()
     one, P = cats["one"], cats["p"]
     pick = Functor(one, P, {"*": "a"}, {"id": "ida"}, name="pick")
@@ -138,6 +140,59 @@ def test_undersized_datum_fails_universality(cats):
     assert not res
     assert res.witness["apex"] == "one"
     assert res.witness["mediators"] == 0
+
+
+def _doubled(kd):
+    """kd with its apex replaced by two copies of itself, so every
+    mediator into kd comes in two."""
+    KK, inl, inr = coproduct_category(kd.apex, kd.apex)
+
+    def copair(F):
+        return Functor(KK, F.target,
+                       {i.obj(k): F.obj(k) for i in (inl, inr) for k in kd.apex.objects},
+                       {i.mor(m.name): F.mor(m.name)
+                        for i in (inl, inr) for m in kd.apex.morphisms})
+
+    S, T = copair(kd.s), copair(kd.t)
+
+    def cell(alpha):
+        return NatTransformation(
+            S, T, {i.obj(k): alpha.at(k) for i in (inl, inr) for k in kd.apex.objects})
+
+    return KernelData(KK, S, T, cell(kd.phi), cell(kd.psi))
+
+
+def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeypatch):
+    """Every mediator count taken while checking the kernels of all corpus
+    functors over one, two and p (and two data that fail with zero and two
+    mediators) equals the number of functors into the apex that the old
+    filter keeps."""
+    seen = []
+    count = kernel._count_mediators
+
+    def recording(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit):
+        n = count(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit)
+        seen.append((kd, KP, (s2, t2, phi2, psi2), n))
+        return n
+
+    monkeypatch.setattr(kernel, "_count_mediators", recording)
+    apexes = [cats["one"], cats["two"], cats["p"]]
+    for f in all_functors:
+        assert verify_kernel_universal(bof_kernel(f), f, apexes)
+    collapse = corpus.collapse_functor()
+    pick = Functor(cats["one"], cats["p"], {"*": "a"}, {"id": "ida"})
+    small = KernelData(cats["one"], pick, pick, identity_nat(pick), identity_nat(pick))
+    assert verify_kernel_universal(small, collapse, apexes).witness["mediators"] == 0
+    doubled = _doubled(bof_kernel(collapse))
+    assert verify_kernel_universal(doubled, collapse, apexes).witness["mediators"] == 2
+    signatures = {}
+    for kd, KP, datum, n in seen:
+        key = (id(kd), KP)
+        if key not in signatures:
+            signatures[key] = oracles.mediator_signatures(kd, KP)
+        assert n == signatures[key].count(datum)
+    assert len(seen) == 4611
+    assert {n for *_, n in seen} == {0, 1, 2}
 
 
 # -- reflexivization ---------------------------------------------------
@@ -205,6 +260,16 @@ def test_induced_functor_direction(walking_pair):
     coarse, _ = coequify(phi, psi)
     assert induced_between_quotients(fine, coarse) is not None
     assert induced_between_quotients(coarse, fine) is None
+
+
+def test_induced_functor_matches_pointwise_definition(walking_pair):
+    phi, psi = walking_pair
+    fine, _ = coequify(phi, phi)
+    coarse, _ = coequify(phi, psi)
+    for q1, q2 in ((fine, coarse), (coarse, fine)):
+        expected = oracles.induced_by_hand(q1, q2)
+        assert induced_between_quotients(q1, q2) == expected
+        assert lifts(q1, q2) == (() if expected is None else (expected,))
 
 
 # -- exhaustive suites, small slices -----------------------------------
