@@ -11,7 +11,7 @@ Three systems are provided, each splitting a functor f: A -> B as
 Orthogonality is checked in the enriched sense: unique diagonal fill-ins
 for commuting squares at the functor level, and unique fill-ins at the
 transformation level for every compatible pair of 2-cells between squares.
-All checks are brute-force enumerations over the finite data.
+All checks run on the functor and transformation searches of :mod:`fincat`.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     lifts,
+    nat_lifts,
     quotient_by_congruence,
     whisker,
 )
@@ -223,16 +224,8 @@ def check_orthogonal_morphisms(
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
         for alpha in enumerate_nat_transformations(x, x2, limit=limit):
-            g_alpha = whisker(g, alpha, "left")
-            for beta in enumerate_nat_transformations(y, y2, limit=limit):
-                if whisker(f, beta, "right") != g_alpha:
-                    continue
-                deltas = [
-                    delta
-                    for delta in enumerate_nat_transformations(d, d2, limit=limit)
-                    if whisker(f, delta, "right") == alpha
-                    and whisker(g, delta, "left") == beta
-                ]
+            for beta in nat_lifts(f, whisker(g, alpha, "left"), y, y2, limit=limit):
+                deltas = nat_lifts(f, alpha, d, d2, g, beta, limit=limit)
                 if len(deltas) != 1:
                     return CheckResult(
                         False,
@@ -267,10 +260,7 @@ def check_orthogonal_object(
         downstairs = enumerate_nat_transformations(
             compose_functors(h, f), compose_functors(h2, f), limit=limit
         )
-        restricted_nats = [whisker(f, beta, "right") for beta in upstairs]
-        if len(set(restricted_nats)) != len(restricted_nats) or set(
-            restricted_nats
-        ) != set(downstairs):
+        if any(len(nat_lifts(f, alpha, h, h2, limit=limit)) != 1 for alpha in downstairs):
             return CheckResult(
                 False,
                 {"level": 2, "pair": (h.on_objects, h2.on_objects),

@@ -5,12 +5,12 @@ all laws are decided by direct inspection and every construction in the
 package stays finite and deterministic.  Next to the table each category
 carries its composable-triple table ``(g, f, g after f)`` and, per object,
 the morphisms ending and starting there, so the law checks, congruence
-closure and functor search visit only composable data.  Every search for
-functors with a prescribed restriction (plain enumeration, :func:`lifts`
-along a functor, mediators of kernel data) runs on one constrained
-backtracker, :func:`functor_maps`.  Values validate themselves at
-construction time and are immutable afterwards; structural equality ignores
-the display name.
+closure and functor search visit only composable data.  Functors are
+searched by :func:`functor_maps` (enumeration, :func:`lifts`, kernel
+mediators), transformations by one search over component lists (enumeration,
+:func:`nat_lifts`) that decides naturality with :func:`naturality_witness`.
+Values validate themselves at construction time and are immutable
+afterwards; structural equality ignores the display name.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -238,11 +239,6 @@ class FinCategory:
                             witness=(h, g, f),
                         )
 
-    def revalidate(self) -> "FinCategory":
-        """Re-run validation; idempotent on valid data."""
-        self._validate()
-        return self
-
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -272,9 +268,12 @@ def validate_category(raw: dict, name: str = "") -> FinCategory:
     """
     if not isinstance(raw, dict):
         raise ValidationError("category description must be a mapping")
-    for key in ("objects", "morphisms", "identities"):
+    for key, shape in (("objects", list), ("morphisms", list), ("identities", dict)):
         if key not in raw:
             raise ValidationError("category description lacks %r" % key)
+        if not isinstance(raw[key], shape):
+            raise ValidationError("category field %r must be %s" % (
+                key, "a list" if shape is list else "a mapping"), witness=key)
     try:
         morphisms = tuple(
             Morphism(str(m["id"]), str(m["dom"]), str(m["cod"])) for m in raw["morphisms"]
@@ -430,13 +429,9 @@ class NatTransformation:
                     % (a, cm.dom, cm.cod, source.obj(a), target.obj(a)),
                     witness=a,
                 )
-        for m in A.morphisms:
-            lhs = B.compose(target.mor(m.name), self.components[m.dom])
-            rhs = B.compose(self.components[m.cod], source.mor(m.name))
-            if lhs != rhs:
-                raise ValidationError(
-                    "naturality fails at %s" % m.name, witness=(m.name, lhs, rhs)
-                )
+        witness = naturality_witness(source, target, self.components)
+        if witness is not None:
+            raise ValidationError("naturality fails at %s" % witness[0], witness=witness)
         self._key = (source._key, target._key, tuple(sorted(self.components.items())))
         self._hash = hash(self._key)
 
@@ -454,6 +449,17 @@ class NatTransformation:
     def __repr__(self) -> str:
         return "NatTransformation(%s => %s)" % (self.source.name or "?",
                                                 self.target.name or "?")
+
+
+def naturality_witness(F: Functor, G: Functor, components: Dict[str, str]):
+    """First (m, G(m).c_dom, c_cod.F(m)) with the two sides unequal, or None."""
+    comp = F.target.composition
+    for m in F.source.morphisms:
+        lhs = comp[(G.on_morphisms[m.name], components[m.dom])]
+        rhs = comp[(components[m.cod], F.on_morphisms[m.name])]
+        if lhs != rhs:
+            return (m.name, lhs, rhs)
+    return None
 
 
 def identity_nat(F: Functor) -> NatTransformation:
@@ -795,15 +801,13 @@ def classify(F: Functor) -> FunctorFlags:
     so = image_objects == set(B.objects)
     injective_on_objects = len(image_objects) == len(A.objects)
     bo = so and injective_on_objects
-    full = True
-    faithful = True
-    for a in A.objects:
-        for b in A.objects:
-            image = [F.mor(u) for u in A.hom(a, b)]
-            if len(set(image)) != len(image):
-                faithful = False
-            if set(image) != set(B.hom(F.obj(a), F.obj(b))):
-                full = False
+    # images bucketed by source hom-set; full when each fills its target hom-set
+    image: Dict[Tuple[str, str], set] = {}
+    for m in A.morphisms:
+        image.setdefault((m.dom, m.cod), set()).add(F.on_morphisms[m.name])
+    faithful = sum(map(len, image.values())) == len(A.morphisms)
+    full = all(len(image.get((a, b), ())) == len(B.hom(F.obj(a), F.obj(b)))
+               for a in A.objects for b in A.objects)
     return FunctorFlags(
         bo=bo,
         full=full,
@@ -962,6 +966,16 @@ def lifts(
     return tuple(Functor(B, C, o, m) for o, m in maps)
 
 
+def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], limit: int):
+    """Natural choices from ``slots`` (per object, a subsequence of its hom-set
+    F a -> G a) in product order, and the peak partial product of slot sizes."""
+    peak = max(itertools.accumulate(map(len, slots), operator.mul, initial=1))
+    if peak > limit:
+        raise SizeLimitExceeded("component space exceeds limit %d" % limit)
+    choices = (dict(zip(F.source.objects, c)) for c in itertools.product(*slots))
+    return [c for c in choices if naturality_witness(F, G, c) is None], peak
+
+
 def enumerate_nat_transformations(
     F: Functor, G: Functor, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Tuple[NatTransformation, ...]:
@@ -969,31 +983,35 @@ def enumerate_nat_transformations(
     if F.source != G.source or F.target != G.target:
         raise BoundaryMismatch("need parallel functors")
     cached = _NAT_CACHE.get((F, G))
-    if cached is not None:
-        out, peak = cached
-        if peak > limit:
-            raise SizeLimitExceeded("component space exceeds limit %d" % limit)
-        return out
-    A, B = F.source, F.target
-    slots = [B.hom(F.obj(a), G.obj(a)) for a in A.objects]
-    total = peak = 1
-    for s in slots:
-        total *= len(s)
-        peak = max(peak, total)
-        if peak > limit:
-            raise SizeLimitExceeded("component space exceeds limit %d" % limit)
-    results = []
-    for combo in itertools.product(*slots):
-        comps = dict(zip(A.objects, combo))
-        natural = True
-        for m in A.morphisms:
-            if B.compose(G.mor(m.name), comps[m.dom]) != B.compose(
-                comps[m.cod], F.mor(m.name)
-            ):
-                natural = False
-                break
-        if natural:
-            results.append(NatTransformation(F, G, comps))
-    out = tuple(results)
-    _NAT_CACHE[(F, G)] = (out, peak)
+    if cached is None:
+        slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
+        found, peak = _natural_components(F, G, slots, limit)
+        cached = _NAT_CACHE[(F, G)] = (tuple(NatTransformation(F, G, c) for c in found), peak)
+    out, peak = cached
+    if peak > limit:  # a cold search has already raised here
+        raise SizeLimitExceeded("component space exceeds limit %d" % limit)
     return out
+
+
+def nat_lifts(f: Functor, alpha: NatTransformation, d: Functor, d2: Functor,
+              g: Optional[Functor] = None, beta: Optional[NatTransformation] = None,
+              limit: int = DEFAULT_SEARCH_LIMIT) -> Tuple[NatTransformation, ...]:
+    """Every delta: d => d2 with delta * f == alpha and, when g is given,
+    g * delta == beta, for alpha: d.f => d2.f and beta: g.d => g.d2; in
+    enumerate_nat_transformations order.
+
+    The 2-cell twin of :func:`lifts`: alpha pins delta on the image of f and
+    g restricts the other components, so the search never stops at a limit
+    that enumerating every d => d2 and filtering would have passed.
+    """
+    pin: Dict[str, str] = {}
+    for a, c in alpha.components.items():
+        if pin.setdefault(f.on_objects[a], c) != c:
+            return ()
+    C = d.target
+    slots = []
+    for b in d.source.objects:
+        cands = (pin[b],) if b in pin else C.hom(d.obj(b), d2.obj(b))
+        slots.append([c for c in cands if g is None or g.on_morphisms[c] == beta.at(b)])
+    found, _ = _natural_components(d, d2, slots, limit)
+    return tuple(NatTransformation(d, d2, comps) for comps in found)

@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .errors import UsageError
+from .errors import UsageError, ValidationError
 from .fincat import FinCategory, Functor, NatTransformation, validate_category
 from .theory import (
     Algebra,
@@ -45,7 +45,7 @@ def entity_kind(data) -> str:
         return "category"
     if "on_objects" in data:
         return "functor"
-    if "components" in data:
+    if "components" in data or "from" in data:
         return "nat"
     if "operations" in data:
         return "presentation"
@@ -53,6 +53,21 @@ def entity_kind(data) -> str:
 
 
 # -- pure parsers and serializers -------------------------------------
+
+
+def _field(data: dict, key: str, kind: str, shape: type):
+    """``data[key]``, checked to be a string (a file reference) or a mapping
+    of names to names; a ValidationError naming the field otherwise."""
+    if key not in data:
+        raise ValidationError("%s lacks %r" % (kind, key), witness=key)
+    value = data[key]
+    if not isinstance(value, shape) or (
+        shape is dict and not all(isinstance(v, str) for v in value.values())
+    ):
+        raise ValidationError("%s field %r must be %s" % (
+            kind, key, "a file name" if shape is str else "a mapping of names to names"),
+            witness=key)
+    return value
 
 
 def parse_category(data, name: str = "") -> FinCategory:
@@ -278,14 +293,15 @@ class Workspace:
         return self._paths[id(entity)]
 
     def _functor_from(self, data, here: Path, name: str) -> Functor:
-        src = self.category(data["source"], base=here)
-        tgt = self.category(data["target"], base=here)
-        return Functor(src, tgt, data["on_objects"], data["on_morphisms"], name=name)
+        src = self.category(_field(data, "source", "functor", str), base=here)
+        tgt = self.category(_field(data, "target", "functor", str), base=here)
+        return Functor(src, tgt, _field(data, "on_objects", "functor", dict),
+                       _field(data, "on_morphisms", "functor", dict), name=name)
 
     def _nat_from(self, data, here: Path) -> NatTransformation:
-        F = self.functor(data["from"], base=here)
-        G = self.functor(data["to"], base=here)
-        return NatTransformation(F, G, data["components"])
+        F = self.functor(_field(data, "from", "nat", str), base=here)
+        G = self.functor(_field(data, "to", "nat", str), base=here)
+        return NatTransformation(F, G, _field(data, "components", "nat", dict))
 
     def _typed(self, ref, base, cls, kind: str):
         out = self.load(ref, base)

@@ -34,6 +34,7 @@ from .fincat import (
     identity_functor,
     identity_nat,
     lifts,
+    nat_lifts,
     quotient_by_congruence,
     whisker,
 )
@@ -161,7 +162,12 @@ def coequify(phi: NatTransformation, psi: NatTransformation):
 
 
 def coequifies(h: Functor, phi: NatTransformation, psi: NatTransformation) -> bool:
-    return whisker(h, phi, "left") == whisker(h, psi, "left")
+    """Parallel phi, psi with h * phi == h * psi, decided on components."""
+    if phi.source.target != h.source:
+        raise BoundaryMismatch("coequifies: h must start where the 2-cells land")
+    hm = h.on_morphisms
+    return phi.source == psi.source and phi.target == psi.target and all(
+        hm[c] == hm[psi.at(k)] for k, c in phi.components.items())
 
 
 def verify_coequifier_2d(
@@ -197,11 +203,7 @@ def verify_coequifier_2d(
         items = sorted(factor_of.items(), key=lambda kv: kv[0]._key)
         for (h1, hb1), (h2, hb2) in itertools.product(items, repeat=2):
             for gamma in enumerate_nat_transformations(h1, h2, limit=limit):
-                bars = [
-                    delta
-                    for delta in enumerate_nat_transformations(hb1, hb2, limit=limit)
-                    if whisker(q, delta, "right") == gamma
-                ]
+                bars = nat_lifts(q, gamma, hb1, hb2, limit=limit)
                 if len(bars) != 1:
                     return CheckResult(
                         False,
@@ -238,9 +240,8 @@ def verify_kernel_universal(
             for t2 in enumerate_functors(KP, A, limit=limit):
                 nats = enumerate_nat_transformations(s2, t2, limit=limit)
                 for phi2 in nats:
-                    f_phi2 = whisker(f, phi2, "left")
                     for psi2 in nats:
-                        if whisker(f, psi2, "left") != f_phi2:
+                        if not coequifies(f, phi2, psi2):
                             continue
                         n = _count_mediators(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit)
                         if n != 1:
@@ -384,15 +385,14 @@ def lemma_cancel_two_cells(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> CheckResult:
     """For every b.o. full h among the functors and every parallel pair
-    f, g out of h's target into a test category, whiskering with h is a
-    bijection from 2-cells f => g to 2-cells f.h => g.h."""
+    f, g out of h's target into a test category, every 2-cell f.h => g.h
+    has exactly one lift f => g along h (whiskering with h is bijective)."""
     checked = cells = 0
     for h, X, f, g, alphas in _parallel_pairs_below(functors, "bo_full", targets, limit):
         betas = enumerate_nat_transformations(
             compose_functors(f, h), compose_functors(g, h), limit=limit
         )
-        whiskered = [whisker(h, a, "right") for a in alphas]
-        if len(set(whiskered)) != len(whiskered) or set(whiskered) != set(betas):
+        if any(len(nat_lifts(h, beta, f, g, limit=limit)) != 1 for beta in betas):
             return CheckResult(
                 False,
                 {"functor": h.name or h.on_objects, "test_category": X.name,

@@ -1026,24 +1026,26 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
 # -- congruences and quotients ----------------------------------------
 
 
+def _operation_contexts(A: Algebra, u: str, v: str):
+    """(op, tu, tv, op(tu), op(tv)) for argument tuples that differ only by
+    u against v at one position; by operation, position, then the rest."""
+    names = [m.name for m in A.carrier.morphisms]
+    for op in A.presentation.signature.operations:
+        n = op.arity
+        for pos in range(n):
+            for rest in itertools.product(names, repeat=n - 1):
+                tu = rest[:pos] + (u,) + rest[pos:]
+                tv = rest[:pos] + (v,) + rest[pos:]
+                yield (op.name, tu, tv, A.op_mor(op.name, tu), A.op_mor(op.name, tv))
+
+
 def congruence_operation_witness(A: Algebra, cong: Congruence):
     """First failure of operation-closure for a congruence, or None."""
-    names = [m.name for m in A.carrier.morphisms]
     for cl in cong.classes:
-        u = cl[0]
         for v in cl[1:]:
-            for op in A.presentation.signature.operations:
-                n = op.arity
-                if n == 0:
-                    continue
-                for pos in range(n):
-                    for rest in itertools.product(names, repeat=n - 1):
-                        tu = rest[:pos] + (u,) + rest[pos:]
-                        tv = rest[:pos] + (v,) + rest[pos:]
-                        a = A.op_mor(op.name, tu)
-                        b = A.op_mor(op.name, tv)
-                        if not cong.related(a, b):
-                            return (op.name, tu, tv, a, b)
+            for context in _operation_contexts(A, cl[0], v):
+                if not cong.related(context[3], context[4]):
+                    return context
     return None
 
 
@@ -1052,19 +1054,8 @@ def algebra_congruence_closure(
 ) -> Congruence:
     """Least congruence on the carrier closed under composition contexts
     and under every operation's action on morphisms."""
-    names = [m.name for m in A.carrier.morphisms]
-    ops = [op for op in A.presentation.signature.operations if op.arity > 0]
-
-    def op_rule(u: str, v: str):
-        for op in ops:
-            n = op.arity
-            for pos in range(n):
-                for rest in itertools.product(names, repeat=n - 1):
-                    tu = rest[:pos] + (u,) + rest[pos:]
-                    tv = rest[:pos] + (v,) + rest[pos:]
-                    yield (A.op_mor(op.name, tu), A.op_mor(op.name, tv))
-
-    cong = congruence_closure(A.carrier, generators, extra_rule=op_rule)
+    cong = congruence_closure(A.carrier, generators, extra_rule=lambda u, v: (
+        (a, b) for (_op, _tu, _tv, a, b) in _operation_contexts(A, u, v)))
     witness = congruence_operation_witness(A, cong)
     if witness is not None:
         raise NotOperationClosed("saturated congruence is not operation-closed",
@@ -1135,10 +1126,11 @@ def reflexive_coequifier_algebra(
     K = u.source
     gens = [(phi.at(k), psi.at(k)) for k in K.carrier.objects]
     cong = congruence_closure(A.carrier, gens)
-    if congruence_operation_witness(A, cong) is not None:
+    witness = congruence_operation_witness(A, cong)
+    if witness is not None:
         raise LiftFailure(
             "carrier coequifier does not support the algebra structure; "
             "input was not genuine reflexive algebra data",
-            witness=congruence_operation_witness(A, cong),
+            witness=witness,
         )
     return quotient_algebra(A, cong)

@@ -5,9 +5,17 @@ union-find, recursive partition generation, product-and-filter counting
 straight from the definitions.  Slow, but transparently correct on
 corpus-sized inputs, which is the point.
 """
+import functools
 import itertools
 
-from birkhoff2d.fincat import Functor, compose_functors, enumerate_functors, whisker
+from birkhoff2d.fincat import (
+    Functor,
+    FunctorFlags,
+    compose_functors,
+    enumerate_functors,
+    enumerate_nat_transformations,
+    whisker,
+)
 
 # Functor counts between the six bundled categories, derived by hand
 # from the composition tables (object map choices times constrained
@@ -236,3 +244,57 @@ def induced_by_hand(q1, q2):
             return None
         on_mor[key] = val
     return Functor(q1.target, q2.target, on_obj, on_mor, name="induced")
+
+
+# Enumerate-then-filter definitions at the level of 2-cells, and the
+# per-pair classification, as the package stated them before transformation
+# lifts, component-wise coequifying and one-pass classification.
+
+
+@functools.lru_cache(maxsize=None)
+def whisker_once(h, alpha, side):
+    """whisker, computed once per argument triple."""
+    return whisker(h, alpha, side)
+
+
+def nat_lifts_by_filter(f, alpha, d, d2, g=None, beta=None):
+    """Every delta: d => d2 with delta * f == alpha (and g * delta == beta),
+    kept from the full enumeration by comparing whiskers."""
+    return tuple(
+        delta for delta in enumerate_nat_transformations(d, d2)
+        if whisker_once(f, delta, "right") == alpha
+        and (g is None or whisker_once(g, delta, "left") == beta)
+    )
+
+
+def coequifies_by_whiskers(h, phi, psi):
+    return whisker_once(h, phi, "left") == whisker_once(h, psi, "left")
+
+
+def classify_by_pairs(F):
+    """Functor classes decided hom-set by hom-set over every pair of
+    source objects."""
+    A, B = F.source, F.target
+    image_objects = {F.obj(a) for a in A.objects}
+    so = image_objects == set(B.objects)
+    injective_on_objects = len(image_objects) == len(A.objects)
+    bo = so and injective_on_objects
+    full = True
+    faithful = True
+    for a in A.objects:
+        for b in A.objects:
+            image = [F.mor(u) for u in A.hom(a, b)]
+            if len(set(image)) != len(image):
+                faithful = False
+            if set(image) != set(B.hom(F.obj(a), F.obj(b))):
+                full = False
+    return FunctorFlags(
+        bo=bo,
+        full=full,
+        faithful=faithful,
+        so=so,
+        injective_on_objects=injective_on_objects,
+        ff=full and faithful,
+        bo_full=bo and full,
+        ioff=injective_on_objects and full and faithful,
+    )

@@ -1,5 +1,6 @@
 """Exercising the batch front door through run(argv)."""
 import json
+import shutil
 import subprocess
 import sys
 
@@ -54,6 +55,39 @@ def test_validate_missing_file(capsys, tmp_path):
     code, _, err = go(capsys, ["validate", "--category", str(tmp_path / "no.json")])
     assert code == 2
     assert err.startswith("error:")
+
+
+def _drop(key):
+    return lambda data: data.pop(key)
+
+
+def _set(key, value):
+    return lambda data: data.update({key: value})
+
+
+@pytest.mark.parametrize("flag,name,break_it,field", [
+    ("--functor", "collapse.json", _drop("on_morphisms"), "on_morphisms"),
+    ("--functor", "collapse.json", _set("on_objects", [1, 2]), "on_objects"),
+    ("--nat", "cell.json", _drop("components"), "components"),
+    ("--category", "p.json", _set("objects", "ab"), "objects"),
+], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
+        "category-objects-string"])
+def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
+    """Each file validates as written; with one field missing or of the
+    wrong shape it is invalid input (exit 2) naming that field."""
+    for ref in ("p.json", "two.json", "collapse.json"):
+        shutil.copy(ROOT / ref, tmp_path / ref)
+    cell = {"from": "collapse.json", "to": "collapse.json",
+            "components": {"a": "id0", "b": "id1"}}
+    (tmp_path / "cell.json").write_text(json.dumps(cell))
+    path = tmp_path / name
+    assert go(capsys, ["validate", flag, str(path)])[0] == 0
+    data = json.loads(path.read_text())
+    break_it(data)
+    path.write_text(json.dumps(data))
+    code, _, err = go(capsys, ["validate", flag, str(path)])
+    assert code == 2
+    assert err.startswith("invalid input:") and repr(field) in err
 
 
 # -- factor ------------------------------------------------------------

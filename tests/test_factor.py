@@ -1,4 +1,6 @@
 """Factorisation systems and enriched orthogonality."""
+import itertools
+
 import pytest
 
 import oracles
@@ -18,7 +20,10 @@ from birkhoff2d.fincat import (
     classify,
     compose_functors,
     enumerate_functors,
+    enumerate_nat_transformations,
     identity_functor,
+    lifts,
+    nat_lifts,
 )
 from birkhoff2d.kernel import bof_kernel, coequify, induced_between_quotients
 
@@ -135,3 +140,31 @@ def test_fillins_match_enumerate_then_filter(all_functors):
                     assert ds == oracles.fillins_by_filter(f, g, x, y)
                     counts[len(ds)] = counts.get(len(ds), 0) + 1
     assert counts == {0: 1080, 1: 7488, 2: 534, 4: 240}
+
+
+def test_two_cell_fillins_match_enumerate_then_filter(all_functors):
+    """Every level-2 problem of every quotient/mono pair, and of every
+    functor against every quotient, whose squares all have one diagonal:
+    the betas compatible with each alpha, and the fill-ins of each
+    (alpha, beta), are the tuples the old whisker filter keeps."""
+    quotients = [f for f in all_functors if classify(f).bo_full]
+    monos = [g for g in all_functors if classify(g).faithful]
+    pairs = [(f, g) for f in quotients for g in monos]
+    pairs += [(f, g) for f in all_functors for g in quotients]
+    counts = {}
+    for f, g in pairs:
+        diag = {(x, y): lifts(f, x, g, y)
+                for x in enumerate_functors(f.source, g.source)
+                for y in lifts(f, compose_functors(g, x))}
+        if any(len(ds) != 1 for ds in diag.values()):
+            continue  # the check stops at level 1
+        for ((x, y), (d,)), ((x2, y2), (d2,)) in itertools.product(diag.items(), repeat=2):
+            for alpha in enumerate_nat_transformations(x, x2):
+                g_alpha = oracles.whisker_once(g, alpha, "left")
+                betas = nat_lifts(f, g_alpha, y, y2)
+                assert betas == oracles.nat_lifts_by_filter(f, g_alpha, y, y2)
+                for beta in betas:
+                    deltas = nat_lifts(f, alpha, d, d2, g, beta)
+                    assert deltas == oracles.nat_lifts_by_filter(f, alpha, d, d2, g, beta)
+                    counts[len(deltas)] = counts.get(len(deltas), 0) + 1
+    assert counts == {0: 164, 1: 19748, 2: 232}

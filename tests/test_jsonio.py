@@ -1,5 +1,8 @@
 """On-disk format: parsing, serialization, the workspace loader."""
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +143,21 @@ def test_dump_is_deterministic(tmp_path):
     dump(data, a)
     dump(data, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_generator_reproduces_the_bundled_corpus(tmp_path):
+    """scripts/gen_corpus.py, run in a copy of scripts/ and src/ whose
+    corpus was deleted, writes back the committed corpus byte for byte."""
+    repo = Path(__file__).resolve().parent.parent
+    for part in ("scripts", "src"):
+        shutil.copytree(repo / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    out = tmp_path / "src" / "birkhoff2d" / "corpus"
+    shutil.rmtree(out)
+    subprocess.run([sys.executable, str(tmp_path / "scripts" / "gen_corpus.py")],
+                   cwd=tmp_path, check=True, stdout=subprocess.DEVNULL)
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    committed = sorted(p.relative_to(ROOT) for p in ROOT.rglob("*") if p.is_file())
+    assert written == committed
+    for rel in committed:
+        assert (out / rel).read_bytes() == (ROOT / rel).read_bytes(), rel

@@ -1,4 +1,6 @@
 """Kernel data, coequifiers, reflexivization and convergence."""
+import itertools
+
 import pytest
 
 import oracles
@@ -11,9 +13,12 @@ from birkhoff2d.fincat import (
     classify,
     compose_functors,
     coproduct_category,
+    enumerate_functors,
+    enumerate_nat_transformations,
     identity_functor,
     identity_nat,
     lifts,
+    nat_lifts,
     whisker,
 )
 from birkhoff2d.kernel import (
@@ -193,6 +198,57 @@ def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeyp
         assert n == signatures[key].count(datum)
     assert len(seen) == 4611
     assert {n for *_, n in seen} == {0, 1, 2}
+
+
+def test_coequifies_matches_whisker_equality(all_functors):
+    """On the kernel data of every corpus functor against every corpus
+    functor out of its target, for the parallel pairs (phi, psi),
+    (psi, phi), (phi, phi) and for phi against the psi of a kernel with
+    each other apex on the same category."""
+    kernels = [bof_kernel(f) for f in all_functors]
+    verdicts = {}
+    for kd in kernels:
+        others = {k.apex: k for k in kernels if k.target == kd.target and k.apex != kd.apex}
+        pairs = [(kd.phi, kd.psi), (kd.psi, kd.phi), (kd.phi, kd.phi)]
+        pairs += [(kd.phi, k.psi) for k in others.values()]
+        for h in all_functors:
+            if h.source != kd.target:
+                continue
+            for phi, psi in pairs:
+                got = coequifies(h, phi, psi)
+                assert got == oracles.coequifies_by_whiskers(h, phi, psi)
+                parallel = phi.source == psi.source and phi.target == psi.target
+                verdicts[(parallel, got)] = verdicts.get((parallel, got), 0) + 1
+    assert verdicts == {(True, True): 6486, (True, False): 1056, (False, False): 4012}
+
+
+def test_non_parallel_cells_are_never_coequified(cats, walking_pair):
+    """phi: s => t against the identity of s: the functor onto one sends
+    both to the identity of s's image, so the two whiskers agree, but the
+    cells are not a parallel pair to coequify."""
+    phi, _ = walking_pair
+    crush = _crush_to_one(cats)
+    unit = identity_nat(phi.source)
+    assert whisker(crush, phi, "left") == whisker(crush, unit, "left")
+    assert not coequifies(crush, phi, unit)
+
+
+def test_coequifier_two_cell_factorisations_match_enumerate_then_filter(cats):
+    """Every 2-cell factorisation that verify_coequifier_2d asks for on the
+    corpus coequifier data over one, two and p is the tuple the old whisker
+    filter keeps."""
+    counts = {}
+    for phi, psi in corpus.coequifier_data():
+        q, _ = coequify(phi, psi)
+        for X in (cats["one"], cats["two"], cats["p"]):
+            bars = [(h, lifts(q, h)[0]) for h in enumerate_functors(q.source, X)
+                    if coequifies(h, phi, psi)]
+            for (h1, hb1), (h2, hb2) in itertools.product(bars, repeat=2):
+                for gamma in enumerate_nat_transformations(h1, h2):
+                    got = nat_lifts(q, gamma, hb1, hb2)
+                    assert got == oracles.nat_lifts_by_filter(q, gamma, hb1, hb2)
+                    counts[len(got)] = counts.get(len(got), 0) + 1
+    assert counts == {1: 2223}
 
 
 # -- reflexivization ---------------------------------------------------
