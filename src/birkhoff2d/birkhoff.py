@@ -14,13 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import LabError, SizeLimitExceeded, ValidationError
+from .errors import LabError, NotOperationClosed, SizeLimitExceeded, ValidationError
 from .factor import CheckResult
 from .fincat import (
     DEFAULT_SEARCH_LIMIT,
     Congruence,
     classify,
-    congruence_context_witness,
     lifts,
     whisker,
 )
@@ -31,7 +30,6 @@ from .theory import (
     algebra_congruence_closure,
     algebra_two_cells,
     compose_algebra_homs,
-    congruence_operation_witness,
     enumerate_algebra_homs,
     eval_expr,
     is_algebra_hom,
@@ -203,18 +201,16 @@ def enumerate_quotient_algebras(
             )
     out = []
     for combo in itertools.product(*partition_lists):
-        classes = [cl for part in combo for cl in part]
-        rel: Dict[str, str] = {}
-        for cl in classes:
-            rep = min(cl)
-            for m in cl:
-                rel[m] = rep
-        if congruence_context_witness(C, rel) is not None:
+        try:
+            # classes of parallel morphisms that partition the carrier can
+            # only fail closure under composition
+            cong = Congruence(C, [cl for part in combo for cl in part])
+        except ValidationError:
             continue
-        cong = Congruence(C, classes)
-        if congruence_operation_witness(A, cong) is not None:
+        try:
+            quot, h = quotient_algebra(A, cong)
+        except NotOperationClosed:
             continue
-        quot, h = quotient_algebra(A, cong)
         out.append((cong, quot, h))
     return tuple(out)
 

@@ -325,11 +325,11 @@ def cmd_audit(args, ws: Workspace) -> int:
     subs = ()
     if args.subs:
         path = _resolve(args.subs, Path(".").resolve())
-        subs = parse_sub_witnesses(json.loads(path.read_text()), ws, path.parent, by_name)
+        subs = parse_sub_witnesses(ws._data(path), ws, path.parent, by_name)
     refl = ()
     if args.refl:
         path = _resolve(args.refl, Path(".").resolve())
-        refl = parse_refl_data(json.loads(path.read_text()), ws, path.parent, by_name)
+        refl = parse_refl_data(ws._data(path), ws, path.parent, by_name)
     members = None
     if args.members:
         members = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import BoundaryMismatch, LabError
 from .fincat import (
@@ -101,6 +101,9 @@ def factor_bo_ff(f: Functor) -> Factorisation:
     ``dom|cod|name``.
     """
     A, B = f.source, f.target
+    # each middle morphism's target morphism, kept so that no name is parsed
+    beta_of: Dict[str, str] = {}
+    into: Dict[str, List[Morphism]] = {a: [] for a in A.objects}
 
     def mangle(a: str, b: str, beta: str) -> str:
         return "%s|%s|%s" % (a, b, beta)
@@ -109,15 +112,16 @@ def factor_bo_ff(f: Functor) -> Factorisation:
     for a in A.objects:
         for b in A.objects:
             for beta in B.hom(f.obj(a), f.obj(b)):
-                morphisms.append(Morphism(mangle(a, b, beta), a, b))
+                mm = Morphism(mangle(a, b, beta), a, b)
+                morphisms.append(mm)
+                beta_of[mm.name] = beta
+                into[b].append(mm)
     identities = {a: mangle(a, a, B.identity(f.obj(a))) for a in A.objects}
     composition = {}
     for g in morphisms:
-        for h in morphisms:
-            if h.cod == g.dom:
-                gb = g.name.rsplit("|", 1)[1]
-                hb = h.name.rsplit("|", 1)[1]
-                composition[(g.name, h.name)] = mangle(h.dom, g.cod, B.compose(gb, hb))
+        for h in into[g.dom]:
+            composition[(g.name, h.name)] = mangle(
+                h.dom, g.cod, B.compose(beta_of[g.name], beta_of[h.name]))
     M = FinCategory(A.objects, morphisms, identities, composition,
                     name="%s<%s>" % (A.name or "?", B.name or "?"))
     e = Functor(
@@ -131,7 +135,7 @@ def factor_bo_ff(f: Functor) -> Factorisation:
         M,
         B,
         {a: f.obj(a) for a in A.objects},
-        {mm.name: mm.name.rsplit("|", 1)[1] for mm in morphisms},
+        beta_of,
         name="m",
     )
     return _check_split(f, e, m)

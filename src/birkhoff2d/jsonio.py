@@ -345,23 +345,44 @@ class Workspace:
 # -- audit input files -------------------------------------------------
 
 
+def _entries(data, kind: str) -> list:
+    """``data``, checked to be a list of JSON objects."""
+    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+        raise ValidationError("%s file must be a list of objects" % kind, witness=kind)
+    return data
+
+
+def _functor_maps(data: dict, key: str, kind: str):
+    """The object and morphism maps of the inline functor ``data[key]``."""
+    value = data.get(key)
+    if not isinstance(value, dict):
+        raise ValidationError("%s field %r must be an object" % (kind, key), witness=key)
+    where = "%s field %r" % (kind, key)
+    return _field(value, "on_objects", where, dict), _field(value, "on_morphisms", where, dict)
+
+
+def _member(entry: dict, kind: str, members: Mapping[str, Algebra]) -> Algebra:
+    name = _field(entry, "member", kind, str)
+    if name not in members:
+        raise UsageError("unknown catalog member %r" % name)
+    return members[name]
+
+
 def parse_sub_witnesses(data, ws: Workspace, here: Path,
                         members: Mapping[str, Algebra]):
     """Subalgebra witness list: [{"witness": functor-ref-or-inline,
     "member": catalog-name}]."""
+    kind = "subalgebra witness"
     out = []
-    for entry in data:
-        member_name = entry["member"]
-        if member_name not in members:
-            raise UsageError("unknown catalog member %r" % member_name)
-        member = members[member_name]
-        w = entry["witness"]
+    for entry in _entries(data, kind):
+        member = _member(entry, kind, members)
+        w = entry.get("witness")
         if isinstance(w, str):
             F = ws.functor(w, base=here)
         else:
-            src = ws.category(w["source"], base=here)
-            F = Functor(src, member.carrier, w["on_objects"], w["on_morphisms"],
-                        name=w.get("name", ""))
+            on_objects, on_morphisms = _functor_maps(entry, "witness", kind)
+            src = ws.category(_field(w, "source", "%s field 'witness'" % kind, str), base=here)
+            F = Functor(src, member.carrier, on_objects, on_morphisms, name=w.get("name", ""))
         out.append((F, member))
     return out
 
@@ -371,27 +392,18 @@ def parse_refl_data(data, ws: Workspace, here: Path,
     """Reflexive 2-cell data list.  Each entry names the apex algebra and
     target member and gives u, v, section as object/morphism maps and
     phi, psi as component maps."""
+    kind = "reflexive datum"
     out = []
-    for entry in data:
-        member = members.get(entry["member"])
-        if member is None:
-            raise UsageError("unknown catalog member %r" % entry["member"])
-        apex = ws.algebra(entry["apex"], base=here)
-        u = AlgebraHom(apex, member, Functor(
-            apex.carrier, member.carrier,
-            entry["u"]["on_objects"], entry["u"]["on_morphisms"], name="u"))
-        v = AlgebraHom(apex, member, Functor(
-            apex.carrier, member.carrier,
-            entry["v"]["on_objects"], entry["v"]["on_morphisms"], name="v"))
-        section = AlgebraHom(member, apex, Functor(
-            member.carrier, apex.carrier,
-            entry["section"]["on_objects"], entry["section"]["on_morphisms"],
-            name="section"))
-        phi = NatTransformation(u.functor, v.functor, entry["phi"])
-        psi = NatTransformation(u.functor, v.functor, entry["psi"])
-        out.append({
-            "name": entry.get("name", entry["member"]),
-            "u": u, "v": v, "phi": phi, "psi": psi, "section": section,
-            "member": entry["member"],
-        })
+    for entry in _entries(data, kind):
+        member = _member(entry, kind, members)
+        apex = ws.algebra(_field(entry, "apex", kind, str), base=here)
+        datum = {"name": entry.get("name", entry["member"]), "member": entry["member"]}
+        for key, src, tgt in (("u", apex, member), ("v", apex, member),
+                              ("section", member, apex)):
+            datum[key] = AlgebraHom(src, tgt, Functor(
+                src.carrier, tgt.carrier, *_functor_maps(entry, key, kind), name=key))
+        for key in ("phi", "psi"):
+            datum[key] = NatTransformation(datum["u"].functor, datum["v"].functor,
+                                           _field(entry, key, kind, dict))
+        out.append(datum)
     return out

@@ -14,6 +14,12 @@ are available for modest arities via :func:`interpret_term` and
 
 Satisfaction, homomorphisms, products, subalgebras, congruences and
 quotients, and reflexive coequifiers of algebras all live here.
+
+Equations are decided by one evaluator, :func:`satisfies`, which the
+:class:`Algebra` constructor also calls for the presentation's own
+equations.  Products, subalgebras and quotients build their structure
+through one builder, :func:`_induced_algebra`, from pointwise value
+functions; the constructor then validates the result like any other.
 """
 from __future__ import annotations
 
@@ -588,15 +594,14 @@ class Algebra:
                         witness=(op.name, t),
                     )
             for gt in self.mor_tuples(n):
-                for ft in self.mor_tuples(n):
-                    if all(C.cod(f) == C.dom(g) for g, f in zip(gt, ft)):
-                        lhs = mors[tuple(C.compose(g, f) for g, f in zip(gt, ft))]
-                        rhs = C.compose(mors[gt], mors[ft])
-                        if lhs != rhs:
-                            raise ValidationError(
-                                "operation %s: composition not preserved" % op.name,
-                                witness=(op.name, gt, ft),
-                            )
+                for ft in itertools.product(*(C._ending_at[C.dom(g)] for g in gt)):
+                    lhs = mors[tuple(C.compose(g, f) for g, f in zip(gt, ft))]
+                    rhs = C.compose(mors[gt], mors[ft])
+                    if lhs != rhs:
+                        raise ValidationError(
+                            "operation %s: composition not preserved" % op.name,
+                            witness=(op.name, gt, ft),
+                        )
         for g in self.presentation.generators:
             comps = self._gen[g.name]
             if set(comps) != set(self.obj_tuples(g.arity)):
@@ -632,25 +637,12 @@ class Algebra:
                             "generator %s component at %r is not invertible" % (g.name, t),
                             witness=(g.name, t),
                         )
-        for i, (l, r) in enumerate(self.presentation.term_equations):
-            n = max(term_min_arity(l), term_min_arity(r))
-            for t in self.obj_tuples(n):
-                if eval_term_obj(self, l, t) != eval_term_obj(self, r, t):
-                    raise ValidationError(
-                        "term equation %d fails on objects at %r" % (i, t), witness=(i, t)
-                    )
-            for mt in self.mor_tuples(n):
-                if eval_term_mor(self, l, mt) != eval_term_mor(self, r, mt):
-                    raise ValidationError(
-                        "term equation %d fails on morphisms at %r" % (i, mt), witness=(i, mt)
-                    )
-        for i, (l, r) in enumerate(self.presentation.two_cell_equations):
-            n = self.presentation.resolve_arity(l, r)
-            for t in self.obj_tuples(n):
-                if eval_expr(self, l, t, n) != eval_expr(self, r, t, n):
-                    raise ValidationError(
-                        "2-cell equation %d fails at %r" % (i, t), witness=(i, t)
-                    )
+        check = satisfies(self, self.presentation)
+        if not check:
+            raise ValidationError(
+                "equation of the presentation fails: %r" % (check.witness,),
+                witness=check.witness,
+            )
 
     def __eq__(self, other):
         return isinstance(other, Algebra) and self._key == other._key
@@ -919,6 +911,34 @@ def algebra_two_cells(
     )
 
 
+# -- induced structure -------------------------------------------------
+
+
+def _induced_algebra(presentation: Presentation, carrier: FinCategory, name: str,
+                     op_obj, op_mor, gen_at) -> Algebra:
+    """The algebra on ``carrier`` with every table entry given pointwise by
+    ``op_obj(op, objects)``, ``op_mor(op, morphisms)`` and
+    ``gen_at(generator, objects)``.
+
+    Entries are computed operation by operation, objects before morphisms,
+    then generator by generator, over tuples in declaration order, so a
+    value function that raises does so at the first failing entry.
+    """
+    mors = [m.name for m in carrier.morphisms]
+    operations = {
+        op.name: OpTable.from_maps(
+            {t: op_obj(op.name, t) for t in itertools.product(carrier.objects, repeat=op.arity)},
+            {t: op_mor(op.name, t) for t in itertools.product(mors, repeat=op.arity)},
+        )
+        for op in presentation.signature.operations
+    }
+    generators = {
+        g.name: {t: gen_at(g.name, t) for t in itertools.product(carrier.objects, repeat=g.arity)}
+        for g in presentation.generators
+    }
+    return Algebra(presentation, carrier, operations, generators, name=name)
+
+
 # -- products ----------------------------------------------------------
 
 
@@ -928,33 +948,15 @@ def product_algebra(A: Algebra, B: Algebra):
         raise SignatureMismatch("product needs algebras of the same presentation")
     span = power_span((A.carrier, B.carrier),
                       name="(%sx%s)" % (A.carrier.name or "?", B.carrier.name or "?"))
-    P = span.category
     pr1, pr2 = span.projections
-    operations = {}
-    for op in A.presentation.signature.operations:
-        n = op.arity
-        on_objects = {}
-        for t in itertools.product(P.objects, repeat=n):
-            a_val = A.op_obj(op.name, tuple(pr1.obj(x) for x in t))
-            b_val = B.op_obj(op.name, tuple(pr2.obj(x) for x in t))
-            on_objects[t] = span.obj_of[(a_val, b_val)]
-        on_morphisms = {}
-        for t in itertools.product([m.name for m in P.morphisms], repeat=n):
-            a_val = A.op_mor(op.name, tuple(pr1.mor(x) for x in t))
-            b_val = B.op_mor(op.name, tuple(pr2.mor(x) for x in t))
-            on_morphisms[t] = span.mor_of[(a_val, b_val)]
-        operations[op.name] = OpTable.from_maps(on_objects, on_morphisms)
-    generators = {}
-    for g in A.presentation.generators:
-        comps = {}
-        for t in itertools.product(P.objects, repeat=g.arity):
-            a_val = A.gen_at(g.name, tuple(pr1.obj(x) for x in t))
-            b_val = B.gen_at(g.name, tuple(pr2.obj(x) for x in t))
-            comps[t] = span.mor_of[(a_val, b_val)]
-        generators[g.name] = comps
-    prod = Algebra(
-        A.presentation, P, operations, generators,
-        name="(%sx%s)" % (A.name or "?", B.name or "?"),
+    prod = _induced_algebra(
+        A.presentation, span.category, "(%sx%s)" % (A.name or "?", B.name or "?"),
+        lambda op, t: span.obj_of[(A.op_obj(op, tuple(pr1.obj(x) for x in t)),
+                                   B.op_obj(op, tuple(pr2.obj(x) for x in t)))],
+        lambda op, t: span.mor_of[(A.op_mor(op, tuple(pr1.mor(x) for x in t)),
+                                   B.op_mor(op, tuple(pr2.mor(x) for x in t)))],
+        lambda g, t: span.mor_of[(A.gen_at(g, tuple(pr1.obj(x) for x in t)),
+                                  B.gen_at(g, tuple(pr2.obj(x) for x in t)))],
     )
     return prod, AlgebraHom(prod, A, pr1, name="pr1"), AlgebraHom(prod, B, pr2, name="pr2")
 
@@ -975,49 +977,37 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
     if not classify(m).faithful:
         raise NotFaithful("witness functor is not faithful")
     S = m.source
-    operations: Dict[str, OpTable] = {}
-    for op in A.presentation.signature.operations:
-        n = op.arity
-        on_objects: Dict[Tuple[str, ...], str] = {}
-        for t in itertools.product(S.objects, repeat=n):
-            target = A.op_obj(op.name, tuple(m.obj(x) for x in t))
-            lifts = [x for x in S.objects if m.obj(x) == target]
-            if not lifts:
-                raise NotClosedUnderOperations(
-                    "operation %s at %r lands at %s, outside the image"
-                    % (op.name, t, target),
-                    witness=(op.name, t, target),
-                )
-            on_objects[t] = min(lifts)
-        on_morphisms: Dict[Tuple[str, ...], str] = {}
-        for t in itertools.product([u.name for u in S.morphisms], repeat=n):
-            target = A.op_mor(op.name, tuple(m.mor(x) for x in t))
-            d = on_objects[tuple(S.dom(x) for x in t)]
-            c = on_objects[tuple(S.cod(x) for x in t)]
-            lifts = [w for w in S.hom(d, c) if m.mor(w) == target]
-            if not lifts:
-                raise NotClosedUnderOperations(
-                    "operation %s at %r lands at %s, outside the image"
-                    % (op.name, t, target),
-                    witness=(op.name, t, target),
-                )
-            on_morphisms[t] = lifts[0]
-        operations[op.name] = OpTable.from_maps(on_objects, on_morphisms)
-    generators: Dict[str, Dict[Tuple[str, ...], str]] = {}
-    for g in A.presentation.generators:
-        comps: Dict[Tuple[str, ...], str] = {}
-        for t in itertools.product(S.objects, repeat=g.arity):
-            target = A.gen_at(g.name, tuple(m.obj(x) for x in t))
-            lifts = [w.name for w in S.morphisms if m.mor(w.name) == target]
-            if not lifts:
-                raise GeneratorComponentEscapes(
-                    "generator %s component at %r is not in the image" % (g.name, t),
-                    witness=(g.name, t, target),
-                )
-            comps[t] = min(lifts)
-        generators[g.name] = comps
-    sub = Algebra(A.presentation, S, operations, generators,
-                  name="sub(%s)" % (A.name or "?"))
+
+    def in_image(op: str, t: Tuple[str, ...], target: str, lifts: List[str]) -> List[str]:
+        if not lifts:
+            raise NotClosedUnderOperations(
+                "operation %s at %r lands at %s, outside the image" % (op, t, target),
+                witness=(op, t, target),
+            )
+        return lifts
+
+    def lift_obj(op: str, t: Tuple[str, ...]) -> str:
+        target = A.op_obj(op, tuple(m.obj(x) for x in t))
+        return min(in_image(op, t, target, [x for x in S.objects if m.obj(x) == target]))
+
+    def lift_mor(op: str, t: Tuple[str, ...]) -> str:
+        target = A.op_mor(op, tuple(m.mor(x) for x in t))
+        d = lift_obj(op, tuple(S.dom(x) for x in t))
+        c = lift_obj(op, tuple(S.cod(x) for x in t))
+        return in_image(op, t, target, [w for w in S.hom(d, c) if m.mor(w) == target])[0]
+
+    def lift_gen(g: str, t: Tuple[str, ...]) -> str:
+        target = A.gen_at(g, tuple(m.obj(x) for x in t))
+        lifts = [w.name for w in S.morphisms if m.mor(w.name) == target]
+        if not lifts:
+            raise GeneratorComponentEscapes(
+                "generator %s component at %r is not in the image" % (g, t),
+                witness=(g, t, target),
+            )
+        return min(lifts)
+
+    sub = _induced_algebra(A.presentation, S, "sub(%s)" % (A.name or "?"),
+                           lift_obj, lift_mor, lift_gen)
     # the witness is now a homomorphism from the induced algebra
     AlgebraHom(sub, A, m, name="m")
     return sub
@@ -1079,24 +1069,9 @@ def quotient_algebra(A: Algebra, cong: Congruence):
         )
     Q, q = quotient_by_congruence(A.carrier, cong)
     rep = cong.rep_of
-    qmors = [m.name for m in Q.morphisms]
-    operations = {}
-    for op in A.presentation.signature.operations:
-        n = op.arity
-        on_objects = {
-            t: A.op_obj(op.name, t) for t in itertools.product(Q.objects, repeat=n)
-        }
-        on_morphisms = {
-            t: rep[A.op_mor(op.name, t)] for t in itertools.product(qmors, repeat=n)
-        }
-        operations[op.name] = OpTable.from_maps(on_objects, on_morphisms)
-    generators = {}
-    for g in A.presentation.generators:
-        generators[g.name] = {
-            t: rep[A.gen_at(g.name, t)] for t in itertools.product(Q.objects, repeat=g.arity)
-        }
-    quot = Algebra(A.presentation, Q, operations, generators,
-                   name="%s/~" % (A.name or "?"))
+    quot = _induced_algebra(A.presentation, Q, "%s/~" % (A.name or "?"), A.op_obj,
+                            lambda op, t: rep[A.op_mor(op, t)],
+                            lambda g, t: rep[A.gen_at(g, t)])
     hom = AlgebraHom(A, quot, q, name="q")
     return quot, hom
 
@@ -1125,12 +1100,11 @@ def reflexive_coequifier_algebra(
     A = u.target
     K = u.source
     gens = [(phi.at(k), psi.at(k)) for k in K.carrier.objects]
-    cong = congruence_closure(A.carrier, gens)
-    witness = congruence_operation_witness(A, cong)
-    if witness is not None:
+    try:
+        return quotient_algebra(A, congruence_closure(A.carrier, gens))
+    except NotOperationClosed as exc:
         raise LiftFailure(
             "carrier coequifier does not support the algebra structure; "
             "input was not genuine reflexive algebra data",
-            witness=witness,
-        )
-    return quotient_algebra(A, cong)
+            witness=exc.witness,
+        ) from None

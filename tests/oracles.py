@@ -8,6 +8,7 @@ corpus-sized inputs, which is the point.
 import functools
 import itertools
 
+from birkhoff2d.errors import BoundaryMismatch, NonInvertibleComponent, ValidationError
 from birkhoff2d.fincat import (
     Functor,
     FunctorFlags,
@@ -15,6 +16,13 @@ from birkhoff2d.fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     whisker,
+)
+from birkhoff2d.theory import (
+    Algebra,
+    eval_expr,
+    eval_term_mor,
+    eval_term_obj,
+    term_min_arity,
 )
 
 # Functor counts between the six bundled categories, derived by hand
@@ -298,3 +306,128 @@ def classify_by_pairs(F):
         bo_full=bo and full,
         ioff=injective_on_objects and full and faithful,
     )
+
+
+# Algebra validation as the package stated it before the equations were
+# decided by satisfies and composition was checked on composable data only.
+# Applied to an Algebra built without validation (unvalidated_algebra), it
+# raises what the constructor raised then.
+
+
+def unvalidated_algebra(presentation, carrier, operations, generators):
+    """An Algebra holding the given OpTables and generator components,
+    with no law checked."""
+    alg = Algebra.__new__(Algebra)
+    alg.presentation, alg.carrier, alg.name = presentation, carrier, ""
+    alg._op_obj = {k: dict(t.on_objects) for k, t in operations.items()}
+    alg._op_mor = {k: dict(t.on_morphisms) for k, t in operations.items()}
+    alg._gen = {k: dict(comps) for k, comps in generators.items()}
+    return alg
+
+
+def validate_by_all_pairs(alg):
+    """Algebra._validate as it stood before the equations were left to
+    satisfies and functoriality visited only composable pairs: every pair
+    of morphism tuples, kept when composable coordinate by coordinate."""
+    C = alg.carrier
+    obj_set = set(C.objects)
+    for op in alg.presentation.signature.operations:
+        n = op.arity
+        objs = alg._op_obj[op.name]
+        mors = alg._op_mor[op.name]
+        want_obj = set(alg.obj_tuples(n))
+        if set(objs) != want_obj:
+            raise ValidationError(
+                "operation %s: object table does not cover the %d-tuples"
+                % (op.name, n)
+            )
+        want_mor = set(alg.mor_tuples(n))
+        if set(mors) != want_mor:
+            raise ValidationError(
+                "operation %s: morphism table does not cover the %d-tuples"
+                % (op.name, n)
+            )
+        for t, v in objs.items():
+            if v not in obj_set:
+                raise ValidationError("operation %s maps %r outside the carrier" % (op.name, t))
+        for t, v in mors.items():
+            if not C.has_morphism(v):
+                raise ValidationError("operation %s maps %r outside the carrier" % (op.name, t))
+            if C.dom(v) != objs[tuple(C.dom(u) for u in t)] or C.cod(v) != objs[
+                tuple(C.cod(u) for u in t)
+            ]:
+                raise ValidationError(
+                    "operation %s: boundary not preserved at %r" % (op.name, t),
+                    witness=(op.name, t),
+                )
+        for t in alg.obj_tuples(n):
+            if mors[tuple(C.identity(a) for a in t)] != C.identity(objs[t]):
+                raise ValidationError(
+                    "operation %s: identities not preserved at %r" % (op.name, t),
+                    witness=(op.name, t),
+                )
+        for gt in alg.mor_tuples(n):
+            for ft in alg.mor_tuples(n):
+                if all(C.cod(f) == C.dom(g) for g, f in zip(gt, ft)):
+                    lhs = mors[tuple(C.compose(g, f) for g, f in zip(gt, ft))]
+                    rhs = C.compose(mors[gt], mors[ft])
+                    if lhs != rhs:
+                        raise ValidationError(
+                            "operation %s: composition not preserved" % op.name,
+                            witness=(op.name, gt, ft),
+                        )
+    for g in alg.presentation.generators:
+        comps = alg._gen[g.name]
+        if set(comps) != set(alg.obj_tuples(g.arity)):
+            raise ValidationError(
+                "generator %s: components do not cover the %d-tuples"
+                % (g.name, g.arity)
+            )
+        for t, v in comps.items():
+            if not C.has_morphism(v):
+                raise ValidationError("generator %s maps %r outside the carrier" % (g.name, t))
+            sv = eval_term_obj(alg, g.source, t)
+            tv = eval_term_obj(alg, g.target, t)
+            if C.dom(v) != sv or C.cod(v) != tv:
+                raise BoundaryMismatch(
+                    "generator %s at %r has boundary %s -> %s, wanted %s -> %s"
+                    % (g.name, t, C.dom(v), C.cod(v), sv, tv),
+                    witness=(g.name, t),
+                )
+        for mt in alg.mor_tuples(g.arity):
+            doms = tuple(C.dom(u) for u in mt)
+            cods = tuple(C.cod(u) for u in mt)
+            lhs = C.compose(eval_term_mor(alg, g.target, mt), comps[doms])
+            rhs = C.compose(comps[cods], eval_term_mor(alg, g.source, mt))
+            if lhs != rhs:
+                raise ValidationError(
+                    "generator %s: naturality fails at %r" % (g.name, mt),
+                    witness=(g.name, mt),
+                )
+        if g.invertible:
+            for t, v in comps.items():
+                if C.inverse(v) is None:
+                    raise NonInvertibleComponent(
+                        "generator %s component at %r is not invertible" % (g.name, t),
+                        witness=(g.name, t),
+                    )
+    for i, (l, r) in enumerate(alg.presentation.term_equations):
+        n = max(term_min_arity(l), term_min_arity(r))
+        for t in alg.obj_tuples(n):
+            if eval_term_obj(alg, l, t) != eval_term_obj(alg, r, t):
+                raise ValidationError(
+                    "term equation %d fails on objects at %r" % (i, t), witness=(i, t)
+                )
+        for mt in alg.mor_tuples(n):
+            if eval_term_mor(alg, l, mt) != eval_term_mor(alg, r, mt):
+                raise ValidationError(
+                    "term equation %d fails on morphisms at %r" % (i, mt), witness=(i, mt)
+                )
+    for i, (l, r) in enumerate(alg.presentation.two_cell_equations):
+        n = alg.presentation.resolve_arity(l, r)
+        for t in alg.obj_tuples(n):
+            if eval_expr(alg, l, t, n) != eval_expr(alg, r, t, n):
+                raise ValidationError(
+                    "2-cell equation %d fails at %r" % (i, t), witness=(i, t)
+                )
+

@@ -262,6 +262,43 @@ def test_audit_rejects_unknown_member_names(capsys):
     assert "unknown catalog entry" in err
 
 
+def _pop(*path):
+    def go(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node.pop(path[-1])
+        return data
+    return go
+
+
+@pytest.mark.parametrize("flag,break_it,needles", [
+    ("--subs", _pop(0, "witness", "on_objects"), ("'witness'", "'on_objects'")),
+    ("--subs", _pop(1, "member"), ("'member'",)),
+    ("--subs", lambda data: data[0], ("list of objects",)),
+    ("--refl", _pop(0, "u", "on_objects"), ("'u'", "'on_objects'")),
+    ("--refl", _pop(1, "section"), ("'section'",)),
+], ids=["witness-without-on_objects", "entry-without-member", "object-not-list",
+        "u-without-on_objects", "entry-without-section"])
+def test_audit_names_the_malformed_field(capsys, tmp_path, flag, break_it, needles):
+    """A malformed audit input file is invalid input (exit 2) naming the field."""
+    shutil.copytree(ROOT, tmp_path / "corpus")
+    path = tmp_path / "corpus" / ("subs.json" if flag == "--subs" else "refl.json")
+    path.write_text(json.dumps(break_it(json.loads(path.read_text()))))
+    code, _, err = go(capsys, AUDIT_ARGS + [flag, str(path)])
+    assert code == 2
+    assert err.startswith("invalid input:")
+    assert all(n in err for n in needles), err
+
+
+def test_audit_input_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "refl.json"
+    path.write_text('[{"member": ')
+    code, _, err = go(capsys, AUDIT_ARGS + ["--refl", str(path)])
+    assert code == 2
+    assert "is not valid JSON" in err
+
+
 def test_json_reports_are_deterministic(capsys):
     code1, out1, _ = go(capsys, AUDIT_ARGS + ["--json"])
     code2, out2, _ = go(capsys, AUDIT_ARGS + ["--json"])

@@ -30,7 +30,12 @@ from birkhoff2d.kernel import bof_kernel, coequify, induced_between_quotients
 
 @pytest.mark.parametrize("system", sorted(FACTOR_SYSTEMS))
 def test_factorisations_sound_on_corpus(all_functors, system):
-    for f in all_functors:
+    """Every corpus functor, and every functor from a corpus category into
+    a kernel apex, whose morphism names contain '|'."""
+    apex = bof_kernel(corpus.collapse_functor()).apex
+    into_apex = tuple(F for C in corpus.categories() for F in enumerate_functors(C, apex))
+    assert len(into_apex) == 110
+    for f in all_functors + into_apex:
         res = factorisation_sound(f, system)
         assert res, (f.name, res.witness)
 

@@ -1,15 +1,22 @@
 """Theories, algebras, satisfaction and the algebra-level constructions."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoff2d import corpus
+import oracles
+from birkhoff2d import corpus, theory
 from birkhoff2d.errors import (
+    BoundaryMismatch,
+    LabError,
+    LiftFailure,
+    NonInvertibleComponent,
     NotClosedUnderOperations,
     NotOperationClosed,
     SignatureMismatch,
+    ValidationError,
 )
 from birkhoff2d.fincat import (
     Congruence,
@@ -20,13 +27,17 @@ from birkhoff2d.fincat import (
     vcompose,
 )
 from birkhoff2d.theory import (
+    Algebra,
     App,
     GenCell,
     IdCell,
     InvCell,
     Operation,
+    OpTable,
+    Presentation,
     Signature,
     SubstCell,
+    TwoCellGenerator,
     VCompCell,
     Var,
     algebra_congruence_closure,
@@ -226,6 +237,154 @@ def test_satisfies_rejects_foreign_signature(coherence):
         satisfies(corpus.plain_p(), coherence)
 
 
+# -- algebra validation ------------------------------------------------
+
+
+def _tables(A):
+    """Mutable copies of A's operation tables and generator components."""
+    ops = {k: (dict(A._op_obj[k]), dict(A._op_mor[k])) for k in A._op_obj}
+    return ops, {k: dict(v) for k, v in A._gen.items()}
+
+
+def _build(A, ops, gens, presentation=None):
+    tables = {k: OpTable.from_maps(o, m) for k, (o, m) in ops.items()}
+    return Algebra(presentation or A.presentation, A.carrier, tables, gens)
+
+
+def _rejection(build):
+    try:
+        build()
+    except LabError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+def _table(ops, gens, slot, key):
+    """The object ("obj") or morphism ("mor") table of an operation, or the
+    components of a generator ("gen")."""
+    return gens[key] if slot == "gen" else ops[key][slot == "mor"]
+
+
+def _with_entry(ops, gens, slot, key, t, value):
+    """Set one entry, or delete it when value is None."""
+    table = _table(ops, gens, slot, key)
+    if value is None:
+        del table[t]
+    else:
+        table[t] = value
+
+
+# One mutated table per branch of Algebra validation, with the class,
+# message and witness the all-pairs validation raised for it.
+REJECTIONS = [
+    ("xor_strict", ("obj", "tensor", ("0", "1"), None), ValidationError,
+     "operation tensor: object table does not cover the 2-tuples", None),
+    ("xor_strict", ("mor", "tensor", ("s0", "s1"), None), ValidationError,
+     "operation tensor: morphism table does not cover the 2-tuples", None),
+    ("xor_strict", ("obj", "unit", (), "zz"), ValidationError,
+     "operation unit maps () outside the carrier", None),
+    ("xor_strict", ("mor", "tensor", ("id0", "id0"), "id1"), ValidationError,
+     "operation tensor: boundary not preserved at ('id0', 'id0')",
+     ("tensor", ("id0", "id0"))),
+    ("xor_strict", ("mor", "tensor", ("id0", "id0"), "s0"), ValidationError,
+     "operation tensor: identities not preserved at ('0', '0')", ("tensor", ("0", "0"))),
+    ("xor_strict", ("mor", "tensor", ("id0", "s0"), "id0"), ValidationError,
+     "operation tensor: composition not preserved",
+     ("tensor", ("id0", "s0"), ("s0", "id0"))),
+    ("xor_strict", ("gen", "lunit", ("1",), None), ValidationError,
+     "generator lunit: components do not cover the 1-tuples", None),
+    ("xor_strict", ("gen", "lunit", ("0",), "id1"), BoundaryMismatch,
+     "generator lunit at ('0',) has boundary 1 -> 1, wanted 0 -> 0", ("lunit", ("0",))),
+    ("two_max x z2_strict", ("gen", "lunit", ("(0,*)",), "(id0,s)"), ValidationError,
+     "generator lunit: naturality fails at ('(t,1)',)", ("lunit", ("(t,1)",))),
+]
+
+
+@pytest.mark.parametrize("base,mutation,cls,message,witness", REJECTIONS, ids=[
+    "object-coverage", "morphism-coverage", "outside-carrier", "boundary", "identities",
+    "composition", "generator-coverage", "generator-boundary", "naturality"])
+def test_algebra_rejection_branches(algebras, base, mutation, cls, message, witness):
+    if " x " in base:
+        A, _, _ = product_algebra(*(algebras[n] for n in base.split(" x ")))
+    else:
+        A = algebras[base]
+    ops, gens = _tables(A)
+    _with_entry(ops, gens, *mutation)
+    assert _rejection(lambda: _build(A, ops, gens)) == (cls, message, witness)
+
+
+def test_algebra_rejects_a_non_invertible_component(algebras):
+    """A generator declared invertible, x1 => x1 (x) x2 on two_max, whose
+    component at (0, 1) is the non-invertible arrow t."""
+    A = algebras["two_max"]
+    gen = TwoCellGenerator("u", 2, Var(1), TENSOR(Var(1), Var(2)), True)
+    pres = Presentation(A.presentation.signature, generators=[gen])
+    ops, _ = _tables(A)
+    comps = {t: A.carrier.hom(t[0], A.op_obj("tensor", t))[0]
+             for t in itertools.product(A.carrier.objects, repeat=2)}
+    assert _rejection(lambda: _build(A, ops, {"u": comps}, pres)) == (
+        NonInvertibleComponent, "generator u component at ('0', '1') is not invertible",
+        ("u", ("0", "1")))
+
+
+def _with_equations(A, coherence, term_equations):
+    base = A.presentation
+    return Presentation(base.signature, term_equations, base.generators,
+                        coherence.added_two_cell_equations)
+
+
+def test_algebra_equations_are_decided_by_satisfies(algebras, coherence):
+    """Presentation equations are checked at construction and reported
+    with the witness of satisfies; an algebra satisfying them builds."""
+    xor, sigma = algebras["xor_strict"], algebras["sigma_assoc"]
+    left_unit = (TENSOR(UNIT, Var(1)), Var(1))
+    pres = _with_equations(xor, coherence, [left_unit])
+    assert _build(xor, *_tables(xor), pres).presentation == pres
+    pres = _with_equations(xor, coherence, [(TENSOR(Var(1), Var(2)), Var(1))])
+    witness = {"kind": "term", "equation": 0, "tuple": ("0", "1"), "lhs": "1", "rhs": "0"}
+    assert _rejection(lambda: _build(xor, *_tables(xor), pres)) == (
+        ValidationError, "equation of the presentation fails: %r" % (witness,), witness)
+    pres = _with_equations(sigma, coherence, [left_unit])
+    witness = {"kind": "two_cell", "equation": 0, "tuple": ("0", "0", "0", "0"),
+               "lhs": "id0", "rhs": "s0"}
+    assert _rejection(lambda: _build(sigma, *_tables(sigma), pres)) == (
+        ValidationError, "equation of the presentation fails: %r" % (witness,), witness)
+
+
+def test_algebra_validation_matches_the_all_pairs_reference(algebras):
+    """2000 random mutations of catalog and product algebras: each is
+    rejected with the class, message and witness of the all-pairs
+    validation, or accepted by both."""
+    bases = list(algebras.values()) + [
+        product_algebra(algebras["two_max"], algebras["two_max"])[0],
+        product_algebra(algebras["two_max"], algebras["z2_strict"])[0],
+    ]
+    rng = random.Random(0)
+    seen = {}
+    for _ in range(2000):
+        A = rng.choice(bases)
+        ops, gens = _tables(A)
+        slots = [(s, k) for k in sorted(ops) for s in ("obj", "mor")]
+        slots += [("gen", k) for k in sorted(gens)]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            slot, key = rng.choice(slots)
+            table = _table(ops, gens, slot, key)
+            pool = A.carrier.objects if slot == "obj" else [m.name for m in A.carrier.morphisms]
+            if table:
+                value = None if rng.random() < 0.1 else rng.choice(list(pool) + ["zz"])
+                _with_entry(ops, gens, slot, key, rng.choice(sorted(table)), value)
+        tables = {k: OpTable.from_maps(o, m) for k, (o, m) in ops.items()}
+        new = _rejection(lambda: Algebra(A.presentation, A.carrier, tables, gens))
+        old = _rejection(lambda: oracles.validate_by_all_pairs(oracles.unvalidated_algebra(
+            A.presentation, A.carrier, tables, gens)))
+        assert new == old
+        branch = new and new[1].split(":")[-1].split(" at ")[0].strip()
+        seen[branch] = seen.get(branch, 0) + 1
+    assert seen["composition not preserved"] >= 20
+    assert seen["naturality fails"] >= 3
+    assert seen[None] >= 200
+
+
 # -- homomorphisms and 2-cells -----------------------------------------
 
 
@@ -343,6 +502,17 @@ def test_bundled_reflexive_data_quotients(coherence):
         "two_max-projection-vs-tensor": 3,
         "xor-character-collapse": 2,
     }
+
+
+def test_coequifier_that_does_not_descend_is_a_lift_failure(monkeypatch):
+    """An operation-closure failure of the carrier coequifier surfaces as
+    LiftFailure with the witness of the failing context."""
+    d = corpus.refl_data()[0]
+    context = ("tensor", ("id0", "t"), ("t", "t"), "t", "id1")
+    monkeypatch.setattr(theory, "congruence_operation_witness", lambda A, cong: context)
+    with pytest.raises(LiftFailure) as exc:
+        reflexive_coequifier_algebra(d["u"], d["v"], d["phi"], d["psi"], d["section"])
+    assert exc.value.witness == context
 
 
 # -- satisfaction is preserved by the constructions --------------------
