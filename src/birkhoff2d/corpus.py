@@ -67,10 +67,6 @@ def coherence_extension() -> Extension:
     return workspace().extension(corpus_root() / "coherence.json")
 
 
-def bare_presentation() -> Presentation:
-    return workspace().presentation(corpus_root() / "bare.json")
-
-
 def plain_p() -> Algebra:
     return workspace().algebra(corpus_root() / "plain_p.json")
 

@@ -98,7 +98,9 @@ def factor_bo_ff(f: Functor) -> Factorisation:
 
     The middle keeps A's objects and pulls hom-sets back from B; a
     middle morphism is a triple (dom, cod, target morphism), named
-    ``dom|cod|name``.
+    ``dom|cod|name``.  When a part contains '|', every part has '\\' and
+    '|' escaped with a backslash, so the name has more than two '|' and
+    no two triples share a name.
     """
     A, B = f.source, f.target
     # each middle morphism's target morphism, kept so that no name is parsed
@@ -106,7 +108,10 @@ def factor_bo_ff(f: Functor) -> Factorisation:
     into: Dict[str, List[Morphism]] = {a: [] for a in A.objects}
 
     def mangle(a: str, b: str, beta: str) -> str:
-        return "%s|%s|%s" % (a, b, beta)
+        parts = (a, b, beta)
+        if any("|" in p for p in parts):
+            parts = tuple(p.replace("\\", "\\\\").replace("|", "\\|") for p in parts)
+        return "|".join(parts)
 
     morphisms = []
     for a in A.objects:

@@ -268,10 +268,11 @@ def validate_category(raw: dict, name: str = "") -> FinCategory:
     """
     if not isinstance(raw, dict):
         raise ValidationError("category description must be a mapping")
-    for key, shape in (("objects", list), ("morphisms", list), ("identities", dict)):
-        if key not in raw:
+    for key, shape in (("objects", list), ("morphisms", list), ("identities", dict),
+                       ("composition", list)):
+        if key not in raw and key != "composition":
             raise ValidationError("category description lacks %r" % key)
-        if not isinstance(raw[key], shape):
+        if not isinstance(raw.get(key, []), shape):
             raise ValidationError("category field %r must be %s" % (
                 key, "a list" if shape is list else "a mapping"), witness=key)
     try:
@@ -467,17 +468,6 @@ def identity_nat(F: Functor) -> NatTransformation:
     return NatTransformation(
         F, F, {a: B.identity(F.obj(a)) for a in F.source.objects}, name="1_%s" % (F.name or "?")
     )
-
-
-def vcompose(beta: NatTransformation, alpha: NatTransformation) -> NatTransformation:
-    """Vertical composite beta after alpha."""
-    if alpha.target != beta.source:
-        raise BoundaryMismatch("vertical composite needs matching middle functor")
-    B = alpha.source.target
-    comps = {
-        a: B.compose(beta.at(a), alpha.at(a)) for a in alpha.source.source.objects
-    }
-    return NatTransformation(alpha.source, beta.target, comps)
 
 
 def whisker(h: Functor, alpha: NatTransformation, side: str) -> NatTransformation:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import UsageError, ValidationError
 from .fincat import FinCategory, Functor, NatTransformation, validate_category
@@ -55,19 +55,46 @@ def entity_kind(data) -> str:
 # -- pure parsers and serializers -------------------------------------
 
 
-def _field(data: dict, key: str, kind: str, shape: type):
-    """``data[key]``, checked to be a string (a file reference) or a mapping
-    of names to names; a ValidationError naming the field otherwise."""
+def _is_table(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], list)
+        and all(isinstance(a, str) for a in e[0]) and isinstance(e[1], str)
+        for e in value
+    )
+
+
+# shape -> (description for the error message, test)
+_SHAPES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("a mapping of names to names",
+           lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values())),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "objects": ("a list of objects",
+                lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)),
+    "pairs": ("a list of [lhs, rhs] pairs",
+              lambda v: isinstance(v, list) and all(
+                  isinstance(e, list) and len(e) == 2 for e in v)),
+    "table": ("a list of [[name, ...], name] entries", _is_table),
+}
+
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, kind: str, shape, default=_REQUIRED):
+    """``data[key]`` checked against ``shape``, a key of ``_SHAPES`` (``str``
+    for a name or file reference, ``dict`` for a mapping of names to
+    names, ...); ``default`` when the key is absent and a default is given.
+    A ValidationError naming the field otherwise."""
     if key not in data:
-        raise ValidationError("%s lacks %r" % (kind, key), witness=key)
-    value = data[key]
-    if not isinstance(value, shape) or (
-        shape is dict and not all(isinstance(v, str) for v in value.values())
-    ):
-        raise ValidationError("%s field %r must be %s" % (
-            kind, key, "a file name" if shape is str else "a mapping of names to names"),
-            witness=key)
-    return value
+        if default is _REQUIRED:
+            raise ValidationError("%s lacks %r" % (kind, key), witness=key)
+        return default
+    what, ok = _SHAPES[shape]
+    if not ok(data[key]):
+        raise ValidationError("%s field %r must be %s" % (kind, key, what), witness=key)
+    return data[key]
 
 
 def parse_category(data, name: str = "") -> FinCategory:
@@ -93,23 +120,29 @@ def category_to_json(C: FinCategory) -> dict:
 
 
 def parse_presentation(data, name: str = "") -> Presentation:
-    sig = Signature([Operation(o["name"], int(o["arity"])) for o in data.get("operations", [])])
+    kind = "presentation"
+    op_kind, gen_kind = "presentation operation", "presentation generator"
+    sig = Signature([
+        Operation(_field(o, "name", op_kind, str), _field(o, "arity", op_kind, int))
+        for o in _field(data, "operations", kind, "objects", [])
+    ])
     term_eqs = [
-        (term_from_json(l), term_from_json(r)) for l, r in data.get("term_equations", [])
+        (term_from_json(l), term_from_json(r))
+        for l, r in _field(data, "term_equations", kind, "pairs", [])
     ]
     gens = [
         TwoCellGenerator(
-            g["name"],
-            int(g["arity"]),
-            term_from_json(g["source"]),
-            term_from_json(g["target"]),
+            _field(g, "name", gen_kind, str),
+            _field(g, "arity", gen_kind, int),
+            term_from_json(_field(g, "source", gen_kind, list)),
+            term_from_json(_field(g, "target", gen_kind, list)),
             bool(g.get("invertible", False)),
         )
-        for g in data.get("generators", [])
+        for g in _field(data, "generators", kind, "objects", [])
     ]
     cell_eqs = [
         (expr_from_json(l), expr_from_json(r))
-        for l, r in data.get("two_cell_equations", [])
+        for l, r in _field(data, "two_cell_equations", kind, "pairs", [])
     ]
     return Presentation(sig, term_eqs, gens, cell_eqs, name=name or data.get("name", ""))
 
@@ -165,14 +198,8 @@ def nat_to_json(alpha: NatTransformation, from_ref: str, to_ref: str) -> dict:
     return {"from": from_ref, "to": to_ref, "components": dict(alpha.components)}
 
 
-def _parse_table(entries) -> Dict[Tuple[str, ...], str]:
-    table = {}
-    for pair in entries:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise UsageError("table entry must be [args, value], got %r" % (pair,))
-        args, value = pair
-        table[tuple(args)] = value
-    return table
+def _parse_table(data: dict, key: str, kind: str) -> Dict[Tuple[str, ...], str]:
+    return {tuple(args): value for args, value in _field(data, key, kind, "table", [])}
 
 
 def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:
@@ -181,17 +208,15 @@ def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:
 
 def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
                   name: str = "") -> Algebra:
-    operations = {
-        op_name: OpTable.from_maps(
-            _parse_table(tables.get("on_objects", [])),
-            _parse_table(tables.get("on_morphisms", [])),
-        )
-        for op_name, tables in data.get("operations", {}).items()
-    }
-    generators = {
-        g_name: _parse_table(entries)
-        for g_name, entries in data.get("generators", {}).items()
-    }
+    ops = _field(data, "operations", "algebra", "object", {})
+    gens = _field(data, "generators", "algebra", "object", {})
+    operations = {}
+    for op_name in ops:
+        where = "algebra operation %r" % op_name
+        tables = _field(ops, op_name, "algebra operations", "object")
+        operations[op_name] = OpTable.from_maps(_parse_table(tables, "on_objects", where),
+                                                _parse_table(tables, "on_morphisms", where))
+    generators = {g_name: _parse_table(gens, g_name, "algebra generators") for g_name in gens}
     return Algebra(presentation, carrier, operations, generators,
                    name=name or data.get("name", ""))
 
@@ -237,6 +262,7 @@ class Workspace:
         self._cache: Dict[Path, object] = {}
         # keyed by id: equal entities read from different files keep their own path
         self._paths: Dict[int, Path] = {}
+        self._loading: Set[Path] = set()
 
     def _resolve(self, ref: Union[str, Path], base: Optional[Path]) -> Path:
         p = Path(ref)
@@ -249,6 +275,8 @@ class Workspace:
             return json.loads(path.read_text())
         except FileNotFoundError:
             raise UsageError("no such file: %s" % path)
+        except OSError as exc:
+            raise UsageError("cannot read %s: %s" % (path, exc.strerror))
         except json.JSONDecodeError as exc:
             raise UsageError("%s is not valid JSON: %s" % (path, exc))
 
@@ -256,37 +284,47 @@ class Workspace:
         path = self._resolve(ref, base)
         if path in self._cache:
             return self._cache[path]
+        if path in self._loading:
+            raise ValidationError("%s refers back to itself" % path, witness=str(path))
+        self._loading.add(path)
+        try:
+            out = self._parse(path)
+        finally:
+            self._loading.discard(path)
+        self._cache[path] = out
+        self._paths[id(out)] = path
+        return out
+
+    def _parse(self, path: Path):
         data = self._data(path)
         kind = entity_kind(data)
         here = path.parent
         name = data.get("name", path.stem)
         if kind == "category":
-            out = parse_category(data, name=name)
+            return parse_category(data, name=name)
         elif kind == "functor":
-            out = self._functor_from(data, here, name)
+            return self._functor_from(data, here, name)
         elif kind == "nat":
-            out = self._nat_from(data, here)
+            return self._nat_from(data, here)
         elif kind == "presentation":
-            out = parse_presentation(data, name=name)
+            return parse_presentation(data, name=name)
         elif kind == "extension":
-            base_pres = self.presentation(data["base"], base=here)
-            out = Extension(
+            base_pres = self.presentation(_field(data, "base", "extension", str), base=here)
+            return Extension(
                 base_pres,
                 [
                     (expr_from_json(l), expr_from_json(r))
-                    for l, r in data.get("added_two_cell_equations", [])
+                    for l, r in _field(data, "added_two_cell_equations", "extension",
+                                       "pairs", [])
                 ],
                 name=name,
             )
         elif kind == "algebra":
-            pres = self.presentation(data["presentation"], base=here)
-            carrier = self.category(data["carrier"], base=here)
-            out = parse_algebra(data, pres, carrier, name=name)
+            pres = self.presentation(_field(data, "presentation", "algebra", str), base=here)
+            carrier = self.category(_field(data, "carrier", "algebra", str), base=here)
+            return parse_algebra(data, pres, carrier, name=name)
         else:  # pragma: no cover - entity_kind is exhaustive
             raise UsageError("cannot load %s" % kind)
-        self._cache[path] = out
-        self._paths[id(out)] = path
-        return out
 
     def path_of(self, entity) -> Path:
         """The resolved file an entity was loaded from."""
@@ -347,16 +385,14 @@ class Workspace:
 
 def _entries(data, kind: str) -> list:
     """``data``, checked to be a list of JSON objects."""
-    if not isinstance(data, list) or not all(isinstance(e, dict) for e in data):
+    if not _SHAPES["objects"][1](data):
         raise ValidationError("%s file must be a list of objects" % kind, witness=kind)
     return data
 
 
 def _functor_maps(data: dict, key: str, kind: str):
     """The object and morphism maps of the inline functor ``data[key]``."""
-    value = data.get(key)
-    if not isinstance(value, dict):
-        raise ValidationError("%s field %r must be an object" % (kind, key), witness=key)
+    value = _field(data, key, kind, "object")
     where = "%s field %r" % (kind, key)
     return _field(value, "on_objects", where, dict), _field(value, "on_morphisms", where, dict)
 

@@ -50,7 +50,6 @@ from .fincat import (
     congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
-    identity_functor,
     power,
     power_span,
     quotient_by_congruence,
@@ -183,7 +182,7 @@ def expr_from_json(data) -> TwoCellExpr:
         return InvCell(str(data[1]))
     if head == "vcomp" and len(data) == 3:
         return VCompCell(expr_from_json(data[1]), expr_from_json(data[2]))
-    if head == "subst" and len(data) == 3:
+    if head == "subst" and len(data) == 3 and isinstance(data[2], list):
         args = []
         for a in data[2]:
             if isinstance(a, (list, tuple)) and a and a[0] in ("var", "op"):
@@ -867,10 +866,6 @@ class AlgebraHom:
 def compose_algebra_homs(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
     return AlgebraHom(f.source, g.target, compose_functors(g.functor, f.functor),
                       name="%s.%s" % (g.name or "?", f.name or "?"))
-
-
-def identity_algebra_hom(A: Algebra) -> AlgebraHom:
-    return AlgebraHom(A, A, identity_functor(A.carrier), name="id")
 
 
 def enumerate_algebra_homs(

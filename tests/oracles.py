@@ -8,10 +8,17 @@ corpus-sized inputs, which is the point.
 import functools
 import itertools
 
-from birkhoff2d.errors import BoundaryMismatch, NonInvertibleComponent, ValidationError
+from birkhoff2d.errors import (
+    BoundaryMismatch,
+    NonInvertibleComponent,
+    NotOperationClosed,
+    ValidationError,
+)
 from birkhoff2d.fincat import (
+    Congruence,
     Functor,
     FunctorFlags,
+    NatTransformation,
     compose_functors,
     enumerate_functors,
     enumerate_nat_transformations,
@@ -22,6 +29,7 @@ from birkhoff2d.theory import (
     eval_expr,
     eval_term_mor,
     eval_term_obj,
+    quotient_algebra,
     term_min_arity,
 )
 
@@ -208,6 +216,67 @@ def count_quotient_algebras(A):
         if _is_congruence(C, rep) and _ops_descend(A, rep):
             count += 1
     return count
+
+
+def vcompose(beta, alpha):
+    """Vertical composite beta after alpha, componentwise."""
+    if alpha.target != beta.source:
+        raise BoundaryMismatch("vertical composite needs matching middle functor")
+    B = alpha.source.target
+    comps = {
+        a: B.compose(beta.at(a), alpha.at(a)) for a in alpha.source.source.objects
+    }
+    return NatTransformation(alpha.source, beta.target, comps)
+
+
+def _set_partitions(items):
+    """All partitions of a sequence, by restricted growth strings in
+    lexicographic order; the all-in-one-block partition comes first,
+    all-singletons last."""
+    n = len(items)
+    if n == 0:
+        yield []
+        return
+    codes = [0] * n
+    while True:
+        blocks = {}
+        for x, c in zip(items, codes):
+            blocks.setdefault(c, []).append(x)
+        yield [blocks[c] for c in sorted(blocks)]
+        # next restricted growth string in lexicographic order
+        i = n - 1
+        while i > 0:
+            if codes[i] <= max(codes[:i]):
+                break
+            i -= 1
+        if i == 0:
+            return
+        codes[i] += 1
+        for j in range(i + 1, n):
+            codes[j] = 0
+
+
+def quotients_by_partitions(A):
+    """Every quotient of A as (congruence, quotient algebra, projection),
+    as the package listed them before generating congruences from
+    principal ones: the product of the set partitions of every hom-set,
+    hom-sets by (domain, codomain), keeping the candidates that Congruence
+    and quotient_algebra accept."""
+    C = A.carrier
+    hom_sets = sorted({(m.dom, m.cod) for m in C.morphisms})
+    partition_lists = [list(_set_partitions(list(C.hom(a, b)))) for (a, b) in hom_sets]
+    out = []
+    for combo in itertools.product(*partition_lists):
+        try:
+            cong = Congruence(C, [cl for part in combo for cl in part])
+        except ValidationError:
+            continue
+        try:
+            quot, h = quotient_algebra(A, cong)
+        except NotOperationClosed:
+            continue
+        out.append((cong, quot, h))
+    return tuple(out)
 
 
 # Enumerate-then-filter definitions of the lift searches, as the package

@@ -12,7 +12,6 @@ from birkhoff2d.birkhoff import (
     verify_reflection_free,
     verify_unit_terminal,
 )
-from birkhoff2d.birkhoff import _set_partitions
 from birkhoff2d.errors import SizeLimitExceeded, ValidationError
 from birkhoff2d.fincat import classify
 from birkhoff2d.theory import product_algebra, satisfies
@@ -91,14 +90,14 @@ def test_freeness_rejects_probes_outside_the_subclass(catalog, coherence, sigma_
 def test_partition_generator_matches_recursive_oracle():
     for items in ([], ["a"], ["a", "b"], ["a", "b", "c"], ["w", "x", "y", "z"]):
         mine = [
-            frozenset(frozenset(b) for b in part) for part in _set_partitions(items)
+            frozenset(frozenset(b) for b in part) for part in oracles._set_partitions(items)
         ]
         ref = [
             frozenset(frozenset(b) for b in part) for part in oracles.set_partitions(items)
         ]
         assert len(mine) == len(set(mine)) == len(ref)
         assert set(mine) == set(ref)
-    assert [len(list(_set_partitions(list("abcd"[:n])))) for n in range(5)] == [
+    assert [len(list(oracles._set_partitions(list("abcd"[:n])))) for n in range(5)] == [
         1, 1, 2, 5, 15,
     ]
 
@@ -116,6 +115,27 @@ def test_quotient_counts_match_bruteforce(catalog):
 def test_quotient_enumeration_respects_limit(catalog):
     with pytest.raises(SizeLimitExceeded):
         enumerate_quotient_algebras(catalog["xor_strict"], limit=1)
+
+
+def test_quotient_limit_error_names_the_search(catalog):
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"^quotient search exceeds limit \(2 congruence closures > 1\)$"):
+        enumerate_quotient_algebras(catalog["xor_strict"], limit=1)
+
+
+def test_generated_quotients_match_the_partition_filter(catalog):
+    xor = catalog["xor_strict"]
+    algebras = dict(catalog)
+    algebras["plain_p"] = corpus.plain_p()
+    algebras["xor_strict^2"] = product_algebra(xor, xor)[0]
+    algebras["sigma_assoc x two_max"] = product_algebra(
+        catalog["sigma_assoc"], catalog["two_max"])[0]
+    for name, A in algebras.items():
+        found = enumerate_quotient_algebras(A)
+        ref = oracles.quotients_by_partitions(A)
+        assert found == ref, name
+        assert [(q.name, h.name) for (_, q, h) in found] == [
+            (q.name, h.name) for (_, q, h) in ref], name
 
 
 # -- isomorphism -------------------------------------------------------

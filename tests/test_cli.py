@@ -57,37 +57,81 @@ def test_validate_missing_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def _drop(key):
-    return lambda data: data.pop(key)
+def test_validate_a_directory(capsys, tmp_path):
+    code, _, err = go(capsys, ["validate", "--category", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: cannot read")
 
 
-def _set(key, value):
-    return lambda data: data.update({key: value})
+def _pop(*path):
+    def go(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node.pop(path[-1])
+        return data
+    return go
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def go(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return data
+    return go
+
+
+def _one_sided_equation(data):
+    data["added_two_cell_equations"][0] = data["added_two_cell_equations"][0][:1]
+    return data
 
 
 @pytest.mark.parametrize("flag,name,break_it,field", [
-    ("--functor", "collapse.json", _drop("on_morphisms"), "on_morphisms"),
+    ("--functor", "collapse.json", _pop("on_morphisms"), "on_morphisms"),
     ("--functor", "collapse.json", _set("on_objects", [1, 2]), "on_objects"),
-    ("--nat", "cell.json", _drop("components"), "components"),
+    ("--nat", "cell.json", _pop("components"), "components"),
     ("--category", "p.json", _set("objects", "ab"), "objects"),
+    ("--category", "p.json", _set("composition", 5), "composition"),
+    ("--presentation", "monoidal.json", _pop("operations", 0, "name"), "name"),
+    ("--presentation", "monoidal.json", _set("operations", 0, "arity", "x"), "arity"),
+    ("--presentation", "monoidal.json", _pop("generators", 0, "arity"), "arity"),
+    ("--presentation", "monoidal.json", _set("operations", "tensor"), "operations"),
+    ("--extension", "coherence.json", _one_sided_equation, "added_two_cell_equations"),
+    ("--extension", "coherence.json", _set("base", 3), "base"),
+    ("--algebra", "monoidal/xor_strict.json", _set("operations", ["tensor"]), "operations"),
+    ("--algebra", "monoidal/xor_strict.json", _set("generators", "assoc", 5), "assoc"),
+    ("--algebra", "monoidal/xor_strict.json", _set("presentation", ["x"]), "presentation"),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
-        "category-objects-string"])
+        "category-objects-string", "category-composition-number",
+        "operation-without-name", "operation-arity-string", "generator-without-arity",
+        "operations-string", "equation-one-sided", "extension-base-number",
+        "algebra-operations-list", "generator-table-number", "algebra-presentation-list"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
     wrong shape it is invalid input (exit 2) naming that field."""
-    for ref in ("p.json", "two.json", "collapse.json"):
-        shutil.copy(ROOT / ref, tmp_path / ref)
+    shutil.copytree(ROOT, tmp_path, dirs_exist_ok=True)
     cell = {"from": "collapse.json", "to": "collapse.json",
             "components": {"a": "id0", "b": "id1"}}
     (tmp_path / "cell.json").write_text(json.dumps(cell))
     path = tmp_path / name
     assert go(capsys, ["validate", flag, str(path)])[0] == 0
-    data = json.loads(path.read_text())
-    break_it(data)
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(break_it(json.loads(path.read_text()))))
     code, _, err = go(capsys, ["validate", flag, str(path)])
     assert code == 2
     assert err.startswith("invalid input:") and repr(field) in err
+
+
+def test_validate_rejects_a_file_that_refers_to_itself(capsys, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"source": "loop.json", "target": "loop.json",
+                                "on_objects": {}, "on_morphisms": {}}))
+    code, _, err = go(capsys, ["validate", "--functor", str(path)])
+    assert code == 2
+    assert err.startswith("invalid input:") and "refers back to itself" in err
 
 
 # -- factor ------------------------------------------------------------
@@ -260,16 +304,6 @@ def test_audit_rejects_unknown_member_names(capsys):
     code, _, err = go(capsys, AUDIT_ARGS + ["--members", "nonesuch"])
     assert code == 2
     assert "unknown catalog entry" in err
-
-
-def _pop(*path):
-    def go(data):
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node.pop(path[-1])
-        return data
-    return go
 
 
 @pytest.mark.parametrize("flag,break_it,needles", [

@@ -24,18 +24,33 @@ from birkhoff2d.fincat import (
     identity_functor,
     lifts,
     nat_lifts,
+    validate_category,
 )
 from birkhoff2d.kernel import bof_kernel, coequify, induced_between_quotients
 
 
+def _discrete_with_pipes():
+    """The discrete category on p|q, r, p, q|r into one: the pairs (p|q, r)
+    and (p, q|r) join to the same string around a '|'."""
+    objects = ["p|q", "r", "p", "q|r"]
+    D = validate_category({
+        "objects": objects,
+        "morphisms": [{"id": "id" + o, "dom": o, "cod": o} for o in objects],
+        "identities": {o: "id" + o for o in objects},
+    }, name="pipes")
+    return Functor(D, corpus.category("one"), {o: "*" for o in objects},
+                   {"id" + o: "id" for o in objects}, name="pipes")
+
+
 @pytest.mark.parametrize("system", sorted(FACTOR_SYSTEMS))
 def test_factorisations_sound_on_corpus(all_functors, system):
-    """Every corpus functor, and every functor from a corpus category into
-    a kernel apex, whose morphism names contain '|'."""
+    """Every corpus functor, every functor from a corpus category into a
+    kernel apex, whose morphism names contain '|', and a functor out of a
+    category whose object names contain '|'."""
     apex = bof_kernel(corpus.collapse_functor()).apex
     into_apex = tuple(F for C in corpus.categories() for F in enumerate_functors(C, apex))
     assert len(into_apex) == 110
-    for f in all_functors + into_apex:
+    for f in all_functors + into_apex + (_discrete_with_pipes(),):
         res = factorisation_sound(f, system)
         assert res, (f.name, res.witness)
 

@@ -24,10 +24,10 @@ from birkhoff2d.fincat import (
     classify,
     congruence_closure,
     identity_functor,
-    vcompose,
 )
 from birkhoff2d.theory import (
     Algebra,
+    AlgebraHom,
     App,
     GenCell,
     IdCell,
@@ -46,7 +46,6 @@ from birkhoff2d.theory import (
     enumerate_algebra_homs,
     eval_term_mor,
     eval_term_obj,
-    identity_algebra_hom,
     interpret_term,
     interpret_two_cell,
     is_algebra_hom,
@@ -103,6 +102,11 @@ def test_signature_rejects_out_of_range_variable():
 def test_duplicate_operations_rejected():
     with pytest.raises(SignatureMismatch):
         Signature([Operation("tensor", 2), Operation("tensor", 2)])
+
+
+def test_substitution_needs_an_argument_list():
+    with pytest.raises(ValidationError):
+        theory.expr_from_json(["subst", ["gen", "assoc"], 2])
 
 
 # -- evaluation and the substitution property --------------------------
@@ -188,7 +192,7 @@ def test_identity_cell_interprets_to_identity_nat(xor):
 def test_vertical_composite_cell_matches_vcompose(sigma):
     g = GenCell("assoc")
     comp_expr = interpret_two_cell(sigma, VCompCell(InvCell("assoc"), g), 3)
-    direct = vcompose(
+    direct = oracles.vcompose(
         interpret_two_cell(sigma, InvCell("assoc"), 3),
         interpret_two_cell(sigma, g, 3),
     )
@@ -229,7 +233,8 @@ def test_twisted_algebras_fail_with_witness(algebras, coherence):
 
 
 def test_satisfaction_of_bare_presentation():
-    assert satisfies(corpus.plain_p(), corpus.bare_presentation())
+    bare = corpus.workspace().presentation(corpus.corpus_root() / "bare.json")
+    assert satisfies(corpus.plain_p(), bare)
 
 
 def test_satisfies_rejects_foreign_signature(coherence):
@@ -408,7 +413,7 @@ def test_structure_breaking_functor_is_refused(xor):
 
 
 def test_algebra_two_cells_between_identity(xor):
-    idh = identity_algebra_hom(xor)
+    idh = AlgebraHom(xor, xor, identity_functor(xor.carrier), name="id")
     cells = algebra_two_cells(idh, idh)
     comps = sorted(tuple(sorted(w.components.items())) for w in cells)
     assert comps == [
