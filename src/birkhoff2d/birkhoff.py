@@ -26,6 +26,7 @@ from .theory import (
     Algebra,
     AlgebraHom,
     Extension,
+    _trusted_quotient_algebra,
     algebra_congruence_closure,
     algebra_two_cells,
     compose_algebra_homs,
@@ -33,7 +34,6 @@ from .theory import (
     eval_expr,
     is_algebra_hom,
     product_algebra,
-    quotient_algebra,
     reflexive_coequifier_algebra,
     satisfies,
     subalgebra_check,
@@ -68,7 +68,7 @@ def reflect(A: Algebra, E: Extension) -> Reflection:
             if lv != rv:
                 pairs.append((lv, rv))
     cong = algebra_congruence_closure(A, pairs)
-    reflected, unit = quotient_algebra(A, cong)
+    reflected, unit = _trusted_quotient_algebra(A, cong)
     check = satisfies(reflected, E)
     if not check:
         raise LabError("reflection failed to reach the subclass", witness=check.witness)
@@ -202,7 +202,8 @@ def enumerate_quotient_algebras(
             key.extend(codes.setdefault(cong.rep_of[u], len(codes)) for u in ms)
         return key
 
-    return tuple((cong,) + quotient_algebra(A, cong) for cong in sorted(found, key=growth_string))
+    return tuple((cong,) + _trusted_quotient_algebra(A, cong)
+                 for cong in sorted(found, key=growth_string))
 
 
 # -- isomorphism of algebras ------------------------------------------

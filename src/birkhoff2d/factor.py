@@ -83,7 +83,7 @@ def factor_bof(f: Functor) -> Factorisation:
             gens.append((u, v))
     cong = congruence_closure(A, gens)
     M, e = quotient_by_congruence(A, cong)
-    m = Functor(
+    m = Functor._trusted(
         M,
         B,
         {a: f.obj(a) for a in M.objects},
@@ -127,16 +127,16 @@ def factor_bo_ff(f: Functor) -> Factorisation:
         for h in into[g.dom]:
             composition[(g.name, h.name)] = mangle(
                 h.dom, g.cod, B.compose(beta_of[g.name], beta_of[h.name]))
-    M = FinCategory(A.objects, morphisms, identities, composition,
-                    name="%s<%s>" % (A.name or "?", B.name or "?"))
-    e = Functor(
+    M = FinCategory._trusted(A.objects, morphisms, identities, composition,
+                             name="%s<%s>" % (A.name or "?", B.name or "?"))
+    e = Functor._trusted(
         A,
         M,
         {a: a for a in A.objects},
         {u.name: mangle(u.dom, u.cod, f.mor(u.name)) for u in A.morphisms},
         name="e",
     )
-    m = Functor(
+    m = Functor._trusted(
         M,
         B,
         {a: f.obj(a) for a in A.objects},
@@ -160,12 +160,12 @@ def factor_so_ioff(f: Functor) -> Factorisation:
         for (g, h), r in B.composition.items()
         if g in names and h in names
     }
-    M = FinCategory(objects, morphisms, identities, composition,
-                    name="im(%s)" % (f.name or "?"))
-    e = Functor(A, M, {a: f.obj(a) for a in A.objects},
-                {u.name: f.mor(u.name) for u in A.morphisms}, name="e")
-    m = Functor(M, B, {b: b for b in objects},
-                {mm.name: mm.name for mm in morphisms}, name="m")
+    M = FinCategory._trusted(objects, morphisms, identities, composition,
+                             name="im(%s)" % (f.name or "?"))
+    e = Functor._trusted(A, M, {a: f.obj(a) for a in A.objects},
+                         {u.name: f.mor(u.name) for u in A.morphisms}, name="e")
+    m = Functor._trusted(M, B, {b: b for b in objects},
+                         {mm.name: mm.name for mm in morphisms}, name="m")
     return _check_split(f, e, m)
 
 
@@ -201,8 +201,15 @@ def diagonal_fillins(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> Tuple[Functor, ...]:
     """All d with d after f == x and g after d == y, for a commuting
-    square y.f == g.x around f: A -> B and g: C -> D."""
-    if compose_functors(y, f) != compose_functors(g, x):
+    square y.f == g.x around f: A -> B and g: C -> D.
+
+    The square is compared pointwise, on every object and morphism of A,
+    without building either composite.
+    """
+    if (f.source != x.source or f.target != y.source or x.target != g.source
+            or y.target != g.target
+            or any(y.obj(f.obj(a)) != g.obj(x.obj(a)) for a in f.source.objects)
+            or any(y.mor(f.mor(u.name)) != g.mor(x.mor(u.name)) for u in f.source.morphisms)):
         raise BoundaryMismatch("square does not commute")
     return lifts(f, x, g, y, limit=limit)
 

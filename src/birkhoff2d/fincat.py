@@ -9,8 +9,12 @@ closure and functor search visit only composable data.  Functors are
 searched by :func:`functor_maps` (enumeration, :func:`lifts`, kernel
 mediators), transformations by one search over component lists (enumeration,
 :func:`nat_lifts`) that decides naturality with :func:`naturality_witness`.
-Values validate themselves at construction time and are immutable
-afterwards; structural equality ignores the display name.
+Values from outside, given to the public constructors (and so every
+value loaded from JSON), are validated.  Constructions from validated
+parts (search results, composites, whiskers, products, quotients,
+factorisation legs) use each type's private ``_trusted`` builder instead,
+which does the constructor's bookkeeping without the law check.  Values
+are immutable afterwards; structural equality ignores the display name.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -63,6 +67,21 @@ class FinCategory:
         composition: Dict[Tuple[str, str], str],
         name: str = "",
     ):
+        self._index(objects, morphisms, identities, composition, name)
+        self._validate()
+        self._tabulate()
+
+    @classmethod
+    def _trusted(cls, objects, morphisms, identities, composition, name=""):
+        """The constructor without ``_validate``, for parts that already
+        satisfy the laws: quotients, products, coproducts and factorisation
+        middles of validated categories."""
+        self = cls.__new__(cls)
+        self._index(objects, morphisms, identities, composition, name)
+        self._tabulate()
+        return self
+
+    def _index(self, objects, morphisms, identities, composition, name) -> None:
         self.name = name
         self.objects: Tuple[str, ...] = tuple(objects)
         self.morphisms: Tuple[Morphism, ...] = tuple(morphisms)
@@ -77,7 +96,9 @@ class FinCategory:
         for m in self.morphisms:
             self._ending_at.setdefault(m.cod, []).append(m.name)
             self._starting_at.setdefault(m.dom, []).append(m.name)
-        self._validate()
+
+    def _tabulate(self) -> None:
+        """Hom-sets, composable triples and the key; needs a total table."""
         self._hom: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), ())
@@ -315,15 +336,27 @@ class Functor:
         on_morphisms: Dict[str, str],
         name: str = "",
     ):
+        self._fill(source, target, on_objects, on_morphisms, name)
+        witness = functor_law_witness(source, target, self.on_objects, self.on_morphisms)
+        if witness is not None:
+            raise ValidationError("functor %s: %s" % (name or "?", witness[0]),
+                                  witness=witness)
+
+    @classmethod
+    def _trusted(cls, source, target, on_objects, on_morphisms, name=""):
+        """The constructor without the law check, for maps that are
+        functorial by construction: search results, composites, identities,
+        projections, injections, quotient maps and factorisation legs."""
+        self = cls.__new__(cls)
+        self._fill(source, target, on_objects, on_morphisms, name)
+        return self
+
+    def _fill(self, source, target, on_objects, on_morphisms, name) -> None:
         self.source = source
         self.target = target
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
         self.name = name
-        witness = functor_law_witness(source, target, self.on_objects, self.on_morphisms)
-        if witness is not None:
-            raise ValidationError("functor %s: %s" % (name or "?", witness[0]),
-                                  witness=witness)
         self._key = (source._key, target._key,
                      tuple(sorted(self.on_objects.items())),
                      tuple(sorted(self.on_morphisms.items())))
@@ -383,7 +416,7 @@ def functor_law_witness(source, target, on_objects, on_morphisms):
 
 
 def identity_functor(A: FinCategory) -> Functor:
-    return Functor(
+    return Functor._trusted(
         A,
         A,
         {a: a for a in A.objects},
@@ -398,7 +431,7 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
         raise BoundaryMismatch(
             "cannot compose %r after %r: middle categories differ" % (g, f)
         )
-    return Functor(
+    return Functor._trusted(
         f.source,
         g.target,
         {a: g.obj(f.obj(a)) for a in f.source.objects},
@@ -414,10 +447,7 @@ class NatTransformation:
                  name: str = ""):
         if source.source != target.source or source.target != target.target:
             raise BoundaryMismatch("transformation needs parallel functors")
-        self.source = source
-        self.target = target
-        self.components = dict(components)
-        self.name = name
+        self._fill(source, target, components, name)
         A, B = source.source, source.target
         for a in A.objects:
             c = self.components.get(a)
@@ -433,6 +463,20 @@ class NatTransformation:
         witness = naturality_witness(source, target, self.components)
         if witness is not None:
             raise ValidationError("naturality fails at %s" % witness[0], witness=witness)
+
+    @classmethod
+    def _trusted(cls, source, target, components, name=""):
+        """The constructor without its checks, for components that are
+        natural by construction: search results, whiskers and identities."""
+        self = cls.__new__(cls)
+        self._fill(source, target, components, name)
+        return self
+
+    def _fill(self, source, target, components, name) -> None:
+        self.source = source
+        self.target = target
+        self.components = dict(components)
+        self.name = name
         self._key = (source._key, target._key, tuple(sorted(self.components.items())))
         self._hash = hash(self._key)
 
@@ -465,7 +509,7 @@ def naturality_witness(F: Functor, G: Functor, components: Dict[str, str]):
 
 def identity_nat(F: Functor) -> NatTransformation:
     B = F.target
-    return NatTransformation(
+    return NatTransformation._trusted(
         F, F, {a: B.identity(F.obj(a)) for a in F.source.objects}, name="1_%s" % (F.name or "?")
     )
 
@@ -479,7 +523,7 @@ def whisker(h: Functor, alpha: NatTransformation, side: str) -> NatTransformatio
     if side == "left":
         if alpha.source.target != h.source:
             raise BoundaryMismatch("left whisker: functor must start at alpha's target category")
-        return NatTransformation(
+        return NatTransformation._trusted(
             compose_functors(h, alpha.source),
             compose_functors(h, alpha.target),
             {a: h.mor(alpha.at(a)) for a in alpha.source.source.objects},
@@ -487,7 +531,7 @@ def whisker(h: Functor, alpha: NatTransformation, side: str) -> NatTransformatio
     if side == "right":
         if h.target != alpha.source.source:
             raise BoundaryMismatch("right whisker: functor must land in alpha's source category")
-        return NatTransformation(
+        return NatTransformation._trusted(
             compose_functors(alpha.source, h),
             compose_functors(alpha.target, h),
             {c: alpha.at(h.obj(c)) for c in h.source.objects},
@@ -544,11 +588,11 @@ def power_span(factors: Sequence[FinCategory], name: str = "") -> PowerSpan:
             if all(C.cod(f) == C.dom(g) for C, g, f in zip(factors, gt, ft)):
                 res = tuple(C.compose(g, f) for C, g, f in zip(factors, gt, ft))
                 composition[(mor_of[gt], mor_of[ft])] = mor_of[res]
-    cat = FinCategory(objects, morphisms, identities, composition, name=name)
+    cat = FinCategory._trusted(objects, morphisms, identities, composition, name=name)
     projections = []
     for i, C in enumerate(factors):
         projections.append(
-            Functor(
+            Functor._trusted(
                 cat,
                 C,
                 {obj_of[t]: t[i] for t in obj_tuples},
@@ -586,10 +630,10 @@ def coproduct_category(A: FinCategory, B: FinCategory, name: str = ""):
     identities.update({ro[b]: rm[B.identity(b)] for b in B.objects})
     composition = {(lm[g], lm[f]): lm[h] for (g, f), h in A.composition.items()}
     composition.update({(rm[g], rm[f]): rm[h] for (g, f), h in B.composition.items()})
-    cat = FinCategory(objects, morphisms, identities, composition,
-                      name=name or "(%s+%s)" % (A.name or "?", B.name or "?"))
-    inl = Functor(A, cat, lo, lm, name="inl")
-    inr = Functor(B, cat, ro, rm, name="inr")
+    cat = FinCategory._trusted(objects, morphisms, identities, composition,
+                               name=name or "(%s+%s)" % (A.name or "?", B.name or "?"))
+    inl = Functor._trusted(A, cat, lo, lm, name="inl")
+    inr = Functor._trusted(B, cat, ro, rm, name="inr")
     return cat, inl, inr
 
 
@@ -601,25 +645,13 @@ class Congruence:
     closed under pre- and post-composition."""
 
     def __init__(self, base: FinCategory, classes: Sequence[Sequence[str]]):
-        self.base = base
-        canon = []
-        seen = set()
-        for cls in classes:
-            cl = tuple(sorted(cls))
-            if not cl:
-                raise ValidationError("empty congruence class")
-            canon.append(cl)
-            seen.update(cl)
-        canon.sort(key=lambda c: c[0])
-        self.classes: Tuple[Tuple[str, ...], ...] = tuple(canon)
-        if seen != {m.name for m in base.morphisms} or sum(len(c) for c in canon) != len(
-            base.morphisms
-        ):
+        self._fill(base, classes)
+        if self.classes and not self.classes[0]:  # an empty class sorts first
+            raise ValidationError("empty congruence class")
+        if set(self.rep_of) != {m.name for m in base.morphisms} or sum(
+            len(c) for c in self.classes
+        ) != len(base.morphisms):
             raise ValidationError("classes do not partition the morphisms")
-        self.rep_of: Dict[str, str] = {}
-        for cl in self.classes:
-            for u in cl:
-                self.rep_of[u] = cl[0]
         for cl in self.classes:
             d, c = base.dom(cl[0]), base.cod(cl[0])
             for u in cl[1:]:
@@ -632,6 +664,22 @@ class Congruence:
             raise ValidationError(
                 "not closed under composition at (%s, %s)" % witness[:2], witness=witness
             )
+
+    @classmethod
+    def _trusted(cls, base, classes):
+        """The constructor without its checks, for the classes of a
+        congruence closure: parallel generators, saturated under contexts."""
+        self = cls.__new__(cls)
+        self._fill(base, classes)
+        return self
+
+    def _fill(self, base, classes) -> None:
+        """Canonical classes (each sorted, ordered by least member) and
+        each morphism's representative, its class's least member."""
+        self.base = base
+        self.classes: Tuple[Tuple[str, ...], ...] = tuple(
+            sorted((tuple(sorted(cl)) for cl in classes), key=lambda c: c[:1]))
+        self.rep_of: Dict[str, str] = {u: cl[0] for cl in self.classes for u in cl}
         self._key = (base._key, self.classes)
         self._hash = hash(self._key)
 
@@ -703,7 +751,10 @@ def congruence_closure(
     Each merged pair (u, v) is pushed through the one-sided contexts u.p ~ v.p
     and q.u ~ q.v only; a two-sided context q.u.p is reached by merging q.u
     with q.v first and then precomposing that pair.  Reaches a fixpoint:
-    feeding the result's pairs back in changes nothing.
+    feeding the result's pairs back in changes nothing.  Generators are
+    checked to be parallel and contexts keep pairs parallel, so the result
+    is built without re-checking; ``extra_rule`` must likewise relate
+    parallel morphisms only, as the operation contexts of an algebra do.
     """
     uf = _UnionFind(m.name for m in A.morphisms)
     work: List[Tuple[str, str]] = []
@@ -735,7 +786,7 @@ def congruence_closure(
     classes: Dict[str, List[str]] = {}
     for m in A.morphisms:
         classes.setdefault(uf.find(m.name), []).append(m.name)
-    return Congruence(A, list(classes.values()))
+    return Congruence._trusted(A, list(classes.values()))
 
 
 def quotient_by_congruence(A: FinCategory, cong: Congruence):
@@ -757,9 +808,9 @@ def quotient_by_congruence(A: FinCategory, cong: Congruence):
     identities = {a: rep[A.identity(a)] for a in A.objects}
     composition = {(g, f): rep[h] for (g, f, h) in A._triples
                    if rep[g] == g and rep[f] == f}
-    Q = FinCategory(A.objects, morphisms, identities, composition,
-                    name="%s/~" % (A.name or "?"))
-    q = Functor(
+    Q = FinCategory._trusted(A.objects, morphisms, identities, composition,
+                             name="%s/~" % (A.name or "?"))
+    q = Functor._trusted(
         A,
         Q,
         {a: a for a in A.objects},
@@ -912,7 +963,7 @@ def enumerate_functors(
         _functor_limit_check(len(B.objects) ** len(A.objects), visited, limit)
         return out
     maps, visited = functor_maps(A, B, limit)
-    out = tuple(Functor(A, B, o, m) for o, m in maps)
+    out = tuple(Functor._trusted(A, B, o, m) for o, m in maps)
     _FUNCTOR_CACHE[(A, B)] = (out, visited)
     return out
 
@@ -953,7 +1004,7 @@ def lifts(
         return mor_pin.get(u, cand) == cand and (g is None or g.mor(cand) == y.mor(u))
 
     maps, _ = functor_maps(B, C, limit, objects, accept)
-    return tuple(Functor(B, C, o, m) for o, m in maps)
+    return tuple(Functor._trusted(B, C, o, m) for o, m in maps)
 
 
 def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], limit: int):
@@ -976,7 +1027,8 @@ def enumerate_nat_transformations(
     if cached is None:
         slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
         found, peak = _natural_components(F, G, slots, limit)
-        cached = _NAT_CACHE[(F, G)] = (tuple(NatTransformation(F, G, c) for c in found), peak)
+        cached = _NAT_CACHE[(F, G)] = (
+            tuple(NatTransformation._trusted(F, G, c) for c in found), peak)
     out, peak = cached
     if peak > limit:  # a cold search has already raised here
         raise SizeLimitExceeded("component space exceeds limit %d" % limit)
@@ -1004,4 +1056,4 @@ def nat_lifts(f: Functor, alpha: NatTransformation, d: Functor, d2: Functor,
         cands = (pin[b],) if b in pin else C.hom(d.obj(b), d2.obj(b))
         slots.append([c for c in cands if g is None or g.on_morphisms[c] == beta.at(b)])
     found, _ = _natural_components(d, d2, slots, limit)
-    return tuple(NatTransformation(d, d2, comps) for comps in found)
+    return tuple(NatTransformation._trusted(d, d2, comps) for comps in found)

@@ -19,7 +19,9 @@ Equations are decided by one evaluator, :func:`satisfies`, which the
 :class:`Algebra` constructor also calls for the presentation's own
 equations.  Products, subalgebras and quotients build their structure
 through one builder, :func:`_induced_algebra`, from pointwise value
-functions; the constructor then validates the result like any other.
+functions.  Subalgebras are validated like any other algebra; products
+and quotients by operation-closed congruences are lawful by construction
+and use the trusted ``Algebra._trusted``.
 """
 from __future__ import annotations
 
@@ -491,7 +493,7 @@ class Algebra:
     ``generators`` maps each generator name to components indexed by
     object tuples at the generator's arity.  All laws (functoriality,
     naturality, invertibility where declared, and every equation of the
-    presentation) are checked at construction.
+    presentation) are checked by the constructor.
     """
 
     def __init__(
@@ -502,6 +504,19 @@ class Algebra:
         generators: Mapping[str, Mapping[Tuple[str, ...], str]],
         name: str = "",
     ):
+        self._fill(presentation, carrier, operations, generators, name)
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, presentation, carrier, operations, generators, name=""):
+        """The constructor without ``_validate``, for tables induced from
+        validated algebras: products, and quotients by operation-closed
+        congruences."""
+        self = cls.__new__(cls)
+        self._fill(presentation, carrier, operations, generators, name)
+        return self
+
+    def _fill(self, presentation, carrier, operations, generators, name) -> None:
         self.presentation = presentation
         self.carrier = carrier
         self.name = name
@@ -523,7 +538,6 @@ class Algebra:
             self._gen[g.name] = {tuple(k): v for k, v in comps.items()}
         if set(generators) - set(self._gen):
             raise SignatureMismatch("interpretation for unknown generator")
-        self._validate()
         self._key = (
             presentation._key,
             carrier._key,
@@ -909,11 +923,13 @@ def algebra_two_cells(
 # -- induced structure -------------------------------------------------
 
 
-def _induced_algebra(presentation: Presentation, carrier: FinCategory, name: str,
+def _induced_algebra(build, presentation: Presentation, carrier: FinCategory, name: str,
                      op_obj, op_mor, gen_at) -> Algebra:
     """The algebra on ``carrier`` with every table entry given pointwise by
     ``op_obj(op, objects)``, ``op_mor(op, morphisms)`` and
-    ``gen_at(generator, objects)``.
+    ``gen_at(generator, objects)``, made by ``build``: ``Algebra`` to
+    validate the tables, ``Algebra._trusted`` where they are lawful by
+    construction.
 
     Entries are computed operation by operation, objects before morphisms,
     then generator by generator, over tuples in declaration order, so a
@@ -931,7 +947,7 @@ def _induced_algebra(presentation: Presentation, carrier: FinCategory, name: str
         g.name: {t: gen_at(g.name, t) for t in itertools.product(carrier.objects, repeat=g.arity)}
         for g in presentation.generators
     }
-    return Algebra(presentation, carrier, operations, generators, name=name)
+    return build(presentation, carrier, operations, generators, name=name)
 
 
 # -- products ----------------------------------------------------------
@@ -945,6 +961,7 @@ def product_algebra(A: Algebra, B: Algebra):
                       name="(%sx%s)" % (A.carrier.name or "?", B.carrier.name or "?"))
     pr1, pr2 = span.projections
     prod = _induced_algebra(
+        Algebra._trusted,
         A.presentation, span.category, "(%sx%s)" % (A.name or "?", B.name or "?"),
         lambda op, t: span.obj_of[(A.op_obj(op, tuple(pr1.obj(x) for x in t)),
                                    B.op_obj(op, tuple(pr2.obj(x) for x in t)))],
@@ -1001,7 +1018,7 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
             )
         return min(lifts)
 
-    sub = _induced_algebra(A.presentation, S, "sub(%s)" % (A.name or "?"),
+    sub = _induced_algebra(Algebra, A.presentation, S, "sub(%s)" % (A.name or "?"),
                            lift_obj, lift_mor, lift_gen)
     # the witness is now a homomorphism from the induced algebra
     AlgebraHom(sub, A, m, name="m")
@@ -1055,6 +1072,12 @@ def quotient_algebra(A: Algebra, cong: Congruence):
     a homomorphism: every table entry is forced classwise, which is
     exactly what operation-closure guarantees to be well defined.
     """
+    _require_operation_closed(A, cong)
+    return _trusted_quotient_algebra(A, cong)
+
+
+def _require_operation_closed(A: Algebra, cong: Congruence) -> None:
+    """The precondition of :func:`quotient_algebra`."""
     if cong.base != A.carrier:
         raise BoundaryMismatch("congruence lives on a different carrier")
     bad = congruence_operation_witness(A, cong)
@@ -1062,10 +1085,16 @@ def quotient_algebra(A: Algebra, cong: Congruence):
         raise NotOperationClosed(
             "congruence is not closed under operation %s" % bad[0], witness=bad
         )
+
+
+def _trusted_quotient_algebra(A: Algebra, cong: Congruence):
+    """:func:`quotient_algebra` without its precondition, for a congruence
+    known to be operation-closed: a result of
+    :func:`algebra_congruence_closure`, which has already scanned it."""
     Q, q = quotient_by_congruence(A.carrier, cong)
     rep = cong.rep_of
-    quot = _induced_algebra(A.presentation, Q, "%s/~" % (A.name or "?"), A.op_obj,
-                            lambda op, t: rep[A.op_mor(op, t)],
+    quot = _induced_algebra(Algebra._trusted, A.presentation, Q, "%s/~" % (A.name or "?"),
+                            A.op_obj, lambda op, t: rep[A.op_mor(op, t)],
                             lambda g, t: rep[A.gen_at(g, t)])
     hom = AlgebraHom(A, quot, q, name="q")
     return quot, hom

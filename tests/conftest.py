@@ -1,12 +1,22 @@
-"""Shared fixtures over the bundled corpus, plus the acceptance report.
+"""Shared fixtures over the bundled corpus, the strict mode, plus the
+acceptance report.
 
 The acceptance tests register one line per criterion through
 ``record_acceptance``; the hook below replays them as a summary block at
 the end of every run so the verdict is visible without ``-s``.
+
+Constructions build their results from validated parts through trusted
+builders that skip the law checks.  The ``strict`` fixture routes every
+trusted builder back through the validating path, so a construction that
+builds an unlawful value raises there instead.
 """
+import sys
+
 import pytest
 
-from birkhoff2d import corpus
+from birkhoff2d import corpus, fincat, theory
+from birkhoff2d.fincat import Congruence, FinCategory, Functor, NatTransformation
+from birkhoff2d.theory import Algebra
 
 acceptance_lines = []
 
@@ -43,3 +53,35 @@ def catalog():
 @pytest.fixture(scope="session")
 def coherence():
     return corpus.coherence_extension()
+
+
+def strict_patches():
+    """(owner, attribute, validating replacement) for every trusted builder.
+
+    Each class's ``_trusted`` becomes the public constructor.  The trusted
+    quotient builder first checks the precondition of ``quotient_algebra``,
+    in every package module that holds it.
+    """
+    patches = [(cls, "_trusted", staticmethod(cls))
+               for cls in (FinCategory, Functor, NatTransformation, Congruence, Algebra)]
+    build = theory._trusted_quotient_algebra
+
+    def checked_quotient(A, cong):
+        theory._require_operation_closed(A, cong)
+        return build(A, cong)
+
+    patches += [(mod, "_trusted_quotient_algebra", checked_quotient)
+                for name, mod in sorted(sys.modules.items())
+                if name.startswith("birkhoff2d.")
+                and vars(mod).get("_trusted_quotient_algebra") is build]
+    return patches
+
+
+@pytest.fixture
+def strict(monkeypatch):
+    """Every trusted builder validates, and the search caches start empty
+    so no result built before the test is returned unchecked."""
+    for owner, attr, replacement in strict_patches():
+        monkeypatch.setattr(owner, attr, replacement)
+    monkeypatch.setattr(fincat, "_FUNCTOR_CACHE", {})
+    monkeypatch.setattr(fincat, "_NAT_CACHE", {})

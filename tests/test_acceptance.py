@@ -2,8 +2,15 @@
 
 Every test funnels its verdict through record_acceptance so the run ends
 with a visible pass/fail block; the asserts keep the suite red whenever
-a criterion regresses.
+a criterion regresses.  Each criterion runs a second time in strict mode,
+where every trusted builder validates what it builds; its summary line is
+marked "(strict)" and reads the same otherwise.
 """
+import inspect
+
+import pytest
+
+import conftest
 from conftest import record_acceptance
 
 from birkhoff2d import corpus
@@ -178,3 +185,24 @@ def test_criterion_10_quotient_enumeration(catalog):
         10, counts_ok and collapse_present,
         "quotient enumeration matches the independent partition oracle "
         "on %d algebras" % len(oracles.QUOTIENT_COUNTS))
+
+
+CRITERIA = [test_criterion_1_factorisation_soundness,
+            test_criterion_2_exhaustive_orthogonality,
+            test_criterion_3_two_cell_cancellation,
+            test_criterion_4_reflexivized_coequifiers,
+            test_criterion_5_immediate_convergence,
+            test_criterion_6_kernel_universality,
+            test_criterion_7_monoidal_flagship,
+            test_criterion_8_closure_audit,
+            test_criterion_9_orthogonality_characterisation,
+            test_criterion_10_quotient_enumeration]
+
+
+@pytest.mark.parametrize("criterion", CRITERIA, ids=lambda t: t.__name__[len("test_"):])
+def test_criterion_in_strict_mode(criterion, strict, request):
+    lines = conftest.acceptance_lines
+    start = len(lines)
+    criterion(**{name: request.getfixturevalue(name)
+                 for name in inspect.signature(criterion).parameters})
+    lines[start:] = [line + "  (strict)" for line in lines[start:]]

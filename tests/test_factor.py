@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from birkhoff2d import corpus
+from birkhoff2d.errors import BoundaryMismatch
 from birkhoff2d.factor import (
     FACTOR_SYSTEMS,
     check_orthogonal_morphisms,
@@ -160,6 +161,23 @@ def test_fillins_match_enumerate_then_filter(all_functors):
                     assert ds == oracles.fillins_by_filter(f, g, x, y)
                     counts[len(ds)] = counts.get(len(ds), 0) + 1
     assert counts == {0: 1080, 1: 7488, 2: 534, 4: 240}
+
+
+def test_square_that_does_not_commute_is_refused(cats):
+    """Around f = g = an identity, y.f == g.x exactly when x == y, and then
+    x is the one fill-in.  Every other square raises, also the squares on
+    p whose sides agree on objects and differ only on u and v."""
+    refused = 0
+    for C in cats.values():
+        ident = identity_functor(C)
+        for x, y in itertools.product(enumerate_functors(C, C), repeat=2):
+            if x == y:
+                assert diagonal_fillins(ident, ident, x, y) == (x,)
+                continue
+            with pytest.raises(BoundaryMismatch, match="square does not commute"):
+                diagonal_fillins(ident, ident, x, y)
+            refused += 1
+    assert refused == 290
 
 
 def test_two_cell_fillins_match_enumerate_then_filter(all_functors):

@@ -1,5 +1,6 @@
-"""Checks on the repository itself: the demos run, and no correctness
-condition in the package relies on `assert`, which `python -O` removes."""
+"""Checks on the repository itself: the demos run, no correctness
+condition in the package relies on `assert`, which `python -O` removes,
+and trusted builders stay behind the input boundary and under strict mode."""
 import ast
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import strict_patches
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -30,3 +33,38 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _trusted_builders():
+    """(module, class or None, name) of every trusted builder in the package,
+    a function or method whose name starts with ``_trusted``."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in _tree(path).body:
+            is_class = isinstance(node, ast.ClassDef)
+            owner, defs = (node.name, node.body) if is_class else (None, [node])
+            found.update((module, owner, d.name) for d in defs
+                         if isinstance(d, ast.FunctionDef) and d.name.startswith("_trusted"))
+    return found
+
+
+@pytest.mark.parametrize("module", ["jsonio.py", "cli.py"])
+def test_the_input_boundary_uses_no_trusted_builder(module):
+    path = SRC / "birkhoff2d" / module
+    names = [getattr(node, attr) for node in ast.walk(_tree(path))
+             for attr in ("attr", "id", "name") if isinstance(getattr(node, attr, None), str)]
+    assert [n for n in names if n.startswith("_trusted")] == []
+
+
+def test_strict_mode_patches_every_trusted_builder():
+    patched = {(owner.__module__, owner.__name__, attr) if isinstance(owner, type)
+               else (owner.__name__, None, attr)
+               for owner, attr, _ in strict_patches()}
+    builders = _trusted_builders()
+    assert ("birkhoff2d.fincat", "Functor", "_trusted") in builders
+    assert builders - patched == set()

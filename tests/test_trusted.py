@@ -1,0 +1,207 @@
+"""Trusted builders: constructions from validated parts skip the law checks.
+
+Each corruption test lets one unlawful value through a trusted builder.
+By default the construction returns it; in strict mode the same
+construction raises what the public constructor raises on the same parts.
+The equality tests rebuild trusted values with the public constructors and
+find the same value, down to its bookkeeping.
+"""
+import itertools
+
+import pytest
+
+from birkhoff2d import corpus, fincat, theory
+from birkhoff2d.birkhoff import enumerate_quotient_algebras, reflect
+from birkhoff2d.errors import (
+    AssociativityViolation,
+    LabError,
+    NotOperationClosed,
+    ValidationError,
+)
+from birkhoff2d.factor import FACTOR_SYSTEMS
+from birkhoff2d.fincat import (
+    Congruence,
+    FinCategory,
+    Functor,
+    Morphism,
+    NatTransformation,
+    congruence_closure,
+    coproduct_category,
+    enumerate_functors,
+    enumerate_nat_transformations,
+    identity_nat,
+    lifts,
+    product_category,
+    whisker,
+)
+from birkhoff2d.theory import Algebra, OpTable, product_algebra
+
+
+def _error(build):
+    with pytest.raises(LabError) as info:
+        build()
+    return type(info.value), str(info.value), info.value.witness
+
+
+def _tables(A):
+    operations = {op: OpTable.from_maps(A._op_obj[op], A._op_mor[op]) for op in A._op_obj}
+    return operations, A._gen
+
+
+def _public(x):
+    """``x`` rebuilt from its own parts by its public constructor."""
+    if isinstance(x, FinCategory):
+        return FinCategory(x.objects, x.morphisms, x.identities, x.composition, name=x.name)
+    if isinstance(x, Functor):
+        return Functor(x.source, x.target, x.on_objects, x.on_morphisms, name=x.name)
+    if isinstance(x, NatTransformation):
+        return NatTransformation(x.source, x.target, x.components, name=x.name)
+    if isinstance(x, Congruence):
+        return Congruence(x.base, x.classes)
+    return Algebra(x.presentation, x.carrier, *_tables(x), name=x.name)
+
+
+def _state(x):
+    """Every attribute but the caches a category fills on first use."""
+    return {k: v for k, v in vars(x).items() if k not in ("_inverses", "_search_plan")}
+
+
+def _assert_same_as_public(*values):
+    for x in values:
+        y = _public(x)
+        assert x == y and hash(x) == hash(y), x
+        assert _state(x) == _state(y), x
+
+
+# -- corruption --------------------------------------------------------
+
+
+def test_strict_mode_catches_a_non_associative_table(cats, request):
+    # a one-object table with the identity laws but (a.a).a = b, a.(a.a) = 1
+    table = {("a", "a"): "b", ("a", "b"): "1", ("b", "a"): "b", ("b", "b"): "1"}
+    table.update({(u, "1"): u for u in "1ab"})
+    table.update({("1", u): u for u in "ab"})
+    bad = FinCategory._trusted(["x"], [Morphism(u, "x", "x") for u in "1ab"], {"x": "1"},
+                               table, name="bad")
+    P, _, _ = product_category(bad, cats["one"])
+    public = _error(lambda: _public(P))
+    assert public[0] is AssociativityViolation
+    request.getfixturevalue("strict")
+    assert _error(lambda: product_category(bad, cats["one"])) == public
+
+
+def test_strict_mode_catches_a_broken_morphism_map(cats, monkeypatch, request):
+    search = fincat.functor_maps
+
+    def corrupted(A, B, *args, **kwargs):
+        maps, visited = search(A, B, *args, **kwargs)
+        maps[0][1]["t"] = "id1"  # t: 0 -> 1 sent to an endomorphism
+        return maps, visited
+
+    monkeypatch.setattr(fincat, "functor_maps", corrupted)
+    monkeypatch.setattr(fincat, "_FUNCTOR_CACHE", {})
+    two = cats["two"]
+    public = _error(lambda: _public(enumerate_functors(two, two)[0]))
+    assert public[1] == "functor ?: morphism t: boundary not preserved"
+    request.getfixturevalue("strict")
+    assert _error(lambda: enumerate_functors(two, two)) == public
+
+
+def test_strict_mode_catches_a_class_that_is_not_closed(cats, monkeypatch, request):
+    class Forgetful(fincat._UnionFind):
+        """Merges, but reports no merge, so nothing reaches the worklist."""
+
+        def union(self, x, y):
+            super().union(x, y)
+            return False
+
+    monkeypatch.setattr(fincat, "_UnionFind", Forgetful)
+    P, _, _ = product_category(cats["z2"], cats["two"])
+    gens = [("(1,id0)", "(s,id0)")]
+    public = _error(lambda: _public(congruence_closure(P, gens)))
+    assert public[1].startswith("not closed under composition")
+    request.getfixturevalue("strict")
+    assert _error(lambda: congruence_closure(P, gens)) == public
+
+
+def test_strict_mode_catches_a_component_that_is_not_natural(cats, monkeypatch, request):
+    def unfiltered(F, G, slots, limit):
+        return [dict(zip(F.source.objects, c)) for c in itertools.product(*slots)], 1
+
+    monkeypatch.setattr(fincat, "_natural_components", unfiltered)
+    monkeypatch.setattr(fincat, "_NAT_CACHE", {})
+    two, P = cats["two"], cats["p"]
+    objects = {"0": "a", "1": "b"}
+    F = Functor(two, P, objects, {"id0": "ida", "id1": "idb", "t": "u"})
+    G = Functor(two, P, objects, {"id0": "ida", "id1": "idb", "t": "v"})
+    public = _error(lambda: _public(enumerate_nat_transformations(F, G)[0]))
+    assert public[1] == "naturality fails at t"
+    request.getfixturevalue("strict")
+    assert _error(lambda: enumerate_nat_transformations(F, G)) == public
+
+
+def test_strict_mode_catches_a_broken_operation_table(catalog, request):
+    A = catalog["xor_strict"]
+    operations, generators = _tables(A)
+    tensor = dict(A._op_mor["tensor"])
+    tensor[("id0", "s0")] = "id0"
+    operations["tensor"] = OpTable.from_maps(A._op_obj["tensor"], tensor)
+    bad = Algebra._trusted(A.presentation, A.carrier, operations, generators, name="bad")
+    P, _, _ = product_algebra(bad, bad)
+    public = _error(lambda: _public(P))
+    assert public[:2] == (ValidationError, "operation tensor: composition not preserved")
+    request.getfixturevalue("strict")
+    assert _error(lambda: product_algebra(bad, bad)) == public
+
+
+def test_strict_mode_restores_the_quotient_scan(catalog, request):
+    """Without the scan, a congruence that is not operation-closed is caught
+    only by the projection's homomorphism check; strict mode scans first,
+    as quotient_algebra does."""
+    A = catalog["xor_strict"]
+    partial = Congruence(A.carrier, [["id0", "s0"], ["id1"], ["s1"]])
+    trusted = _error(lambda: theory._trusted_quotient_algebra(A, partial))
+    public = _error(lambda: theory.quotient_algebra(A, partial))
+    assert (trusted[0], public[0]) == (ValidationError, NotOperationClosed)
+    request.getfixturevalue("strict")
+    assert _error(lambda: theory._trusted_quotient_algebra(A, partial)) == public
+
+
+# -- trusted and public builds agree -------------------------------------
+
+
+def test_factorisations_match_public_builds(all_functors):
+    for f in all_functors:
+        for system in sorted(FACTOR_SYSTEMS):
+            fact = FACTOR_SYSTEMS[system][0](f)
+            _assert_same_as_public(fact.middle, fact.left, fact.right, fact.recompose())
+
+
+def test_fincat_constructions_match_public_builds(cats, all_functors):
+    names = sorted(cats)
+    for a, b in itertools.combinations_with_replacement(names, 2):
+        A, B = cats[a], cats[b]
+        _assert_same_as_public(*product_category(A, B), *coproduct_category(A, B))
+        for F in enumerate_functors(A, B):
+            _assert_same_as_public(F, identity_nat(F))
+    for f in all_functors:
+        closure = congruence_closure(
+            f.source, [(u, v) for (u, v) in f.source.parallel_pairs() if f.mor(u) == f.mor(v)])
+        _assert_same_as_public(closure, *lifts(f, f))
+        left, right = fincat.identity_functor(f.target), fincat.identity_functor(f.source)
+        for G in enumerate_functors(f.source, f.target):
+            for alpha in enumerate_nat_transformations(f, G):
+                for w in (whisker(left, alpha, "left"), whisker(right, alpha, "right")):
+                    _assert_same_as_public(alpha, w, w.source, w.target)
+
+
+def test_algebra_constructions_match_public_builds(catalog, coherence):
+    for A in catalog.values():
+        R = reflect(A, coherence)
+        _assert_same_as_public(R.reflected, R.congruence)
+    for A in list(catalog.values()) + [corpus.plain_p()]:
+        for cong, Q, _ in enumerate_quotient_algebras(A):
+            _assert_same_as_public(cong, Q, Q.carrier)
+    for A, B in itertools.combinations_with_replacement(list(catalog.values()), 2):
+        P, _, _ = product_algebra(A, B)
+        _assert_same_as_public(P, P.carrier)
