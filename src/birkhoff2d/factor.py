@@ -22,12 +22,12 @@ from typing import Dict, List, Optional, Tuple
 from .errors import BoundaryMismatch, LabError
 from .fincat import (
     DEFAULT_SEARCH_LIMIT,
+    Congruence,
     FinCategory,
     Functor,
     Morphism,
     classify,
     compose_functors,
-    congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
     lifts,
@@ -72,17 +72,17 @@ def _check_split(f: Functor, left: Functor, right: Functor) -> Factorisation:
 def factor_bof(f: Functor) -> Factorisation:
     """(bijective-on-objects full, faithful) factorisation.
 
-    The middle is A with each hom-set collapsed along equal f-images;
-    classes are named by their least member, so the left leg is the
-    evident quotient projection.
+    The middle is the quotient of A by the kernel of f: each hom-set is
+    collapsed along equal f-images.  The kernel is closed under composition
+    because f is a functor, so its classes are read off directly and need
+    no congruence closure.  Classes are named by their least member, so the
+    left leg is the evident quotient projection.
     """
     A, B = f.source, f.target
-    gens = []
-    for (u, v) in A.parallel_pairs():
-        if f.mor(u) == f.mor(v):
-            gens.append((u, v))
-    cong = congruence_closure(A, gens)
-    M, e = quotient_by_congruence(A, cong)
+    kernel: Dict[Tuple[str, str, str], List[str]] = {}
+    for u in A.morphisms:
+        kernel.setdefault((u.dom, u.cod, f.mor(u.name)), []).append(u.name)
+    M, e = quotient_by_congruence(A, Congruence._trusted(A, list(kernel.values())))
     m = Functor._trusted(
         M,
         B,
@@ -228,6 +228,8 @@ def check_orthogonal_morphisms(
     squares = [(x, y) for x in enumerate_functors(f.source, g.source, limit=limit)
                for y in lifts(f, compose_functors(g, x), limit=limit)]
     diag: Dict[Tuple[Functor, Functor], Functor] = {}
+    # each alpha: x => x2 with g * alpha, shared by every pair of squares on (x, x2)
+    whiskered: Dict[Tuple[Functor, Functor], list] = {}
     for (x, y) in squares:
         ds = diagonal_fillins(f, g, x, y, limit=limit)
         if len(ds) != 1:
@@ -239,8 +241,11 @@ def check_orthogonal_morphisms(
         diag[(x, y)] = ds[0]
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
-        for alpha in enumerate_nat_transformations(x, x2, limit=limit):
-            for beta in nat_lifts(f, whisker(g, alpha, "left"), y, y2, limit=limit):
+        if (x, x2) not in whiskered:
+            whiskered[(x, x2)] = [(alpha, whisker(g, alpha, "left")) for alpha in
+                                  enumerate_nat_transformations(x, x2, limit=limit)]
+        for alpha, g_alpha in whiskered[(x, x2)]:
+            for beta in nat_lifts(f, g_alpha, y, y2, limit=limit):
                 deltas = nat_lifts(f, alpha, d, d2, g, beta, limit=limit)
                 if len(deltas) != 1:
                     return CheckResult(

@@ -14,7 +14,10 @@ value loaded from JSON), are validated.  Constructions from validated
 parts (search results, composites, whiskers, products, quotients,
 factorisation legs) use each type's private ``_trusted`` builder instead,
 which does the constructor's bookkeeping without the law check.  Values
-are immutable afterwards; structural equality ignores the display name.
+are immutable afterwards.  Equality is decided by comparing the fields
+that make up a value, ignoring the display name; the sorted identity key
+``_key`` and the hash are made from the same fields on first use, so a
+value that is never hashed never pays for them.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -23,6 +26,7 @@ byte-identical results.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -41,6 +45,24 @@ from .errors import (
 )
 
 DEFAULT_SEARCH_LIMIT = 10**6
+
+
+class _made_on_first_use:
+    """A property computed on first read and then kept as an instance
+    attribute, which shadows it.  Unlike ``functools.cached_property`` it
+    stores the value with ``setattr`` and never reads the instance
+    ``__dict__``: on CPython 3.11 that read makes every later attribute
+    lookup on the instance about twice as slow."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        setattr(instance, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -98,7 +120,7 @@ class FinCategory:
             self._starting_at.setdefault(m.dom, []).append(m.name)
 
     def _tabulate(self) -> None:
-        """Hom-sets, composable triples and the key; needs a total table."""
+        """Hom-sets and composable triples; needs a total table."""
         self._hom: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         for m in self.morphisms:
             self._hom.setdefault((m.dom, m.cod), ())
@@ -111,13 +133,7 @@ class FinCategory:
             for f in self._ending_at[g.dom]
         )
         self._identity_names = frozenset(self.identities.values())
-        self._key = (
-            self.objects,
-            tuple((m.name, m.dom, m.cod) for m in self.morphisms),
-            tuple(sorted(self.identities.items())),
-            tuple(sorted(self.composition.items())),
-        )
-        self._hash = hash(self._key)
+        self._hash: Optional[int] = None
         self._inverses: Optional[Dict[str, str]] = None
         self._search_plan = None  # filled by the functor search on first use
 
@@ -262,12 +278,26 @@ class FinCategory:
 
     # -- identity ------------------------------------------------------
 
+    @_made_on_first_use
+    def _key(self):
+        return (
+            self.objects,
+            tuple((m.name, m.dom, m.cod) for m in self.morphisms),
+            tuple(sorted(self.identities.items())),
+            tuple(sorted(self.composition.items())),
+        )
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, FinCategory) and self._key == other._key
+        return (isinstance(other, FinCategory) and self.objects == other.objects
+                and self.morphisms == other.morphisms
+                and self.identities == other.identities
+                and self.composition == other.composition)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -357,10 +387,7 @@ class Functor:
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
         self.name = name
-        self._key = (source._key, target._key,
-                     tuple(sorted(self.on_objects.items())),
-                     tuple(sorted(self.on_morphisms.items())))
-        self._hash = hash(self._key)
+        self._hash: Optional[int] = None
 
     def obj(self, a: str) -> str:
         return self.on_objects[a]
@@ -368,12 +395,22 @@ class Functor:
     def mor(self, u: str) -> str:
         return self.on_morphisms[u]
 
+    @_made_on_first_use
+    def _key(self):
+        return (self.source._key, self.target._key,
+                tuple(sorted(self.on_objects.items())),
+                tuple(sorted(self.on_morphisms.items())))
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, Functor) and self._key == other._key
+        return (isinstance(other, Functor) and self.source == other.source
+                and self.target == other.target and self.on_objects == other.on_objects
+                and self.on_morphisms == other.on_morphisms)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -477,18 +514,24 @@ class NatTransformation:
         self.target = target
         self.components = dict(components)
         self.name = name
-        self._key = (source._key, target._key, tuple(sorted(self.components.items())))
-        self._hash = hash(self._key)
+        self._hash: Optional[int] = None
 
     def at(self, a: str) -> str:
         return self.components[a]
 
+    @_made_on_first_use
+    def _key(self):
+        return (self.source._key, self.target._key, tuple(sorted(self.components.items())))
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return isinstance(other, NatTransformation) and self._key == other._key
+        return (isinstance(other, NatTransformation) and self.source == other.source
+                and self.target == other.target and self.components == other.components)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -668,7 +711,8 @@ class Congruence:
     @classmethod
     def _trusted(cls, base, classes):
         """The constructor without its checks, for the classes of a
-        congruence closure: parallel generators, saturated under contexts."""
+        congruence closure (parallel generators, saturated under contexts)
+        and for the kernel classes of a functor."""
         self = cls.__new__(cls)
         self._fill(base, classes)
         return self
@@ -680,16 +724,24 @@ class Congruence:
         self.classes: Tuple[Tuple[str, ...], ...] = tuple(
             sorted((tuple(sorted(cl)) for cl in classes), key=lambda c: c[:1]))
         self.rep_of: Dict[str, str] = {u: cl[0] for cl in self.classes for u in cl}
-        self._key = (base._key, self.classes)
-        self._hash = hash(self._key)
+        self._hash: Optional[int] = None
 
     def related(self, u: str, v: str) -> bool:
         return self.rep_of[u] == self.rep_of[v]
 
+    @_made_on_first_use
+    def _key(self):
+        return (self.base._key, self.classes)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Congruence) and self._key == other._key
+        if self is other:
+            return True
+        return (isinstance(other, Congruence) and self.base == other.base
+                and self.classes == other.classes)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -842,13 +894,17 @@ def classify(F: Functor) -> FunctorFlags:
     so = image_objects == set(B.objects)
     injective_on_objects = len(image_objects) == len(A.objects)
     bo = so and injective_on_objects
-    # images bucketed by source hom-set; full when each fills its target hom-set
+    # images bucketed by source hom-set; each is a subset of its target
+    # hom-set, so F is full exactly when the image sizes add up to the sum
+    # of |hom(Fa, Fb)| over all pairs (a, b), which counts every morphism
+    # x -> y of B once per pair of objects sent to x and y
     image: Dict[Tuple[str, str], set] = {}
     for m in A.morphisms:
         image.setdefault((m.dom, m.cod), set()).add(F.on_morphisms[m.name])
-    faithful = sum(map(len, image.values())) == len(A.morphisms)
-    full = all(len(image.get((a, b), ())) == len(B.hom(F.obj(a), F.obj(b)))
-               for a in A.objects for b in A.objects)
+    image_size = sum(map(len, image.values()))
+    faithful = image_size == len(A.morphisms)
+    sent_to = collections.Counter(F.on_objects[a] for a in A.objects)
+    full = image_size == sum(sent_to[m.dom] * sent_to[m.cod] for m in B.morphisms)
     return FunctorFlags(
         bo=bo,
         full=full,

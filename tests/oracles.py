@@ -20,6 +20,7 @@ from birkhoff2d.fincat import (
     FunctorFlags,
     NatTransformation,
     compose_functors,
+    congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
     whisker,
@@ -277,6 +278,15 @@ def quotients_by_partitions(A):
             continue
         out.append((cong, quot, h))
     return tuple(out)
+
+
+def bof_congruence_by_closure(f):
+    """The congruence of the bof factorisation as the package built it
+    before reading off the kernel classes: the closure of every parallel
+    pair of f's source with equal f-images."""
+    A = f.source
+    return congruence_closure(
+        A, [(u, v) for (u, v) in A.parallel_pairs() if f.mor(u) == f.mor(v)])
 
 
 # Enumerate-then-filter definitions of the lift searches, as the package

@@ -25,6 +25,8 @@ from birkhoff2d.fincat import (
     identity_functor,
     lifts,
     nat_lifts,
+    product_category,
+    quotient_by_congruence,
     validate_category,
 )
 from birkhoff2d.kernel import bof_kernel, coequify, induced_between_quotients
@@ -63,6 +65,30 @@ def test_bof_left_is_identity_exactly_for_faithful(all_functors):
             assert fact.left == identity_functor(f.source)
         else:
             assert fact.left != identity_functor(f.source)
+
+
+@pytest.mark.parametrize("mode", ["trusted", "strict"])
+def test_bof_kernel_classes_match_the_closure_oracle(cats, all_functors, mode, request):
+    """The kernel classes read off f give the congruence, middle and legs
+    of the closure of f's parallel pairs; in strict mode the trusted
+    congruence builder validates every kernel class."""
+    if mode == "strict":
+        request.getfixturevalue("strict")
+    D = product_category(cats["d2"], cats["z2z2"])[0]
+    product_functors = enumerate_functors(D, cats["z2z2"])
+    assert len(product_functors) == 256
+    for f in all_functors + product_functors:
+        fact = factor_bof(f)
+        cong = oracles.bof_congruence_by_closure(f)
+        fibres = {}
+        for u in f.source.morphisms:
+            fibres.setdefault(fact.left.mor(u.name), []).append(u.name)
+        assert tuple(sorted(tuple(sorted(c)) for c in fibres.values())) == cong.classes
+        M, e = quotient_by_congruence(f.source, cong)
+        m = Functor(M, f.target, {a: f.obj(a) for a in M.objects},
+                    {u.name: f.mor(u.name) for u in M.morphisms}, name="m")
+        assert (fact.middle, fact.left, fact.right) == (M, e, m)
+        assert (fact.middle.name, fact.left.name, fact.right.name) == (M.name, e.name, m.name)
 
 
 def test_bof_of_collapse_merges_the_parallel_pair():

@@ -19,6 +19,7 @@ from birkhoff2d.errors import (
 from birkhoff2d import fincat
 from birkhoff2d.fincat import (
     Congruence,
+    FinCategory,
     Functor,
     classify,
     compose_functors,
@@ -389,6 +390,40 @@ def test_classify_matches_per_pair_oracle(cats, all_functors):
     assert flags == [oracles.classify_by_pairs(F) for F in functors]
     assert {(x.full, x.faithful) for x in flags} == {
         (True, True), (True, False), (False, True), (False, False)}
+
+
+def _indiscrete_pair():
+    """Two objects with exactly one morphism between any two of them."""
+    return validate_category({
+        "objects": ["0", "1"],
+        "morphisms": [{"id": "id0", "dom": "0", "cod": "0"},
+                      {"id": "id1", "dom": "1", "cod": "1"},
+                      {"id": "f", "dom": "0", "cod": "1"},
+                      {"id": "g", "dom": "1", "cod": "0"}],
+        "identities": {"0": "id0", "1": "id1"},
+        "composition": [["g", "f", "id0"], ["f", "g", "id1"]],
+    }, name="indiscrete")
+
+
+@pytest.mark.parametrize("case", ["discrete into two", "two onto one",
+                                  "indiscrete onto one", "empty source"])
+def test_classify_fullness_edge_cases(cats, case):
+    """Fullness decided by counting agrees with the per-pair oracle where a
+    source hom-set is empty and its target hom-set is not, where several
+    source objects go to one target object, and on an empty source."""
+    one, two = cats["one"], cats["two"]
+    F, full = {
+        "discrete into two": (Functor(cats["d2"], two, {"x": "0", "y": "1"},
+                                      {"idx": "id0", "idy": "id1"}), False),
+        "two onto one": (Functor(two, one, {"0": "*", "1": "*"},
+                                 {"id0": "id", "id1": "id", "t": "id"}), False),
+        "indiscrete onto one": (Functor(_indiscrete_pair(), one, {"0": "*", "1": "*"},
+                                        {u: "id" for u in ("id0", "id1", "f", "g")}), True),
+        "empty source": (Functor(FinCategory([], [], {}, {}), one, {}, {}), True),
+    }[case]
+    flags = classify(F)
+    assert flags == oracles.classify_by_pairs(F)
+    assert flags.full is full
 
 
 def test_frozen_class_census(all_functors):

@@ -4,7 +4,9 @@ Each corruption test lets one unlawful value through a trusted builder.
 By default the construction returns it; in strict mode the same
 construction raises what the public constructor raises on the same parts.
 The equality tests rebuild trusted values with the public constructors and
-find the same value, down to its bookkeeping.
+find the same value, down to its bookkeeping, and check that equality and
+hashing, decided on fields and made on first use, agree with the identity
+key.
 """
 import itertools
 
@@ -205,3 +207,44 @@ def test_algebra_constructions_match_public_builds(catalog, coherence):
     for A, B in itertools.combinations_with_replacement(list(catalog.values()), 2):
         P, _, _ = product_algebra(A, B)
         _assert_same_as_public(P, P.carrier)
+
+
+def _assert_equality_follows_the_key(values):
+    for x, y in itertools.product(values, repeat=2):
+        assert (x == y) == (y == x) == (x._key == y._key), (x, y)
+        if x == y:
+            assert hash(x) == hash(y), (x, y)
+
+
+def test_equality_and_hash_agree_with_the_key(cats):
+    """Trusted values next to public rebuilds under another name, next to
+    values over renamed copies of their categories, and next to values over
+    ``idem``, which differs from z2 only in its composition table."""
+    z2 = cats["z2"]
+    cats = dict(cats, idem=FinCategory(z2.objects, z2.morphisms, z2.identities,
+                                       {**z2.composition, ("s", "s"): "s"}, name="idem"))
+    names = ("one", "two", "p", "d2", "z2", "idem")
+    renamed = {n: FinCategory(C.objects, C.morphisms, C.identities, C.composition,
+                              name=C.name + "'") for n, C in cats.items()}
+    categories = [cats[n] for n in names] + list(renamed.values())
+    functors, whiskers, closures = [], [], []
+    for a, b in itertools.product(names, repeat=2):
+        found = enumerate_functors(cats[a], cats[b])
+        h = fincat.identity_functor(cats[b])
+        for F in found:
+            functors += [F, Functor(F.source, F.target, F.on_objects, F.on_morphisms,
+                                    name="rebuilt"),
+                         Functor(renamed[a], renamed[b], F.on_objects, F.on_morphisms)]
+            for alpha in itertools.chain(*(enumerate_nat_transformations(F, G)
+                                           for G in found)):
+                w = whisker(h, alpha, "left")
+                whiskers += [w, NatTransformation(w.source, w.target, w.components,
+                                                  name="rebuilt")]
+    for n in names:
+        for gens in [[]] + [[pair] for pair in cats[n].parallel_pairs()]:
+            for C in (cats[n], renamed[n]):
+                cong = congruence_closure(C, gens)
+                closures += [cong, Congruence(cong.base, cong.classes)]
+    assert any(len(c.classes) < len(c.base.morphisms) for c in closures)
+    for values in (categories, functors, whiskers, closures):
+        _assert_equality_follows_the_key(values)
