@@ -228,8 +228,6 @@ def check_orthogonal_morphisms(
     squares = [(x, y) for x in enumerate_functors(f.source, g.source, limit=limit)
                for y in lifts(f, compose_functors(g, x), limit=limit)]
     diag: Dict[Tuple[Functor, Functor], Functor] = {}
-    # each alpha: x => x2 with g * alpha, shared by every pair of squares on (x, x2)
-    whiskered: Dict[Tuple[Functor, Functor], list] = {}
     for (x, y) in squares:
         ds = diagonal_fillins(f, g, x, y, limit=limit)
         if len(ds) != 1:
@@ -241,11 +239,8 @@ def check_orthogonal_morphisms(
         diag[(x, y)] = ds[0]
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
-        if (x, x2) not in whiskered:
-            whiskered[(x, x2)] = [(alpha, whisker(g, alpha, "left")) for alpha in
-                                  enumerate_nat_transformations(x, x2, limit=limit)]
-        for alpha, g_alpha in whiskered[(x, x2)]:
-            for beta in nat_lifts(f, g_alpha, y, y2, limit=limit):
+        for alpha in enumerate_nat_transformations(x, x2, limit=limit):
+            for beta in nat_lifts(f, whisker(g, alpha, "left"), y, y2, limit=limit):
                 deltas = nat_lifts(f, alpha, d, d2, g, beta, limit=limit)
                 if len(deltas) != 1:
                     return CheckResult(

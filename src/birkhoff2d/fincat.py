@@ -133,7 +133,6 @@ class FinCategory:
             for f in self._ending_at[g.dom]
         )
         self._identity_names = frozenset(self.identities.values())
-        self._hash: Optional[int] = None
         self._inverses: Optional[Dict[str, str]] = None
         self._search_plan = None  # filled by the functor search on first use
 
@@ -295,9 +294,11 @@ class FinCategory:
                 and self.identities == other.identities
                 and self.composition == other.composition)
 
+    @_made_on_first_use
+    def _hash(self):
+        return hash(self._key)
+
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -387,7 +388,6 @@ class Functor:
         self.on_objects = dict(on_objects)
         self.on_morphisms = dict(on_morphisms)
         self.name = name
-        self._hash: Optional[int] = None
 
     def obj(self, a: str) -> str:
         return self.on_objects[a]
@@ -408,9 +408,11 @@ class Functor:
                 and self.target == other.target and self.on_objects == other.on_objects
                 and self.on_morphisms == other.on_morphisms)
 
+    @_made_on_first_use
+    def _hash(self):
+        return hash(self._key)
+
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -514,7 +516,6 @@ class NatTransformation:
         self.target = target
         self.components = dict(components)
         self.name = name
-        self._hash: Optional[int] = None
 
     def at(self, a: str) -> str:
         return self.components[a]
@@ -529,9 +530,11 @@ class NatTransformation:
         return (isinstance(other, NatTransformation) and self.source == other.source
                 and self.target == other.target and self.components == other.components)
 
+    @_made_on_first_use
+    def _hash(self):
+        return hash(self._key)
+
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
@@ -724,7 +727,6 @@ class Congruence:
         self.classes: Tuple[Tuple[str, ...], ...] = tuple(
             sorted((tuple(sorted(cl)) for cl in classes), key=lambda c: c[:1]))
         self.rep_of: Dict[str, str] = {u: cl[0] for cl in self.classes for u in cl}
-        self._hash: Optional[int] = None
 
     def related(self, u: str, v: str) -> bool:
         return self.rep_of[u] == self.rep_of[v]
@@ -739,9 +741,11 @@ class Congruence:
         return (isinstance(other, Congruence) and self.base == other.base
                 and self.classes == other.classes)
 
+    @_made_on_first_use
+    def _hash(self):
+        return hash(self._key)
+
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self) -> str:
