@@ -20,7 +20,6 @@ from .fincat import (
     Congruence,
     classify,
     lifts,
-    whisker,
 )
 from .theory import (
     Algebra,
@@ -98,26 +97,31 @@ def check_algebra_orthogonal(
             return CheckResult(
                 False, {"kind": "no factorisation", "hom": g.functor.on_objects}
             )
+    # every cell compared below runs h.eta => k.eta, so it is compared by its
+    # components: w * eta by w's components at the eta-images
+    objects = eta.functor.source.objects
+    images = [eta.obj(c) for c in objects]
     for h in upper:
         for k in upper:
             up_cells = algebra_two_cells(h, k, limit=limit)
-            whiskered = [whisker(eta.functor, w, "right") for w in up_cells]
-            if len(set(whiskered)) != len(whiskered):
+            whiskered = {tuple(w.components[b] for b in images) for w in up_cells}
+            if len(whiskered) != len(up_cells):
                 return CheckResult(
                     False, {"kind": "non-unique 2-cell factorisation", "pair": (h.name, k.name)}
                 )
-            down_cells = set(
-                algebra_two_cells(
+            down_cells = {
+                tuple(w.components[c] for c in objects)
+                for w in algebra_two_cells(
                     compose_algebra_homs(h, eta), compose_algebra_homs(k, eta), limit=limit
                 )
-            )
-            if set(whiskered) != down_cells:
+            }
+            if whiskered != down_cells:
                 return CheckResult(
                     False,
                     {
                         "kind": "2-cell does not descend",
                         "pair": (h.name, k.name),
-                        "missing": len(down_cells - set(whiskered)),
+                        "missing": len(down_cells - whiskered),
                     },
                 )
     return CheckResult(True, {"homs": len(upper)})

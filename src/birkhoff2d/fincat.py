@@ -1,13 +1,16 @@
 """Finite categories, functors, natural transformations and congruences.
 
-Everything is tabulated.  A category stores its full composition table, so
-all laws are decided by direct inspection and every construction in the
-package stays finite and deterministic.  Next to the table each category
-carries its composable-triple table ``(g, f, g after f)`` and, per object,
-the morphisms ending and starting there, so the law checks, congruence
-closure and functor search visit only composable data.  Functors are
-searched by :func:`functor_maps` (enumeration, :func:`lifts`, kernel
-mediators), transformations by one search over component lists (enumeration,
+Everything is tabulated.  A category stores its objects, morphisms,
+identities and full composition table, so all laws are decided by direct
+inspection and every construction in the package stays finite and
+deterministic.  The tables derived from those fields (morphisms by name,
+hom-sets, the composable triples ``(g, f, g after f)``, the morphisms
+ending and starting at each object, inverses and the functor search's
+step plan) are made on first use, so the law checks, congruence closure
+and functor search visit only composable data, and a category that is
+only built and compared never pays for them.  Functors are searched by
+:func:`functor_maps` (enumeration, :func:`lifts`, kernel mediators),
+transformations by one search over component lists (enumeration,
 :func:`nat_lifts`) that decides naturality with :func:`naturality_witness`.
 Values from outside, given to the public constructors (and so every
 value loaded from JSON), are validated.  Constructions from validated
@@ -17,7 +20,10 @@ which does the constructor's bookkeeping without the law check.  Values
 are immutable afterwards.  Equality is decided by comparing the fields
 that make up a value, ignoring the display name; the sorted identity key
 ``_key`` and the hash are made from the same fields on first use, so a
-value that is never hashed never pays for them.
+value that is never hashed never pays for them.  Whiskers that are only
+compared, or only read for their components, are never built: 2-cells
+with one common boundary are compared by their component maps, and
+:func:`nat_lifts` takes component maps.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -52,7 +58,10 @@ class _made_on_first_use:
     attribute, which shadows it.  Unlike ``functools.cached_property`` it
     stores the value with ``setattr`` and never reads the instance
     ``__dict__``: on CPython 3.11 that read makes every later attribute
-    lookup on the instance about twice as slow."""
+    lookup on the instance about twice as slow.  A value kept this way is
+    still read about three times slower than a plain attribute, since the
+    class attribute of the same name stops the interpreter from
+    specialising the lookup, so loops read it into a local first."""
 
     def __init__(self, compute):
         self.compute, self.name = compute, compute.__name__
@@ -89,9 +98,8 @@ class FinCategory:
         composition: Dict[Tuple[str, str], str],
         name: str = "",
     ):
-        self._index(objects, morphisms, identities, composition, name)
+        self._fill(objects, morphisms, identities, composition, name)
         self._validate()
-        self._tabulate()
 
     @classmethod
     def _trusted(cls, objects, morphisms, identities, composition, name=""):
@@ -99,42 +107,91 @@ class FinCategory:
         satisfy the laws: quotients, products, coproducts and factorisation
         middles of validated categories."""
         self = cls.__new__(cls)
-        self._index(objects, morphisms, identities, composition, name)
-        self._tabulate()
+        self._fill(objects, morphisms, identities, composition, name)
         return self
 
-    def _index(self, objects, morphisms, identities, composition, name) -> None:
+    def _fill(self, objects, morphisms, identities, composition, name) -> None:
         self.name = name
         self.objects: Tuple[str, ...] = tuple(objects)
         self.morphisms: Tuple[Morphism, ...] = tuple(morphisms)
         self.identities: Dict[str, str] = dict(identities)
         self.composition: Dict[Tuple[str, str], str] = dict(composition)
-        self._mor: Dict[str, Morphism] = {m.name: m for m in self.morphisms}
-        self._objset = frozenset(self.objects)
-        # per-object in- and out-lists, declaration order; an unknown
-        # endpoint gets a list too, and _validate rejects it before use
-        self._ending_at: Dict[str, List[str]] = {a: [] for a in self.objects}
-        self._starting_at: Dict[str, List[str]] = {a: [] for a in self.objects}
-        for m in self.morphisms:
-            self._ending_at.setdefault(m.cod, []).append(m.name)
-            self._starting_at.setdefault(m.dom, []).append(m.name)
 
-    def _tabulate(self) -> None:
-        """Hom-sets and composable triples; needs a total table."""
-        self._hom: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+    # -- tables, made on first use from the four fields ------------------
+
+    @_made_on_first_use
+    def _mor(self) -> Dict[str, Morphism]:
+        return {m.name: m for m in self.morphisms}
+
+    @_made_on_first_use
+    def _objset(self) -> frozenset:
+        return frozenset(self.objects)
+
+    # per-object in- and out-lists, declaration order; an unknown endpoint
+    # gets a list too, and _validate rejects it before use
+
+    @_made_on_first_use
+    def _ending_at(self) -> Dict[str, List[str]]:
+        ending_at: Dict[str, List[str]] = {a: [] for a in self.objects}
         for m in self.morphisms:
-            self._hom.setdefault((m.dom, m.cod), ())
-            self._hom[(m.dom, m.cod)] += (m.name,)
-        # every (g, f, g after f), in composable_pairs() order
+            ending_at.setdefault(m.cod, []).append(m.name)
+        return ending_at
+
+    @_made_on_first_use
+    def _starting_at(self) -> Dict[str, List[str]]:
+        starting_at: Dict[str, List[str]] = {a: [] for a in self.objects}
+        for m in self.morphisms:
+            starting_at.setdefault(m.dom, []).append(m.name)
+        return starting_at
+
+    @_made_on_first_use
+    def _hom(self) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+        hom: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        for m in self.morphisms:
+            hom[(m.dom, m.cod)] = hom.get((m.dom, m.cod), ()) + (m.name,)
+        return hom
+
+    @_made_on_first_use
+    def _triples(self) -> Tuple[Tuple[str, str, str], ...]:
+        """Every (g, f, g after f), in composable_pairs() order; needs a
+        total table."""
         comp = self.composition
-        self._triples: Tuple[Tuple[str, str, str], ...] = tuple(
-            (g.name, f, comp[(g.name, f)])
-            for g in self.morphisms
-            for f in self._ending_at[g.dom]
-        )
-        self._identity_names = frozenset(self.identities.values())
-        self._inverses: Optional[Dict[str, str]] = None
-        self._search_plan = None  # filled by the functor search on first use
+        ending_at = self._ending_at
+        return tuple((g.name, f, comp[(g.name, f)])
+                     for g in self.morphisms for f in ending_at[g.dom])
+
+    @_made_on_first_use
+    def _identity_names(self) -> frozenset:
+        return frozenset(self.identities.values())
+
+    @_made_on_first_use
+    def _inverses(self) -> Dict[str, str]:
+        """Each invertible morphism's first two-sided inverse in its
+        reverse hom-set."""
+        inv: Dict[str, str] = {}
+        for m in self.morphisms:
+            for w in self.hom(m.cod, m.dom):
+                if (
+                    self.compose(w, m.name) == self.identity(m.dom)
+                    and self.compose(m.name, w) == self.identity(m.cod)
+                ):
+                    inv[m.name] = w
+                    break
+        return inv
+
+    @_made_on_first_use
+    def _search_plan(self):
+        """The non-identity morphisms in the functor search's assignment
+        order, and each composition triple filed under the step that
+        assigns its last non-identity member."""
+        non_identity = [m for m in self.morphisms if not self.is_identity(m.name)]
+        step = {m.name: k for k, m in enumerate(non_identity)}
+        checks: List[List[Tuple[str, str, str]]] = [[] for _ in non_identity]
+        for (g, f, h) in self._triples:
+            k = max(step.get(g, -1), step.get(f, -1), step.get(h, -1))
+            if k >= 0:
+                checks[k].append((g, f, h))
+        return non_identity, checks
 
     # -- basic queries -------------------------------------------------
 
@@ -170,8 +227,9 @@ class FinCategory:
             ) from None
 
     def composable_pairs(self) -> Iterator[Tuple[str, str]]:
+        ending_at = self._ending_at
         for g in self.morphisms:
-            for f in self._ending_at[g.dom]:
+            for f in ending_at[g.dom]:
                 yield (g.name, f)
 
     def parallel_pairs(self) -> Iterator[Tuple[str, str]]:
@@ -183,56 +241,46 @@ class FinCategory:
 
     def inverse(self, u: str) -> Optional[str]:
         """Name of a two-sided inverse of u, or None."""
-        if self._inverses is None:
-            inv: Dict[str, str] = {}
-            for m in self.morphisms:
-                for w in self.hom(m.cod, m.dom):
-                    if (
-                        self.compose(w, m.name) == self.identity(m.dom)
-                        and self.compose(m.name, w) == self.identity(m.cod)
-                    ):
-                        inv[m.name] = w
-                        break
-            self._inverses = inv
         return self._inverses.get(u)
 
     # -- validation ----------------------------------------------------
 
     def _validate(self) -> None:
-        if len(self._objset) != len(self.objects):
+        mor, objset = self._mor, self._objset
+        if len(objset) != len(self.objects):
             raise ValidationError("duplicate object names", witness=self.objects)
-        if len(self._mor) != len(self.morphisms):
+        if len(mor) != len(self.morphisms):
             raise ValidationError("duplicate morphism names")
         for m in self.morphisms:
-            if m.dom not in self._objset or m.cod not in self._objset:
+            if m.dom not in objset or m.cod not in objset:
                 raise ValidationError(
                     "morphism %s has unknown endpoint" % m.name, witness=(m.name, m.dom, m.cod)
                 )
         for a in self.objects:
             i = self.identities.get(a)
-            if i is None or i not in self._mor:
+            if i is None or i not in mor:
                 raise MissingIdentity("object %s has no identity" % a, witness=a)
-            im = self._mor[i]
+            im = mor[i]
             if im.dom != a or im.cod != a:
                 raise MissingIdentity(
                     "identity of %s is not an endomorphism of %s" % (a, a), witness=a
                 )
         for a in self.identities:
-            if a not in self._objset:
+            if a not in objset:
                 raise ValidationError("identity listed for unknown object %s" % a, witness=a)
         comp = self.composition
         ending_at = self._ending_at
         # table keys refer to known composable morphisms
         for (g, f) in comp:
-            if g not in self._mor or f not in self._mor:
+            if g not in mor or f not in mor:
                 raise IllTypedComposition(
                     "composition entry over unknown morphisms", witness=(g, f)
                 )
-            if self._mor[f].cod != self._mor[g].dom:
+            if mor[f].cod != mor[g].dom:
                 raise IllTypedComposition(
                     "entry (%s, %s) is not a composable pair" % (g, f), witness=(g, f)
                 )
-            if comp[(g, f)] not in self._mor:
+            if comp[(g, f)] not in mor:
                 raise IllTypedComposition(
                     "entry (%s, %s) has unknown result" % (g, f), witness=(g, f)
                 )
@@ -259,8 +307,8 @@ class FinCategory:
                     witness=(m.name, self.identities[m.dom]),
                 )
         for (g, f), h in comp.items():
-            hm = self._mor[h]
-            if hm.dom != self._mor[f].dom or hm.cod != self._mor[g].cod:
+            hm = mor[h]
+            if hm.dom != mor[f].dom or hm.cod != mor[g].cod:
                 raise IllTypedComposition(
                     "result of (%s, %s) has wrong boundary" % (g, f), witness=(g, f)
                 )
@@ -268,7 +316,7 @@ class FinCategory:
             h = hm.name
             for g in ending_at[hm.dom]:
                 hg = comp[(h, g)]
-                for f in ending_at[self._mor[g].dom]:
+                for f in ending_at[mor[g].dom]:
                     if comp[(h, comp[(g, f)])] != comp[(hg, f)]:
                         raise AssociativityViolation(
                             "associativity fails on (%s, %s, %s)" % (h, g, f),
@@ -470,11 +518,12 @@ def compose_functors(g: Functor, f: Functor) -> Functor:
         raise BoundaryMismatch(
             "cannot compose %r after %r: middle categories differ" % (g, f)
         )
+    fo, fm, go, gm = f.on_objects, f.on_morphisms, g.on_objects, g.on_morphisms
     return Functor._trusted(
         f.source,
         g.target,
-        {a: g.obj(f.obj(a)) for a in f.source.objects},
-        {m.name: g.mor(f.mor(m.name)) for m in f.source.morphisms},
+        {a: go[fo[a]] for a in f.source.objects},
+        {m.name: gm[fm[m.name]] for m in f.source.morphisms},
         name="%s.%s" % (g.name or "?", f.name or "?"),
     )
 
@@ -761,16 +810,16 @@ def congruence_context_witness(C: FinCategory, rep_of: Dict[str, str]):
     under the two-sided contexts q.u.p ~ q.v.p follows by applying both.  A
     witness is (u, v, p, q) with an identity on the side left unused.
     """
-    comp = C.composition
+    comp, ending_at, starting_at = C.composition, C._ending_at, C._starting_at
     for m in C.morphisms:
         v = m.name
         u = rep_of[v]
         if u == v:
             continue
-        for p in C._ending_at[m.dom]:
+        for p in ending_at[m.dom]:
             if rep_of[comp[(u, p)]] != rep_of[comp[(v, p)]]:
                 return (u, v, p, C.identities[m.cod])
-        for q in C._starting_at[m.cod]:
+        for q in starting_at[m.cod]:
             if rep_of[comp[(q, u)]] != rep_of[comp[(q, v)]]:
                 return (u, v, C.identities[m.dom], q)
     return None
@@ -823,15 +872,15 @@ def congruence_closure(
             )
         if uf.union(u, v):
             work.append((u, v))
-    comp = A.composition
+    comp, mor, ending_at, starting_at = A.composition, A._mor, A._ending_at, A._starting_at
     while work:
         u, v = work.pop()
-        um = A._mor[u]
-        for p in A._ending_at[um.dom]:
+        um = mor[u]
+        for p in ending_at[um.dom]:
             a, b = comp[(u, p)], comp[(v, p)]
             if uf.union(a, b):
                 work.append((a, b))
-        for q in A._starting_at[um.cod]:
+        for q in starting_at[um.cod]:
             a, b = comp[(q, u)], comp[(q, v)]
             if uf.union(a, b):
                 work.append((a, b))
@@ -940,22 +989,6 @@ def _functor_limit_check(n_obj_maps: int, visited: int, limit: int) -> None:
         raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
 
 
-def _search_plan(A: FinCategory):
-    """A's non-identity morphisms in assignment order, and each composition
-    triple filed under the step that assigns its last non-identity member;
-    built once per category."""
-    if A._search_plan is None:
-        non_identity = [m for m in A.morphisms if not A.is_identity(m.name)]
-        step = {m.name: k for k, m in enumerate(non_identity)}
-        checks: List[List[Tuple[str, str, str]]] = [[] for _ in non_identity]
-        for (g, f, h) in A._triples:
-            k = max(step.get(g, -1), step.get(f, -1), step.get(h, -1))
-            if k >= 0:
-                checks[k].append((g, f, h))
-        A._search_plan = (non_identity, checks)
-    return A._search_plan
-
-
 def functor_maps(
     A: FinCategory,
     B: FinCategory,
@@ -979,8 +1012,8 @@ def functor_maps(
     """
     slots = [B.objects if objects is None else objects[a] for a in A.objects]
     _functor_limit_check(math.prod(len(s) for s in slots), 0, limit)
-    non_identity, checks = _search_plan(A)
-    B_comp = B.composition
+    non_identity, checks = A._search_plan
+    B_comp, B_hom = B.composition, B._hom
     results: List[Tuple[Dict[str, str], Dict[str, str]]] = []
     visited = 0
     omap: Dict[str, str] = {}
@@ -992,7 +1025,7 @@ def functor_maps(
             results.append((dict(omap), dict(mmap)))
             return
         m = non_identity[k]
-        for cand in B.hom(omap[m.dom], omap[m.cod]):
+        for cand in B_hom.get((omap[m.dom], omap[m.cod]), ()):
             visited += 1
             if visited > limit:
                 raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
@@ -1095,25 +1128,27 @@ def enumerate_nat_transformations(
     return out
 
 
-def nat_lifts(f: Functor, alpha: NatTransformation, d: Functor, d2: Functor,
-              g: Optional[Functor] = None, beta: Optional[NatTransformation] = None,
+def nat_lifts(f: Functor, alpha: Dict[str, str], d: Functor, d2: Functor,
+              g: Optional[Functor] = None, beta: Optional[Dict[str, str]] = None,
               limit: int = DEFAULT_SEARCH_LIMIT) -> Tuple[NatTransformation, ...]:
     """Every delta: d => d2 with delta * f == alpha and, when g is given,
-    g * delta == beta, for alpha: d.f => d2.f and beta: g.d => g.d2; in
-    enumerate_nat_transformations order.
+    g * delta == beta, for alpha: d.f => d2.f and beta: g.d => g.d2 given
+    by their components; in enumerate_nat_transformations order.
 
     The 2-cell twin of :func:`lifts`: alpha pins delta on the image of f and
     g restricts the other components, so the search never stops at a limit
-    that enumerating every d => d2 and filtering would have passed.
+    that enumerating every d => d2 and filtering would have passed.  Only
+    the components of alpha and beta are read, so a whisker is passed as
+    its component map and never built.
     """
     pin: Dict[str, str] = {}
-    for a, c in alpha.components.items():
+    for a, c in alpha.items():
         if pin.setdefault(f.on_objects[a], c) != c:
             return ()
     C = d.target
     slots = []
     for b in d.source.objects:
         cands = (pin[b],) if b in pin else C.hom(d.obj(b), d2.obj(b))
-        slots.append([c for c in cands if g is None or g.on_morphisms[c] == beta.at(b)])
+        slots.append([c for c in cands if g is None or g.on_morphisms[c] == beta[b]])
     found, _ = _natural_components(d, d2, slots, limit)
     return tuple(NatTransformation._trusted(d, d2, comps) for comps in found)

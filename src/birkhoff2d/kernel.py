@@ -32,11 +32,9 @@ from .fincat import (
     enumerate_nat_transformations,
     functor_maps,
     identity_functor,
-    identity_nat,
     lifts,
     nat_lifts,
     quotient_by_congruence,
-    whisker,
 )
 
 DEFAULT_APEX_CAP = 20_000
@@ -156,7 +154,7 @@ def coequify(phi: NatTransformation, psi: NatTransformation):
     gens = [(phi.at(k), psi.at(k)) for k in K.objects]
     cong = congruence_closure(A, gens)
     C, q = quotient_by_congruence(A, cong)
-    if whisker(q, phi, "left") != whisker(q, psi, "left"):
+    if not coequifies(q, phi, psi):
         raise LabError("quotient does not coequify %s and %s" % (phi.name or "?", psi.name or "?"))
     return q, C
 
@@ -203,7 +201,7 @@ def verify_coequifier_2d(
         items = sorted(factor_of.items(), key=lambda kv: kv[0]._key)
         for (h1, hb1), (h2, hb2) in itertools.product(items, repeat=2):
             for gamma in enumerate_nat_transformations(h1, h2, limit=limit):
-                bars = nat_lifts(q, gamma, hb1, hb2, limit=limit)
+                bars = nat_lifts(q, gamma.components, hb1, hb2, limit=limit)
                 if len(bars) != 1:
                     return CheckResult(
                         False,
@@ -285,10 +283,17 @@ class ReflexiveData:
             raise BoundaryMismatch("s does not split the section")
         if compose_functors(self.t, self.section) != ident:
             raise BoundaryMismatch("t does not split the section")
-        unit = identity_nat(ident)
-        if whisker(self.section, self.phi, "right") != unit:
+        # with both cells running s => t, each restriction along the section
+        # runs s.section => t.section, the identity functor, so it is the
+        # identity 2-cell exactly when its components are identities
+        for cell in (self.phi, self.psi):
+            if cell.source != self.s or cell.target != self.t:
+                raise BoundaryMismatch("2-cells must run s => t")
+        units = [A.identity(a) for a in A.objects]
+        images = [self.section.on_objects[a] for a in A.objects]
+        if [self.phi.components[k] for k in images] != units:
             raise BoundaryMismatch("phi restricted along the section is not the identity")
-        if whisker(self.section, self.psi, "right") != unit:
+        if [self.psi.components[k] for k in images] != units:
             raise BoundaryMismatch("psi restricted along the section is not the identity")
 
 
@@ -392,7 +397,8 @@ def lemma_cancel_two_cells(
         betas = enumerate_nat_transformations(
             compose_functors(f, h), compose_functors(g, h), limit=limit
         )
-        if any(len(nat_lifts(h, beta, f, g, limit=limit)) != 1 for beta in betas):
+        if any(len(nat_lifts(h, beta.components, f, g, limit=limit)) != 1
+               for beta in betas):
             return CheckResult(
                 False,
                 {"functor": h.name or h.on_objects, "test_category": X.name,
@@ -410,10 +416,13 @@ def lemma_so_faithful(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> CheckResult:
     """For every surjective-on-objects h among the functors, whiskering
-    with h never identifies two distinct parallel 2-cells."""
+    with h never identifies two distinct parallel 2-cells.  The whiskers
+    alpha * h of 2-cells f => g all run f.h => g.h, so they are compared
+    by their components alpha at the h-images."""
     checked = cells = 0
     for h, X, f, g, alphas in _parallel_pairs_below(functors, "so", targets, limit):
-        whiskered = {whisker(h, a, "right") for a in alphas}
+        images = [h.on_objects[c] for c in h.source.objects]
+        whiskered = {tuple(a.components[b] for b in images) for a in alphas}
         if len(whiskered) != len(alphas):
             return CheckResult(
                 False,

@@ -10,23 +10,32 @@ import itertools
 
 from birkhoff2d.errors import (
     BoundaryMismatch,
+    LabError,
     NonInvertibleComponent,
     NotOperationClosed,
     ValidationError,
 )
+from birkhoff2d.factor import CheckResult, diagonal_fillins
 from birkhoff2d.fincat import (
     Congruence,
     Functor,
     FunctorFlags,
     NatTransformation,
+    classify,
     compose_functors,
     congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
+    lifts,
+    nat_lifts,
+    quotient_by_congruence,
     whisker,
 )
 from birkhoff2d.theory import (
     Algebra,
+    algebra_two_cells,
+    compose_algebra_homs,
+    enumerate_algebra_homs,
     eval_expr,
     eval_term_mor,
     eval_term_obj,
@@ -356,6 +365,137 @@ def nat_lifts_by_filter(f, alpha, d, d2, g=None, beta=None):
 
 def coequifies_by_whiskers(h, phi, psi):
     return whisker_once(h, phi, "left") == whisker_once(h, psi, "left")
+
+
+# The checks that compared whole whiskers, as the package stated them
+# before 2-cells with one common boundary were compared by components and
+# nat_lifts took component maps.
+
+
+def orthogonal_by_whiskers(f, g):
+    """check_orthogonal_morphisms, building each whisker g * alpha whole."""
+    squares = [(x, y) for x in enumerate_functors(f.source, g.source)
+               for y in lifts(f, compose_functors(g, x))]
+    diag = {}
+    for (x, y) in squares:
+        ds = diagonal_fillins(f, g, x, y)
+        if len(ds) != 1:
+            return CheckResult(
+                False,
+                {"level": 1, "square": (x.on_objects, y.on_objects),
+                 "fillins": len(ds)},
+            )
+        diag[(x, y)] = ds[0]
+    for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
+        d, d2 = diag[(x, y)], diag[(x2, y2)]
+        for alpha in enumerate_nat_transformations(x, x2):
+            for beta in nat_lifts(f, whisker(g, alpha, "left").components, y, y2):
+                deltas = nat_lifts(f, alpha.components, d, d2, g, beta.components)
+                if len(deltas) != 1:
+                    return CheckResult(
+                        False,
+                        {"level": 2, "alpha": alpha.components,
+                         "beta": beta.components, "fillins": len(deltas)},
+                    )
+    return CheckResult(True)
+
+
+def orthogonal_object_by_recomposing(f, C):
+    """check_orthogonal_object, composing h.f afresh wherever it is needed."""
+    hs = enumerate_functors(f.target, C)
+    gs = enumerate_functors(f.source, C)
+    restricted = [compose_functors(h, f) for h in hs]
+    if len(set(restricted)) != len(restricted):
+        dup = [h for h in hs if restricted.count(compose_functors(h, f)) > 1]
+        return CheckResult(False, {"level": 1, "reason": "not injective on functors",
+                                   "count": len(dup)})
+    if set(restricted) != set(gs):
+        missing = [g for g in gs if g not in set(restricted)]
+        return CheckResult(
+            False,
+            {"level": 1, "reason": "not surjective on functors",
+             "missing": [g.on_objects for g in missing]},
+        )
+    for h, h2 in itertools.product(hs, repeat=2):
+        upstairs = enumerate_nat_transformations(h, h2)
+        downstairs = enumerate_nat_transformations(
+            compose_functors(h, f), compose_functors(h2, f))
+        if any(len(nat_lifts(f, alpha.components, h, h2)) != 1 for alpha in downstairs):
+            return CheckResult(
+                False,
+                {"level": 2, "pair": (h.on_objects, h2.on_objects),
+                 "upstairs": len(upstairs), "downstairs": len(downstairs)},
+            )
+    return CheckResult(True)
+
+
+def coequify_by_whiskers(phi, psi):
+    """coequify, checking q * phi == q * psi on whole whiskers."""
+    gens = [(phi.at(k), psi.at(k)) for k in phi.source.source.objects]
+    C, q = quotient_by_congruence(phi.source.target,
+                                  congruence_closure(phi.source.target, gens))
+    if whisker(q, phi, "left") != whisker(q, psi, "left"):
+        raise LabError("quotient does not coequify")
+    return q, C
+
+
+def so_faithful_by_whiskers(functors, targets):
+    """lemma_so_faithful, collecting the whiskers alpha * h in a set."""
+    checked = cells = 0
+    for h in functors:
+        if not classify(h).so:
+            continue
+        for X in targets:
+            across = enumerate_functors(h.target, X)
+            for f in across:
+                for g in across:
+                    alphas = enumerate_nat_transformations(f, g)
+                    whiskered = {whisker(h, a, "right") for a in alphas}
+                    if len(whiskered) != len(alphas):
+                        return CheckResult(
+                            False,
+                            {"functor": h.name or h.on_objects, "test_category": X.name,
+                             "pair": (f.on_objects, g.on_objects),
+                             "cells": len(alphas), "images": len(whiskered)},
+                        )
+                    checked += 1
+                    cells += len(alphas)
+    return CheckResult(True, {"pairs": checked, "cells": cells})
+
+
+def algebra_orthogonal_by_whiskers(eta, B):
+    """check_algebra_orthogonal, comparing whole whiskers w * eta with the
+    algebra 2-cells below."""
+    down_of = {}
+    upper = enumerate_algebra_homs(eta.target, B)
+    for h in upper:
+        c = compose_algebra_homs(h, eta)
+        if c in down_of:
+            return CheckResult(
+                False, {"kind": "non-unique factorisation", "through": c.functor.on_objects}
+            )
+        down_of[c] = h
+    for g in enumerate_algebra_homs(eta.source, B):
+        if g not in down_of:
+            return CheckResult(
+                False, {"kind": "no factorisation", "hom": g.functor.on_objects}
+            )
+    for h in upper:
+        for k in upper:
+            whiskered = [whisker(eta.functor, w, "right") for w in algebra_two_cells(h, k)]
+            if len(set(whiskered)) != len(whiskered):
+                return CheckResult(
+                    False, {"kind": "non-unique 2-cell factorisation", "pair": (h.name, k.name)}
+                )
+            down_cells = set(algebra_two_cells(compose_algebra_homs(h, eta),
+                                               compose_algebra_homs(k, eta)))
+            if set(whiskered) != down_cells:
+                return CheckResult(
+                    False,
+                    {"kind": "2-cell does not descend", "pair": (h.name, k.name),
+                     "missing": len(down_cells - set(whiskered))},
+                )
+    return CheckResult(True, {"homs": len(upper)})
 
 
 def classify_by_pairs(F):

@@ -14,7 +14,7 @@ from birkhoff2d.birkhoff import (
 )
 from birkhoff2d.errors import SizeLimitExceeded, ValidationError
 from birkhoff2d.fincat import classify
-from birkhoff2d.theory import product_algebra, satisfies
+from birkhoff2d.theory import enumerate_algebra_homs, product_algebra, satisfies
 
 import oracles
 
@@ -82,6 +82,35 @@ def test_freeness_over_member_probes(catalog, coherence, sigma_reflection):
 def test_freeness_rejects_probes_outside_the_subclass(catalog, coherence, sigma_reflection):
     with pytest.raises(ValidationError):
         verify_reflection_free(sigma_reflection, coherence, [catalog["sigma_assoc"]])
+
+
+@pytest.mark.parametrize("mode", ["trusted", "strict"])
+def test_algebra_orthogonality_matches_comparing_whiskers(catalog, coherence, mode, request):
+    """Every reflection unit and every hom between catalog algebras against
+    every catalog algebra: check_algebra_orthogonal gives the verdict and
+    witness of the version that compares whole whiskers w * eta (every kind
+    of failure among them), and verify_reflection_free passes on the
+    members exactly when that version passes on each."""
+    if mode == "strict":
+        request.getfixturevalue("strict")
+    algebras = list(catalog.values())
+    members = [B for B in algebras if satisfies(B, coherence)]
+    units = []
+    for A in algebras:
+        R = reflect(A, coherence)
+        free = all(oracles.algebra_orthogonal_by_whiskers(R.unit, B) for B in members)
+        assert bool(verify_reflection_free(R, coherence, members)) == free
+        units.append(R.unit)
+    homs = [eta for A in algebras for B in algebras for eta in enumerate_algebra_homs(A, B)]
+    verdicts = {}
+    for eta in units + homs:
+        for B in algebras:
+            got = check_algebra_orthogonal(eta, B)
+            assert got == oracles.algebra_orthogonal_by_whiskers(eta, B), (eta, B)
+            kind = got.witness.get("kind", "ok")
+            verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert verdicts == {"ok": 169, "non-unique factorisation": 40, "no factorisation": 38,
+                        "non-unique 2-cell factorisation": 6, "2-cell does not descend": 5}
 
 
 # -- quotient enumeration ----------------------------------------------

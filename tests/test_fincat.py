@@ -324,7 +324,7 @@ def test_pinned_two_cell_search_stays_under_a_limit_the_full_search_passes(cats)
                 enumerate_nat_transformations(d, d2, limit=limit)
             for alpha in enumerate_nat_transformations(
                     compose_functors(d, q), compose_functors(d2, q)):
-                got = nat_lifts(q, alpha, d, d2, limit=limit)
+                got = nat_lifts(q, alpha.components, d, d2, limit=limit)
                 assert got == oracles.nat_lifts_by_filter(q, alpha, d, d2)
                 found += len(got)
             with pytest.raises(SizeLimitExceeded):
@@ -342,7 +342,7 @@ def test_conflicting_pins_admit_no_two_cell_lift(cats):
     dc = compose_functors(d, crush)
     lifted = {}
     for alpha in enumerate_nat_transformations(dc, dc):
-        got = nat_lifts(crush, alpha, d, d)
+        got = nat_lifts(crush, alpha.components, d, d)
         assert got == oracles.nat_lifts_by_filter(crush, alpha, d, d)
         lifted[(alpha.at("x"), alpha.at("y"))] = len(got)
     assert lifted == {("1", "1"): 1, ("1", "s"): 0, ("s", "1"): 0, ("s", "s"): 1}

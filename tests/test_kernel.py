@@ -245,7 +245,7 @@ def test_coequifier_two_cell_factorisations_match_enumerate_then_filter(cats):
                     if coequifies(h, phi, psi)]
             for (h1, hb1), (h2, hb2) in itertools.product(bars, repeat=2):
                 for gamma in enumerate_nat_transformations(h1, h2):
-                    got = nat_lifts(q, gamma, hb1, hb2)
+                    got = nat_lifts(q, gamma.components, hb1, hb2)
                     assert got == oracles.nat_lifts_by_filter(q, gamma, hb1, hb2)
                     counts[len(got)] = counts.get(len(got), 0) + 1
     assert counts == {1: 2223}
@@ -271,6 +271,33 @@ def test_make_reflexive_preserves_the_coequifier(walking_pair):
     q1, C1 = coequify(phi, psi)
     q2, C2 = coequify(rd.phi, rd.psi)
     assert q1 == q2 and C1 == C2
+
+
+@pytest.mark.parametrize("mode", ["trusted", "strict"])
+def test_reflexive_data_accepts_the_cells_whole_whiskers_accept(mode, request):
+    """For the reflexivized kernel of every corpus functor out of z2, every
+    2-cell s => t of the padded datum in the place of phi or psi:
+    ReflexiveData refuses it exactly when its whisker along the section is
+    not the identity 2-cell."""
+    if mode == "strict":
+        request.getfixturevalue("strict")
+    verdicts = {}
+    for phi, psi in corpus.coequifier_data():
+        if phi.source.target.name != "z2":
+            continue
+        rd = make_reflexive(phi, psi)
+        unit = identity_nat(identity_functor(rd.s.target))
+        for cell in enumerate_nat_transformations(rd.s, rd.t):
+            kills = whisker(rd.section, cell, "right") == unit
+            for cells in ((cell, rd.psi), (rd.phi, cell)):
+                try:
+                    ReflexiveData(rd.s, rd.t, *cells, rd.section)
+                    accepted = True
+                except BoundaryMismatch:
+                    accepted = False
+                assert accepted == kills
+                verdicts[accepted] = verdicts.get(accepted, 0) + 1
+    assert set(verdicts) == {True, False}
 
 
 def test_reflexive_data_rejects_bad_section(walking_pair):
@@ -326,6 +353,36 @@ def test_induced_functor_matches_pointwise_definition(walking_pair):
         expected = oracles.induced_by_hand(q1, q2)
         assert induced_between_quotients(q1, q2) == expected
         assert lifts(q1, q2) == (() if expected is None else (expected,))
+
+
+@pytest.mark.parametrize("mode", ["trusted", "strict"])
+def test_coequify_matches_comparing_whiskers(mode, request):
+    """On the corpus coequifier data, each pair also swapped: coequify
+    returns what the version that compares whole whiskers q * phi and
+    q * psi returns."""
+    if mode == "strict":
+        request.getfixturevalue("strict")
+    data = corpus.coequifier_data()
+    merged = {}
+    for phi, psi in data + [(psi, phi) for phi, psi in data]:
+        q, C = coequify(phi, psi)
+        want_q, want_C = oracles.coequify_by_whiskers(phi, psi)
+        assert (q, C, q.name, C.name) == (want_q, want_C, want_q.name, want_C.name)
+        key = len(C.morphisms) < len(phi.source.target.morphisms)
+        merged[key] = merged.get(key, 0) + 1
+    assert set(merged) == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["trusted", "strict"])
+def test_so_faithful_matches_comparing_whiskers(cats, all_functors, mode, request):
+    """The surjective-whiskering lemma on every corpus functor against every
+    corpus category, with the same counts as the set of whole whiskers."""
+    if mode == "strict":
+        request.getfixturevalue("strict")
+    targets = list(cats.values())
+    res = lemma_so_faithful(all_functors, targets)
+    assert res == oracles.so_faithful_by_whiskers(all_functors, targets)
+    assert res.ok and res.witness["cells"] > 0
 
 
 # -- exhaustive suites, small slices -----------------------------------

@@ -20,9 +20,11 @@ def test_factorisation_that_does_not_recompose(monkeypatch):
 
 def test_quotient_that_does_not_coequify(monkeypatch):
     phi, psi = corpus.coequifier_data()[0]
-    monkeypatch.setattr(kernel, "whisker", lambda h, alpha, side: alpha)
-    with pytest.raises(LabError):
+    monkeypatch.setattr(kernel, "quotient_by_congruence",
+                        lambda A, cong: (A, identity_functor(A)))
+    with pytest.raises(LabError) as info:
         kernel.coequify(phi, psi)
+    assert type(info.value) is LabError
 
 
 def test_comparison_that_does_not_give_back_the_functor(monkeypatch):

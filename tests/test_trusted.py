@@ -20,13 +20,14 @@ from birkhoff2d.errors import (
     NotOperationClosed,
     ValidationError,
 )
-from birkhoff2d.factor import FACTOR_SYSTEMS
+from birkhoff2d.factor import FACTOR_SYSTEMS, factor_bof, factorisation_sound
 from birkhoff2d.fincat import (
     Congruence,
     FinCategory,
     Functor,
     Morphism,
     NatTransformation,
+    classify,
     congruence_closure,
     coproduct_category,
     enumerate_functors,
@@ -64,8 +65,12 @@ def _public(x):
 
 
 def _state(x):
-    """Every attribute but the caches a category fills on first use."""
-    return {k: v for k, v in vars(x).items() if k not in ("_inverses", "_search_plan")}
+    """Every attribute, once every table and key made on first use is made."""
+    for owner in type(x).__mro__:
+        for attr, value in vars(owner).items():
+            if isinstance(value, fincat._made_on_first_use):
+                getattr(x, attr)
+    return vars(x)
 
 
 def _assert_same_as_public(*values):
@@ -207,6 +212,25 @@ def test_algebra_constructions_match_public_builds(catalog, coherence):
     for A, B in itertools.combinations_with_replacement(list(catalog.values()), 2):
         P, _, _ = product_algebra(A, B)
         _assert_same_as_public(P, P.carrier)
+
+
+CATEGORY_FIELDS = {"name", "objects", "morphisms", "identities", "composition"}
+
+
+def test_a_trusted_category_holds_only_its_fields_until_a_table_is_read(cats, all_functors):
+    """Products and bof middles are built, compared and classified without
+    reading a table; reading one makes that table and no other."""
+    P, pr1, pr2 = product_category(cats["z2"], cats["two"])
+    assert set(vars(P)) == CATEGORY_FIELDS
+    assert P == product_category(cats["z2"], cats["two"])[0]
+    assert classify(pr1).so and classify(pr2).so
+    assert set(vars(P)) == CATEGORY_FIELDS
+    assert P.hom("(*,0)", "(*,1)") == ("(1,t)", "(s,t)")
+    assert set(vars(P)) == CATEGORY_FIELDS | {"_hom"}
+    for f in all_functors:
+        fact = factor_bof(f)
+        assert factorisation_sound(f, "bof")
+        assert set(vars(fact.middle)) == CATEGORY_FIELDS, f
 
 
 def _assert_equality_follows_the_key(values):
