@@ -34,6 +34,7 @@ from .fincat import (
     lifts,
     nat_lifts,
     quotient_by_congruence,
+    whisker,
 )
 
 
@@ -240,7 +241,7 @@ def check_orthogonal_morphisms(
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
         for alpha in enumerate_nat_transformations(x, x2, limit=limit):
-            g_alpha = {a: g.on_morphisms[c] for a, c in alpha.components.items()}
+            g_alpha = whisker(g, alpha, "left").components
             for beta in nat_lifts(f, g_alpha, y, y2, limit=limit):
                 deltas = nat_lifts(f, alpha.components, d, d2, g, beta.components,
                                    limit=limit)

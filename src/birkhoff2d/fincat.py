@@ -20,10 +20,10 @@ which does the constructor's bookkeeping without the law check.  Values
 are immutable afterwards.  Equality is decided by comparing the fields
 that make up a value, ignoring the display name; the sorted identity key
 ``_key`` and the hash are made from the same fields on first use, so a
-value that is never hashed never pays for them.  Whiskers that are only
-compared, or only read for their components, are never built: 2-cells
-with one common boundary are compared by their component maps, and
-:func:`nat_lifts` takes component maps.
+value that is never hashed never pays for them.  A whisker makes its
+components at once and its two boundary functors (composites) only when
+they are read; 2-cells with one common boundary are compared by their
+component maps, and :func:`nat_lifts` takes component maps.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -609,28 +609,52 @@ def identity_nat(F: Functor) -> NatTransformation:
     )
 
 
+class _Whisker(NatTransformation):
+    """h * alpha or alpha * h as :func:`whisker` returns it: the components
+    are made at once, each boundary functor (a composite) on first read,
+    so a whisker read only for its components never composes."""
+
+    @classmethod
+    def _trusted(cls, h, alpha, side, components):
+        """The whisker's parts and the components made from them."""
+        self = cls.__new__(cls)
+        self._parts = (h, alpha, side)
+        self.components = components
+        self.name = ""
+        return self
+
+    def _boundary(self, end):
+        h, alpha, side = self._parts
+        F = getattr(alpha, end)
+        return compose_functors(h, F) if side == "left" else compose_functors(F, h)
+
+    @_made_on_first_use
+    def source(self):
+        return self._boundary("source")
+
+    @_made_on_first_use
+    def target(self):
+        return self._boundary("target")
+
+
 def whisker(h: Functor, alpha: NatTransformation, side: str) -> NatTransformation:
     """Whisker a transformation with a functor.
 
     ``side == "left"``: h * alpha, components h(alpha_a).
     ``side == "right"``: alpha * h, components alpha at h-images.
+    The boundary functors are composed only when read.
     """
     if side == "left":
         if alpha.source.target != h.source:
             raise BoundaryMismatch("left whisker: functor must start at alpha's target category")
-        return NatTransformation._trusted(
-            compose_functors(h, alpha.source),
-            compose_functors(h, alpha.target),
-            {a: h.mor(alpha.at(a)) for a in alpha.source.source.objects},
-        )
+        hm, comps = h.on_morphisms, alpha.components
+        return _Whisker._trusted(h, alpha, side,
+                                 {a: hm[comps[a]] for a in alpha.source.source.objects})
     if side == "right":
         if h.target != alpha.source.source:
             raise BoundaryMismatch("right whisker: functor must land in alpha's source category")
-        return NatTransformation._trusted(
-            compose_functors(alpha.source, h),
-            compose_functors(alpha.target, h),
-            {c: alpha.at(h.obj(c)) for c in h.source.objects},
-        )
+        ho, comps = h.on_objects, alpha.components
+        return _Whisker._trusted(h, alpha, side, {c: comps[ho[c]] for c in h.source.objects})
     raise ValueError("side must be 'left' or 'right'")
 
 

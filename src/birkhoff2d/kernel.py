@@ -266,7 +266,12 @@ def _count_mediators(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit) -> int:
 
 @dataclass(frozen=True)
 class ReflexiveData:
-    """A coequifier datum with a common section killing both 2-cells."""
+    """A coequifier datum with a common section killing both 2-cells.
+
+    Both 2-cells must run s => t: a cell with another boundary is refused
+    with BoundaryMismatch, even one whose restriction along the section is
+    the identity 2-cell.
+    """
 
     s: Functor
     t: Functor

@@ -300,6 +300,18 @@ def test_reflexive_data_accepts_the_cells_whole_whiskers_accept(mode, request):
     assert set(verdicts) == {True, False}
 
 
+def test_reflexive_data_refuses_cells_that_do_not_run_s_to_t(walking_pair):
+    """The identity 2-cells of s and of t restrict along the section to the
+    identity 2-cell, as phi and psi do, but they do not run s => t."""
+    rd = make_reflexive(*walking_pair)
+    unit = identity_nat(identity_functor(rd.s.target))
+    for cell in (identity_nat(rd.s), identity_nat(rd.t)):
+        assert whisker(rd.section, cell, "right") == unit
+        for cells in ((cell, rd.psi), (rd.phi, cell)):
+            with pytest.raises(BoundaryMismatch, match="2-cells must run s => t"):
+                ReflexiveData(rd.s, rd.t, *cells, rd.section)
+
+
 def test_reflexive_data_rejects_bad_section(walking_pair):
     phi, psi = walking_pair
     rd = make_reflexive(phi, psi)

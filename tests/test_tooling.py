@@ -1,7 +1,7 @@
 """Checks on the repository itself: the demos run, no correctness
 condition in the package relies on `assert`, which `python -O` removes,
 trusted builders stay behind the input boundary and under strict mode, and
-no whisker is built only to be compared."""
+whiskers are read only for their components."""
 import ast
 import os
 import subprocess
@@ -71,77 +71,27 @@ def test_strict_mode_patches_every_trusted_builder():
     assert builders - patched == set()
 
 
-def _is_whisker_call(node):
-    return isinstance(node, ast.Call) and (
-        getattr(node.func, "id", None) == "whisker"
-        or getattr(node.func, "attr", None) == "whisker")
+def _whiskers_used_whole(tree):
+    """Line numbers of whisker(...) calls not read at once for their
+    ``.components``.  Anything else (a comparison, a set, a name) may read
+    the whisker's boundaries and so build its two composite functors."""
+    return sorted(child.lineno for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)
+                  if isinstance(child, ast.Call)
+                  and "whisker" in (getattr(child.func, "id", None),
+                                    getattr(child.func, "attr", None))
+                  and not (isinstance(node, ast.Attribute) and node.attr == "components"))
 
 
-def _compared_whiskers(tree):
-    """Line numbers of whisker(...) calls that are an operand of == or !=,
-    or that make up a set or list that is such an operand, directly or
-    through the name it is assigned to.  A collection that is also counted
-    for a report is still built to be compared."""
-    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-
-    def in_equality(node):
-        while node in parent:
-            up = parent[node]
-            if isinstance(up, ast.Compare) and any(
-                    isinstance(op, (ast.Eq, ast.NotEq)) for op in up.ops):
-                return True
-            if not isinstance(up, ast.Call) or node not in up.args:
-                return False  # only len(...), set(...) and the like pass a value up
-            node = up
-
-    found = []
-    for call in filter(_is_whisker_call, ast.walk(tree)):
-        node = call
-        if isinstance(parent[node], (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.List,
-                                     ast.Set)):
-            node = parent[node]
-        if in_equality(node):
-            found.append(call.lineno)
-            continue
-        assign = parent.get(node)
-        if node is not call and isinstance(assign, ast.Assign) and len(assign.targets) == 1:
-            name = getattr(assign.targets[0], "id", None)
-            scope = parent.get(assign)
-            while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.Module)):
-                scope = parent.get(scope)
-            uses = [n for n in ast.walk(scope) if isinstance(n, ast.Name) and n.id == name
-                    and isinstance(n.ctx, ast.Load)]
-            if any(in_equality(n) for n in uses):
-                found.append(call.lineno)
-    return found
-
-
-def test_no_whisker_is_built_only_to_be_compared():
+def test_whiskers_in_the_package_are_read_for_their_components_only():
     """2-cells with one common boundary are compared by their component
-    maps; building a whisker, two composite functors included, only to
-    compare it is waste."""
+    maps, and the square check passes nat_lifts a whisker's components."""
     found = ["%s:%d" % (path.relative_to(SRC), line)
-             for path in sorted(SRC.rglob("*.py")) for line in _compared_whiskers(_tree(path))]
+             for path in sorted(SRC.rglob("*.py")) for line in _whiskers_used_whole(_tree(path))]
     assert found == []
-
-
-def test_the_compared_whisker_check_fires():
-    code = """
-def f(q, phi, psi, alphas, h, unit):
-    if whisker(q, phi, "left") != whisker(q, psi, "left"):
-        pass
-    if fincat.whisker(h, phi, "right") == unit:
-        pass
+    sample = """
+if whisker(q, phi, "left") != fincat.whisker(q, psi, "left"):
     kept = {whisker(h, a, "right") for a in alphas}
-    if len(kept) != len(alphas):
-        pass
-    listed = [whisker(h, a, "right") for a in alphas]
-    if len(set(listed)) != len(listed) or set(listed) != unit:
-        return len(listed)
-    if set(whisker(h, a, "right") for a in alphas) == unit:
-        pass
-    returned = [whisker(h, a, "right") for a in alphas]
-    return whisker(h, phi, "left"), returned
+lifts = nat_lifts(f, whisker(g, alpha, "left").components, y, y2)
 """
-    assert _compared_whiskers(ast.parse(code)) == [3, 3, 5, 7, 10, 13]
-
+    assert _whiskers_used_whole(ast.parse(sample)) == [2, 2, 3]

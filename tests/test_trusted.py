@@ -65,12 +65,14 @@ def _public(x):
 
 
 def _state(x):
-    """Every attribute, once every table and key made on first use is made."""
+    """Every attribute, once every table and key made on first use is made,
+    except the parts a whisker makes its boundaries from, which a public
+    build has no need of."""
     for owner in type(x).__mro__:
         for attr, value in vars(owner).items():
             if isinstance(value, fincat._made_on_first_use):
                 getattr(x, attr)
-    return vars(x)
+    return {attr: value for attr, value in vars(x).items() if attr != "_parts"}
 
 
 def _assert_same_as_public(*values):
