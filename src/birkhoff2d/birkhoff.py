@@ -83,17 +83,19 @@ def check_algebra_orthogonal(
     target to homs out of eta's source, and a bijection on algebra
     2-cells between every pair of such homs.
     """
-    down_of: Dict[AlgebraHom, AlgebraHom] = {}
     upper = enumerate_algebra_homs(eta.target, B, limit=limit)
+    restricted: List[AlgebraHom] = []  # h.eta for each h in upper
+    down = set()
     for h in upper:
         c = compose_algebra_homs(h, eta)
-        if c in down_of:
+        if c in down:
             return CheckResult(
                 False, {"kind": "non-unique factorisation", "through": c.functor.on_objects}
             )
-        down_of[c] = h
+        restricted.append(c)
+        down.add(c)
     for g in enumerate_algebra_homs(eta.source, B, limit=limit):
-        if g not in down_of:
+        if g not in down:
             return CheckResult(
                 False, {"kind": "no factorisation", "hom": g.functor.on_objects}
             )
@@ -101,8 +103,8 @@ def check_algebra_orthogonal(
     # components: w * eta by w's components at the eta-images
     objects = eta.functor.source.objects
     images = [eta.obj(c) for c in objects]
-    for h in upper:
-        for k in upper:
+    for h, h_eta in zip(upper, restricted):
+        for k, k_eta in zip(upper, restricted):
             up_cells = algebra_two_cells(h, k, limit=limit)
             whiskered = {tuple(w.components[b] for b in images) for w in up_cells}
             if len(whiskered) != len(up_cells):
@@ -111,9 +113,7 @@ def check_algebra_orthogonal(
                 )
             down_cells = {
                 tuple(w.components[c] for c in objects)
-                for w in algebra_two_cells(
-                    compose_algebra_homs(h, eta), compose_algebra_homs(k, eta), limit=limit
-                )
+                for w in algebra_two_cells(h_eta, k_eta, limit=limit)
             }
             if whiskered != down_cells:
                 return CheckResult(

@@ -241,15 +241,13 @@ def check_orthogonal_morphisms(
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
         for alpha in enumerate_nat_transformations(x, x2, limit=limit):
-            g_alpha = whisker(g, alpha, "left").components
-            for beta in nat_lifts(f, g_alpha, y, y2, limit=limit):
-                deltas = nat_lifts(f, alpha.components, d, d2, g, beta.components,
-                                   limit=limit)
+            for beta in nat_lifts(f, whisker(g, alpha, "left"), y, y2, limit=limit):
+                deltas = nat_lifts(f, alpha.components, d, d2, g, beta, limit=limit)
                 if len(deltas) != 1:
                     return CheckResult(
                         False,
                         {"level": 2, "alpha": alpha.components,
-                         "beta": beta.components, "fillins": len(deltas)},
+                         "beta": beta, "fillins": len(deltas)},
                     )
     return CheckResult(True)
 

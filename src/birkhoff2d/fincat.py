@@ -20,10 +20,11 @@ which does the constructor's bookkeeping without the law check.  Values
 are immutable afterwards.  Equality is decided by comparing the fields
 that make up a value, ignoring the display name; the sorted identity key
 ``_key`` and the hash are made from the same fields on first use, so a
-value that is never hashed never pays for them.  A whisker makes its
-components at once and its two boundary functors (composites) only when
-they are read; 2-cells with one common boundary are compared by their
-component maps, and :func:`nat_lifts` takes component maps.
+value that is never hashed never pays for them.  A whisker, and each
+lift :func:`nat_lifts` finds, is only its component map: every caller
+counts these maps or reads their components, so no 2-cell is built for
+them and no boundary functor is composed.  2-cells with one common
+boundary are compared by their component maps.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -555,7 +556,7 @@ class NatTransformation:
     @classmethod
     def _trusted(cls, source, target, components, name=""):
         """The constructor without its checks, for components that are
-        natural by construction: search results, whiskers and identities."""
+        natural by construction: search results and identities."""
         self = cls.__new__(cls)
         self._fill(source, target, components, name)
         return self
@@ -609,52 +610,24 @@ def identity_nat(F: Functor) -> NatTransformation:
     )
 
 
-class _Whisker(NatTransformation):
-    """h * alpha or alpha * h as :func:`whisker` returns it: the components
-    are made at once, each boundary functor (a composite) on first read,
-    so a whisker read only for its components never composes."""
-
-    @classmethod
-    def _trusted(cls, h, alpha, side, components):
-        """The whisker's parts and the components made from them."""
-        self = cls.__new__(cls)
-        self._parts = (h, alpha, side)
-        self.components = components
-        self.name = ""
-        return self
-
-    def _boundary(self, end):
-        h, alpha, side = self._parts
-        F = getattr(alpha, end)
-        return compose_functors(h, F) if side == "left" else compose_functors(F, h)
-
-    @_made_on_first_use
-    def source(self):
-        return self._boundary("source")
-
-    @_made_on_first_use
-    def target(self):
-        return self._boundary("target")
-
-
-def whisker(h: Functor, alpha: NatTransformation, side: str) -> NatTransformation:
-    """Whisker a transformation with a functor.
+def whisker(h: Functor, alpha: NatTransformation, side: str) -> Dict[str, str]:
+    """The components of a transformation whiskered with a functor.
 
     ``side == "left"``: h * alpha, components h(alpha_a).
     ``side == "right"``: alpha * h, components alpha at h-images.
-    The boundary functors are composed only when read.
+    Only the component map is made; its boundaries would be the composites
+    of h with alpha's source and target.
     """
     if side == "left":
         if alpha.source.target != h.source:
             raise BoundaryMismatch("left whisker: functor must start at alpha's target category")
         hm, comps = h.on_morphisms, alpha.components
-        return _Whisker._trusted(h, alpha, side,
-                                 {a: hm[comps[a]] for a in alpha.source.source.objects})
+        return {a: hm[comps[a]] for a in alpha.source.source.objects}
     if side == "right":
         if h.target != alpha.source.source:
             raise BoundaryMismatch("right whisker: functor must land in alpha's source category")
         ho, comps = h.on_objects, alpha.components
-        return _Whisker._trusted(h, alpha, side, {c: comps[ho[c]] for c in h.source.objects})
+        return {c: comps[ho[c]] for c in h.source.objects}
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -1154,16 +1127,17 @@ def enumerate_nat_transformations(
 
 def nat_lifts(f: Functor, alpha: Dict[str, str], d: Functor, d2: Functor,
               g: Optional[Functor] = None, beta: Optional[Dict[str, str]] = None,
-              limit: int = DEFAULT_SEARCH_LIMIT) -> Tuple[NatTransformation, ...]:
-    """Every delta: d => d2 with delta * f == alpha and, when g is given,
-    g * delta == beta, for alpha: d.f => d2.f and beta: g.d => g.d2 given
-    by their components; in enumerate_nat_transformations order.
+              limit: int = DEFAULT_SEARCH_LIMIT) -> Tuple[Dict[str, str], ...]:
+    """The component map of every delta: d => d2 with delta * f == alpha
+    and, when g is given, g * delta == beta, for alpha: d.f => d2.f and
+    beta: g.d => g.d2 given by their components; in
+    enumerate_nat_transformations order.
 
     The 2-cell twin of :func:`lifts`: alpha pins delta on the image of f and
     g restricts the other components, so the search never stops at a limit
     that enumerating every d => d2 and filtering would have passed.  Only
-    the components of alpha and beta are read, so a whisker is passed as
-    its component map and never built.
+    component maps go in and come out, so a whisker is passed as the map
+    :func:`whisker` returns and no lift is built as a 2-cell.
     """
     pin: Dict[str, str] = {}
     for a, c in alpha.items():
@@ -1175,4 +1149,4 @@ def nat_lifts(f: Functor, alpha: Dict[str, str], d: Functor, d2: Functor,
         cands = (pin[b],) if b in pin else C.hom(d.obj(b), d2.obj(b))
         slots.append([c for c in cands if g is None or g.on_morphisms[c] == beta[b]])
     found, _ = _natural_components(d, d2, slots, limit)
-    return tuple(NatTransformation._trusted(d, d2, comps) for comps in found)
+    return tuple(found)

@@ -60,8 +60,7 @@ def strict_patches():
 
     Each class's ``_trusted`` becomes the public constructor.  The trusted
     quotient builder first checks the precondition of ``quotient_algebra``,
-    in every package module that holds it.  A whisker is built whole, its
-    composite boundaries included, by the public transformation constructor.
+    in every package module that holds it.
     """
     patches = [(cls, "_trusted", staticmethod(cls))
                for cls in (FinCategory, Functor, NatTransformation, Congruence, Algebra)]
@@ -75,13 +74,6 @@ def strict_patches():
                 for name, mod in sorted(sys.modules.items())
                 if name.startswith("birkhoff2d.")
                 and vars(mod).get("_trusted_quotient_algebra") is build]
-    lazy_whisker = fincat._Whisker._trusted
-
-    def checked_whisker(*parts):
-        w = lazy_whisker(*parts)
-        return NatTransformation(w.source, w.target, w.components)
-
-    patches.append((fincat._Whisker, "_trusted", staticmethod(checked_whisker)))
     return patches
 
 

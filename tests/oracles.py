@@ -29,7 +29,6 @@ from birkhoff2d.fincat import (
     lifts,
     nat_lifts,
     quotient_by_congruence,
-    whisker,
 )
 from birkhoff2d.theory import (
     Algebra,
@@ -319,7 +318,7 @@ def mediator_signatures(kd, KP):
     mediate into kd."""
     return [
         (compose_functors(kd.s, m), compose_functors(kd.t, m),
-         whisker(m, kd.phi, "right"), whisker(m, kd.psi, "right"))
+         whole_whisker(m, kd.phi, "right"), whole_whisker(m, kd.psi, "right"))
         for m in enumerate_functors(KP, kd.apex)
     ]
 
@@ -347,19 +346,35 @@ def induced_by_hand(q1, q2):
 # lifts, component-wise coequifying and one-pass classification.
 
 
+def whole_whisker(h, alpha, side):
+    """h * alpha (side "left") or alpha * h (side "right") as a whole
+    2-cell between the composite functors, built by the public constructor,
+    which checks its boundaries and naturality.  Each component is read off
+    the definition: h applied to alpha's component, or alpha's component at
+    the image of the object under h."""
+    if side == "left":
+        F, G = compose_functors(h, alpha.source), compose_functors(h, alpha.target)
+        components = {a: h.mor(alpha.at(a)) for a in F.source.objects}
+    else:
+        F, G = compose_functors(alpha.source, h), compose_functors(alpha.target, h)
+        components = {c: alpha.at(h.obj(c)) for c in F.source.objects}
+    return NatTransformation(F, G, components)
+
+
 @functools.lru_cache(maxsize=None)
 def whisker_once(h, alpha, side):
-    """whisker, computed once per argument triple."""
-    return whisker(h, alpha, side)
+    """whole_whisker, computed once per argument triple."""
+    return whole_whisker(h, alpha, side)
 
 
 def nat_lifts_by_filter(f, alpha, d, d2, g=None, beta=None):
-    """Every delta: d => d2 with delta * f == alpha (and g * delta == beta),
-    kept from the full enumeration by comparing whiskers."""
+    """nat_lifts by its definition: the component map of every delta:
+    d => d2 whose whole whisker delta * f has the components alpha (and
+    g * delta the components beta), kept from the full enumeration."""
     return tuple(
-        delta for delta in enumerate_nat_transformations(d, d2)
-        if whisker_once(f, delta, "right") == alpha
-        and (g is None or whisker_once(g, delta, "left") == beta)
+        delta.components for delta in enumerate_nat_transformations(d, d2)
+        if whisker_once(f, delta, "right").components == alpha
+        and (g is None or whisker_once(g, delta, "left").components == beta)
     )
 
 
@@ -369,7 +384,7 @@ def coequifies_by_whiskers(h, phi, psi):
 
 # The checks that compared whole whiskers, as the package stated them
 # before 2-cells with one common boundary were compared by components and
-# nat_lifts took component maps.
+# nat_lifts took and returned component maps.
 
 
 def orthogonal_by_whiskers(f, g):
@@ -389,13 +404,13 @@ def orthogonal_by_whiskers(f, g):
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
         for alpha in enumerate_nat_transformations(x, x2):
-            for beta in nat_lifts(f, whisker(g, alpha, "left").components, y, y2):
-                deltas = nat_lifts(f, alpha.components, d, d2, g, beta.components)
+            for beta in nat_lifts(f, whole_whisker(g, alpha, "left").components, y, y2):
+                deltas = nat_lifts(f, alpha.components, d, d2, g, beta)
                 if len(deltas) != 1:
                     return CheckResult(
                         False,
                         {"level": 2, "alpha": alpha.components,
-                         "beta": beta.components, "fillins": len(deltas)},
+                         "beta": beta, "fillins": len(deltas)},
                     )
     return CheckResult(True)
 
@@ -434,7 +449,7 @@ def coequify_by_whiskers(phi, psi):
     gens = [(phi.at(k), psi.at(k)) for k in phi.source.source.objects]
     C, q = quotient_by_congruence(phi.source.target,
                                   congruence_closure(phi.source.target, gens))
-    if whisker(q, phi, "left") != whisker(q, psi, "left"):
+    if whole_whisker(q, phi, "left") != whole_whisker(q, psi, "left"):
         raise LabError("quotient does not coequify")
     return q, C
 
@@ -450,7 +465,7 @@ def so_faithful_by_whiskers(functors, targets):
             for f in across:
                 for g in across:
                     alphas = enumerate_nat_transformations(f, g)
-                    whiskered = {whisker(h, a, "right") for a in alphas}
+                    whiskered = {whole_whisker(h, a, "right") for a in alphas}
                     if len(whiskered) != len(alphas):
                         return CheckResult(
                             False,
@@ -482,7 +497,8 @@ def algebra_orthogonal_by_whiskers(eta, B):
             )
     for h in upper:
         for k in upper:
-            whiskered = [whisker(eta.functor, w, "right") for w in algebra_two_cells(h, k)]
+            whiskered = [whole_whisker(eta.functor, w, "right")
+                         for w in algebra_two_cells(h, k)]
             if len(set(whiskered)) != len(whiskered):
                 return CheckResult(
                     False, {"kind": "non-unique 2-cell factorisation", "pair": (h.name, k.name)}

@@ -226,10 +226,11 @@ def test_two_cell_fillins_match_enumerate_then_filter(all_functors):
             for alpha in enumerate_nat_transformations(x, x2):
                 g_alpha = oracles.whisker_once(g, alpha, "left")
                 betas = nat_lifts(f, g_alpha.components, y, y2)
-                assert betas == oracles.nat_lifts_by_filter(f, g_alpha, y, y2)
+                assert betas == oracles.nat_lifts_by_filter(f, g_alpha.components, y, y2)
                 for beta in betas:
-                    deltas = nat_lifts(f, alpha.components, d, d2, g, beta.components)
-                    assert deltas == oracles.nat_lifts_by_filter(f, alpha, d, d2, g, beta)
+                    deltas = nat_lifts(f, alpha.components, d, d2, g, beta)
+                    assert deltas == oracles.nat_lifts_by_filter(f, alpha.components, d, d2,
+                                                                 g, beta)
                     counts[len(deltas)] = counts.get(len(deltas), 0) + 1
     assert counts == {0: 164, 1: 19748, 2: 232}
 

@@ -21,6 +21,7 @@ from birkhoff2d.fincat import (
     Congruence,
     FinCategory,
     Functor,
+    NatTransformation,
     classify,
     compose_functors,
     congruence_closure,
@@ -325,7 +326,7 @@ def test_pinned_two_cell_search_stays_under_a_limit_the_full_search_passes(cats)
             for alpha in enumerate_nat_transformations(
                     compose_functors(d, q), compose_functors(d2, q)):
                 got = nat_lifts(q, alpha.components, d, d2, limit=limit)
-                assert got == oracles.nat_lifts_by_filter(q, alpha, d, d2)
+                assert got == oracles.nat_lifts_by_filter(q, alpha.components, d, d2)
                 found += len(got)
             with pytest.raises(SizeLimitExceeded):
                 enumerate_nat_transformations(d, d2, limit=limit)
@@ -343,7 +344,7 @@ def test_conflicting_pins_admit_no_two_cell_lift(cats):
     lifted = {}
     for alpha in enumerate_nat_transformations(dc, dc):
         got = nat_lifts(crush, alpha.components, d, d)
-        assert got == oracles.nat_lifts_by_filter(crush, alpha, d, d)
+        assert got == oracles.nat_lifts_by_filter(crush, alpha.components, d, d)
         lifted[(alpha.at("x"), alpha.at("y"))] = len(got)
     assert lifted == {("1", "1"): 1, ("1", "s"): 0, ("s", "1"): 0, ("s", "s"): 1}
 
@@ -490,11 +491,43 @@ def test_vertical_composition_unit_and_associativity(cats):
                     oracles.vcompose(c, b), a)
 
 
+def test_whiskers_are_natural_and_match_the_definition(cats, all_functors):
+    """Every corpus functor h, whiskered on both sides with every 2-cell
+    between functors of corpus categories that it fits: the public
+    constructor accepts each component map as a transformation between the
+    composites, and the result is the whole whisker read off the definition.
+    A 2-cell it does not fit is refused."""
+    cells = {}
+    counts = {"left": 0, "right": 0}
+    for h in all_functors:
+        for X in cats.values():
+            for side, (A, B) in (("left", (X, h.source)), ("right", (h.target, X))):
+                if (A, B) not in cells:
+                    found = enumerate_functors(A, B)
+                    cells[(A, B)] = [alpha for F in found for G in found
+                                     for alpha in enumerate_nat_transformations(F, G)]
+                for alpha in cells[(A, B)]:
+                    if side == "left":
+                        F, G = compose_functors(h, alpha.source), compose_functors(h, alpha.target)
+                    else:
+                        F, G = compose_functors(alpha.source, h), compose_functors(alpha.target, h)
+                    w = NatTransformation(F, G, whisker(h, alpha, side))
+                    assert w == oracles.whole_whisker(h, alpha, side), (h, alpha, side)
+                    counts[side] += 1
+    assert counts == {"left": 7682, "right": 7676}
+    h = identity_functor(cats["two"])
+    alpha = identity_nat(identity_functor(cats["z2"]))
+    with pytest.raises(BoundaryMismatch, match="left whisker"):
+        whisker(h, alpha, "left")
+    with pytest.raises(BoundaryMismatch, match="right whisker"):
+        whisker(h, alpha, "right")
+    with pytest.raises(ValueError, match="side"):
+        whisker(h, alpha, "up")
+
+
 def test_whisker_by_identity_is_trivial(cats):
     z2z2 = cats["z2z2"]
     idf = identity_functor(z2z2)
     for a in enumerate_nat_transformations(idf, idf):
-        left = whisker(idf, a, "left")
-        right = whisker(idf, a, "right")
-        assert left.components == a.components
-        assert right.components == a.components
+        assert whisker(idf, a, "left") == a.components
+        assert whisker(idf, a, "right") == a.components

@@ -19,7 +19,6 @@ from birkhoff2d.fincat import (
     identity_nat,
     lifts,
     nat_lifts,
-    whisker,
 )
 from birkhoff2d.kernel import (
     KernelData,
@@ -229,7 +228,7 @@ def test_non_parallel_cells_are_never_coequified(cats, walking_pair):
     phi, _ = walking_pair
     crush = _crush_to_one(cats)
     unit = identity_nat(phi.source)
-    assert whisker(crush, phi, "left") == whisker(crush, unit, "left")
+    assert oracles.whole_whisker(crush, phi, "left") == oracles.whole_whisker(crush, unit, "left")
     assert not coequifies(crush, phi, unit)
 
 
@@ -246,7 +245,7 @@ def test_coequifier_two_cell_factorisations_match_enumerate_then_filter(cats):
             for (h1, hb1), (h2, hb2) in itertools.product(bars, repeat=2):
                 for gamma in enumerate_nat_transformations(h1, h2):
                     got = nat_lifts(q, gamma.components, hb1, hb2)
-                    assert got == oracles.nat_lifts_by_filter(q, gamma, hb1, hb2)
+                    assert got == oracles.nat_lifts_by_filter(q, gamma.components, hb1, hb2)
                     counts[len(got)] = counts.get(len(got), 0) + 1
     assert counts == {1: 2223}
 
@@ -261,8 +260,8 @@ def test_make_reflexive_laws(walking_pair):
     assert compose_functors(rd.s, rd.section) == identity_functor(A)
     assert compose_functors(rd.t, rd.section) == identity_functor(A)
     unit = identity_nat(identity_functor(A))
-    assert whisker(rd.section, rd.phi, "right") == unit
-    assert whisker(rd.section, rd.psi, "right") == unit
+    assert oracles.whole_whisker(rd.section, rd.phi, "right") == unit
+    assert oracles.whole_whisker(rd.section, rd.psi, "right") == unit
 
 
 def test_make_reflexive_preserves_the_coequifier(walking_pair):
@@ -288,7 +287,7 @@ def test_reflexive_data_accepts_the_cells_whole_whiskers_accept(mode, request):
         rd = make_reflexive(phi, psi)
         unit = identity_nat(identity_functor(rd.s.target))
         for cell in enumerate_nat_transformations(rd.s, rd.t):
-            kills = whisker(rd.section, cell, "right") == unit
+            kills = oracles.whole_whisker(rd.section, cell, "right") == unit
             for cells in ((cell, rd.psi), (rd.phi, cell)):
                 try:
                     ReflexiveData(rd.s, rd.t, *cells, rd.section)
@@ -306,7 +305,7 @@ def test_reflexive_data_refuses_cells_that_do_not_run_s_to_t(walking_pair):
     rd = make_reflexive(*walking_pair)
     unit = identity_nat(identity_functor(rd.s.target))
     for cell in (identity_nat(rd.s), identity_nat(rd.t)):
-        assert whisker(rd.section, cell, "right") == unit
+        assert oracles.whole_whisker(rd.section, cell, "right") == unit
         for cells in ((cell, rd.psi), (rd.phi, cell)):
             with pytest.raises(BoundaryMismatch, match="2-cells must run s => t"):
                 ReflexiveData(rd.s, rd.t, *cells, rd.section)

@@ -1,7 +1,7 @@
 """Checks on the repository itself: the demos run, no correctness
 condition in the package relies on `assert`, which `python -O` removes,
-trusted builders stay behind the input boundary and under strict mode, and
-whiskers are read only for their components."""
+and trusted builders stay behind the input boundary and under strict
+mode."""
 import ast
 import os
 import subprocess
@@ -69,29 +69,3 @@ def test_strict_mode_patches_every_trusted_builder():
     builders = _trusted_builders()
     assert ("birkhoff2d.fincat", "Functor", "_trusted") in builders
     assert builders - patched == set()
-
-
-def _whiskers_used_whole(tree):
-    """Line numbers of whisker(...) calls not read at once for their
-    ``.components``.  Anything else (a comparison, a set, a name) may read
-    the whisker's boundaries and so build its two composite functors."""
-    return sorted(child.lineno for node in ast.walk(tree)
-                  for child in ast.iter_child_nodes(node)
-                  if isinstance(child, ast.Call)
-                  and "whisker" in (getattr(child.func, "id", None),
-                                    getattr(child.func, "attr", None))
-                  and not (isinstance(node, ast.Attribute) and node.attr == "components"))
-
-
-def test_whiskers_in_the_package_are_read_for_their_components_only():
-    """2-cells with one common boundary are compared by their component
-    maps, and the square check passes nat_lifts a whisker's components."""
-    found = ["%s:%d" % (path.relative_to(SRC), line)
-             for path in sorted(SRC.rglob("*.py")) for line in _whiskers_used_whole(_tree(path))]
-    assert found == []
-    sample = """
-if whisker(q, phi, "left") != fincat.whisker(q, psi, "left"):
-    kept = {whisker(h, a, "right") for a in alphas}
-lifts = nat_lifts(f, whisker(g, alpha, "left").components, y, y2)
-"""
-    assert _whiskers_used_whole(ast.parse(sample)) == [2, 2, 3]
