@@ -25,12 +25,12 @@ from .theory import (
     Algebra,
     AlgebraHom,
     Extension,
+    _cell_disagreements,
     _trusted_quotient_algebra,
     algebra_congruence_closure,
     algebra_two_cells,
     compose_algebra_homs,
     enumerate_algebra_homs,
-    eval_expr,
     is_algebra_hom,
     product_algebra,
     reflexive_coequifier_algebra,
@@ -58,14 +58,7 @@ def reflect(A: Algebra, E: Extension) -> Reflection:
     projection is bijective on objects and full."""
     if E.base != A.presentation:
         raise ValidationError("extension does not extend the algebra's presentation")
-    pairs = []
-    for (l, r) in E.added_two_cell_equations:
-        n = A.presentation.resolve_arity(l, r)
-        for t in A.obj_tuples(n):
-            lv = eval_expr(A, l, t, n)
-            rv = eval_expr(A, r, t, n)
-            if lv != rv:
-                pairs.append((lv, rv))
+    pairs = [(lv, rv) for _, _, lv, rv in _cell_disagreements(A, E)]
     cong = algebra_congruence_closure(A, pairs)
     reflected, unit = _trusted_quotient_algebra(A, cong)
     check = satisfies(reflected, E)

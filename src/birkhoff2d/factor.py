@@ -27,7 +27,6 @@ from .fincat import (
     FinCategory,
     Functor,
     Morphism,
-    classify,
     compose_functors,
     enumerate_functors,
     enumerate_nat_transformations,
@@ -175,23 +174,6 @@ FACTOR_SYSTEMS = {
     "bo": (factor_bo_ff, "bo", "ff"),
     "so": (factor_so_ioff, "so", "ioff"),
 }
-
-
-def factorisation_sound(f: Functor, system: str) -> CheckResult:
-    """Factor f in the named system and check the classes of both legs.
-    Recomposition needs no check here: every builder raises LabError when
-    its legs do not recompose to f."""
-    build, left_flag, right_flag = FACTOR_SYSTEMS[system]
-    fact = build(f)
-    lf = getattr(classify(fact.left), left_flag)
-    rf = getattr(classify(fact.right), right_flag)
-    if not (lf and rf):
-        return CheckResult(
-            False,
-            {"reason": "wrong classes", "functor": f.name,
-             "left_" + left_flag: lf, "right_" + right_flag: rf},
-        )
-    return CheckResult(True)
 
 
 # -- orthogonality -----------------------------------------------------

@@ -603,13 +603,6 @@ def naturality_witness(F: Functor, G: Functor, components: Dict[str, str]):
     return None
 
 
-def identity_nat(F: Functor) -> NatTransformation:
-    B = F.target
-    return NatTransformation._trusted(
-        F, F, {a: B.identity(F.obj(a)) for a in F.source.objects}, name="1_%s" % (F.name or "?")
-    )
-
-
 def whisker(h: Functor, alpha: NatTransformation, side: str) -> Dict[str, str]:
     """The components of a transformation whiskered with a functor.
 
@@ -701,11 +694,6 @@ def power_span(factors: Sequence[FinCategory], name: str = "") -> PowerSpan:
         mor_of,
         tuple(projections),
     )
-
-
-def power(A: FinCategory, n: int) -> PowerSpan:
-    """The n-fold power of A; n == 0 gives the one-object one-morphism category."""
-    return power_span((A,) * n, name="%s^%d" % (A.name or "?", n))
 
 
 def coproduct_category(A: FinCategory, B: FinCategory, name: str = ""):

@@ -272,13 +272,17 @@ class Workspace:
 
     def _data(self, path: Path):
         try:
-            return json.loads(path.read_text())
+            return json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise UsageError("no such file: %s" % path)
         except OSError as exc:
             raise UsageError("cannot read %s: %s" % (path, exc.strerror))
+        except UnicodeDecodeError as exc:
+            raise UsageError("%s is not UTF-8: %s" % (path, exc))
         except json.JSONDecodeError as exc:
             raise UsageError("%s is not valid JSON: %s" % (path, exc))
+        except RecursionError:
+            raise UsageError("%s is nested too deeply to read" % path) from None
 
     def load(self, ref: Union[str, Path], base: Optional[Path] = None):
         path = self._resolve(ref, base)

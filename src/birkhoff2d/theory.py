@@ -7,21 +7,25 @@ An :class:`Extension` enlarges a presentation by 2-cell equations only.
 
 An :class:`Algebra` interprets operations as finite tables (functorial by
 validation) and generators as natural families over all object tuples.
-Interpretation of terms and expressions is done by direct evaluation on
-tuples; materialized functor/transformation views over power categories
-are available for modest arities via :func:`interpret_term` and
-:func:`interpret_two_cell`.
+Terms are evaluated on object and morphism tuples.  2-cell expressions
+get evaluation on morphism tuples; typing once, at construction: a
+presentation or extension types each of its 2-cell equations when it is
+built and keeps the arity, and :func:`eval_expr` returns the diagonal of
+an expression's naturality square at a morphism tuple, its component at
+an identity tuple.
 
 Satisfaction, homomorphisms, products, subalgebras, congruences and
 quotients, and reflexive coequifiers of algebras all live here.
 
 Equations are decided by one evaluator, :func:`satisfies`, which the
 :class:`Algebra` constructor also calls for the presentation's own
-equations.  Products, subalgebras and quotients build their structure
+equations; its loop over 2-cell equations also gives
+:func:`birkhoff.reflect` the pairs it identifies.  Products, subalgebras and quotients build their structure
 through one builder, :func:`_induced_algebra`, from pointwise value
 functions.  Subalgebras are validated like any other algebra; products
 and quotients by operation-closed congruences are lawful by construction
-and use the trusted ``Algebra._trusted``.
+and use the trusted ``Algebra._trusted``, and homomorphisms built from
+homomorphisms or found by the search use ``AlgebraHom._trusted``.
 """
 from __future__ import annotations
 
@@ -52,7 +56,6 @@ from .fincat import (
     congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
-    power,
     power_span,
     quotient_by_congruence,
 )
@@ -276,13 +279,13 @@ class Presentation:
         for g in self.generators:
             signature.check_term(g.source, g.arity)
             signature.check_term(g.target, g.arity)
-        self._boundary_cache: Dict[Tuple[TwoCellExpr, int], Tuple[Term, Term]] = {}
         for (l, r) in self.term_equations:
             n = max(term_min_arity(l), term_min_arity(r))
             signature.check_term(l, n)
             signature.check_term(r, n)
-        for (l, r) in self.two_cell_equations:
-            self.check_equation(l, r)
+        # each 2-cell equation with its arity, typed here and never again
+        self._cell_equations = tuple(
+            (l, r, self._equation_arity(l, r)) for (l, r) in self.two_cell_equations)
         self._key = (
             self.signature.operations,
             self.term_equations,
@@ -291,131 +294,73 @@ class Presentation:
         )
         self._hash = hash(self._key)
 
-    # arity resolution: generators force an exact arity, identity cells and
-    # term arguments are flexible above their minimal arity
-    def _arity_constraint(self, e: TwoCellExpr) -> Tuple[Optional[int], int]:
+    def _type(self, e: TwoCellExpr) -> Tuple[Term, Term, Optional[int], int]:
+        """Source and target terms of an expression, the arity its generators
+        force (None if they force none) and the least arity its variables
+        allow.  Boundary matching in composites is syntactic."""
         if isinstance(e, (GenCell, InvCell)):
             g = self.generator.get(e.name)
             if g is None:
                 raise SignatureMismatch("unknown 2-cell generator %r" % e.name, witness=e)
-            if isinstance(e, InvCell) and not g.invertible:
-                raise SignatureMismatch(
-                    "generator %s is not invertible" % e.name, witness=e
-                )
-            return g.arity, g.arity
+            if isinstance(e, GenCell):
+                return g.source, g.target, g.arity, g.arity
+            if not g.invertible:
+                raise SignatureMismatch("generator %s is not invertible" % e.name, witness=e)
+            return g.target, g.source, g.arity, g.arity
         if isinstance(e, IdCell):
-            return None, term_min_arity(e.term)
+            n = term_min_arity(e.term)
+            self.signature.check_term(e.term, n)
+            return e.term, e.term, None, n
         if isinstance(e, VCompCell):
-            r1, m1 = self._arity_constraint(e.after)
-            r2, m2 = self._arity_constraint(e.before)
-            rigid = r1 if r1 is not None else r2
+            s2, t2, r2, m2 = self._type(e.after)
+            s1, t1, r1, m1 = self._type(e.before)
             if r1 is not None and r2 is not None and r1 != r2:
                 raise BoundaryMismatch("vertical composite mixes arities", witness=e)
-            return rigid, max(m1, m2)
+            if t1 != s2:
+                raise BoundaryMismatch("vertical composite boundary mismatch", witness=(t1, s2))
+            return s1, t2, (r2 if r2 is not None else r1), max(m1, m2)
         if isinstance(e, SubstCell):
-            rh, mh = self._arity_constraint(e.head)
-            if rh is not None and rh != len(e.args):
+            hs, ht, rh, mh = self._type(e.head)
+            k = len(e.args)
+            if rh is not None and rh != k:
                 raise BoundaryMismatch(
-                    "substitution head has arity %d, got %d arguments" % (rh, len(e.args)),
-                    witness=e,
-                )
-            if rh is None and mh > len(e.args):
+                    "substitution head has arity %d, got %d arguments" % (rh, k), witness=e)
+            if mh > k:
                 raise BoundaryMismatch("substitution head needs more arguments", witness=e)
+            srcs: List[Term] = []
+            tgts: List[Term] = []
             rigid: Optional[int] = None
             minimal = 0
             for a in e.args:
                 if isinstance(a, _TERM_TYPES):
-                    minimal = max(minimal, term_min_arity(a))
+                    ma = term_min_arity(a)
+                    self.signature.check_term(a, ma)
+                    sa, ta, ra = a, a, None
                 else:
-                    ra, ma = self._arity_constraint(a)
-                    minimal = max(minimal, ma)
-                    if ra is not None:
-                        if rigid is not None and rigid != ra:
-                            raise BoundaryMismatch(
-                                "substitution arguments mix arities", witness=e
-                            )
-                        rigid = ra
-            return rigid, minimal
+                    sa, ta, ra, ma = self._type(a)
+                srcs.append(sa)
+                tgts.append(ta)
+                minimal = max(minimal, ma)
+                if ra is not None:
+                    if rigid is not None and rigid != ra:
+                        raise BoundaryMismatch("substitution arguments mix arities", witness=e)
+                    rigid = ra
+            return subst_term(hs, srcs), subst_term(ht, tgts), rigid, minimal
         raise TypeError(e)
 
-    def resolve_arity(self, *exprs: TwoCellExpr) -> int:
-        rigid: Optional[int] = None
-        minimal = 0
-        for e in exprs:
-            r, m = self._arity_constraint(e)
-            minimal = max(minimal, m)
-            if r is not None:
-                if rigid is not None and rigid != r:
-                    raise BoundaryMismatch("expressions have incompatible arities")
-                rigid = r
-        n = rigid if rigid is not None else minimal
+    def _equation_arity(self, lhs: TwoCellExpr, rhs: TwoCellExpr) -> int:
+        """Type an equation between parallel 2-cell expressions and return
+        its arity: the one its generators force, else the least its
+        variables allow."""
+        sl, tl, rl, ml = self._type(lhs)
+        sr, tr, rr, mr = self._type(rhs)
+        if rl is not None and rr is not None and rl != rr:
+            raise BoundaryMismatch("expressions have incompatible arities")
+        minimal = max(ml, mr)
+        rigid = rl if rl is not None else rr
+        n = minimal if rigid is None else rigid
         if n < minimal:
             raise BoundaryMismatch("resolved arity below minimal variable index")
-        return n
-
-    def boundary(self, e: TwoCellExpr, arity: int) -> Tuple[Term, Term]:
-        """Source and target terms of an expression at the given arity.
-        Boundary matching in composites is syntactic."""
-        key = (e, arity)
-        hit = self._boundary_cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(e, IdCell):
-            self.signature.check_term(e.term, arity)
-            out = (e.term, e.term)
-        elif isinstance(e, GenCell):
-            g = self.generator.get(e.name)
-            if g is None:
-                raise SignatureMismatch("unknown 2-cell generator %r" % e.name, witness=e)
-            if g.arity != arity:
-                raise BoundaryMismatch(
-                    "generator %s used at arity %d, declared %d" % (e.name, arity, g.arity)
-                )
-            out = (g.source, g.target)
-        elif isinstance(e, InvCell):
-            g = self.generator.get(e.name)
-            if g is None:
-                raise SignatureMismatch("unknown 2-cell generator %r" % e.name, witness=e)
-            if not g.invertible:
-                raise SignatureMismatch("generator %s is not invertible" % e.name, witness=e)
-            if g.arity != arity:
-                raise BoundaryMismatch(
-                    "generator %s used at arity %d, declared %d" % (e.name, arity, g.arity)
-                )
-            out = (g.target, g.source)
-        elif isinstance(e, VCompCell):
-            s1, t1 = self.boundary(e.before, arity)
-            s2, t2 = self.boundary(e.after, arity)
-            if t1 != s2:
-                raise BoundaryMismatch(
-                    "vertical composite boundary mismatch", witness=(t1, s2)
-                )
-            out = (s1, t2)
-        elif isinstance(e, SubstCell):
-            hs, ht = self.boundary(e.head, len(e.args))
-            srcs: List[Term] = []
-            tgts: List[Term] = []
-            for a in e.args:
-                if isinstance(a, _TERM_TYPES):
-                    self.signature.check_term(a, arity)
-                    srcs.append(a)
-                    tgts.append(a)
-                else:
-                    s, t = self.boundary(a, arity)
-                    srcs.append(s)
-                    tgts.append(t)
-            out = (subst_term(hs, srcs), subst_term(ht, tgts))
-        else:
-            raise TypeError(e)
-        self._boundary_cache[key] = out
-        return out
-
-    def check_equation(self, lhs: TwoCellExpr, rhs: TwoCellExpr) -> int:
-        """Validate an equation between parallel 2-cell expressions and
-        return its resolved arity."""
-        n = self.resolve_arity(lhs, rhs)
-        sl, tl = self.boundary(lhs, n)
-        sr, tr = self.boundary(rhs, n)
         if sl != sr or tl != tr:
             raise BoundaryMismatch(
                 "equation sides are not parallel", witness=((sl, tl), (sr, tr))
@@ -450,8 +395,8 @@ class Extension:
             (l, r) for (l, r) in added_two_cell_equations
         )
         self.name = name
-        for (l, r) in self.added_two_cell_equations:
-            base.check_equation(l, r)
+        self._cell_equations = tuple(
+            (l, r, base._equation_arity(l, r)) for (l, r) in self.added_two_cell_equations)
         self._key = (base._key, self.added_two_cell_equations)
 
     def __eq__(self, other):
@@ -682,81 +627,43 @@ def eval_term_mor(alg: Algebra, t: Term, mors: Tuple[str, ...]) -> str:
     return alg.op_mor(t.op, tuple(eval_term_mor(alg, a, mors) for a in t.args))
 
 
-def eval_expr(alg: Algebra, e: TwoCellExpr, objs: Tuple[str, ...], arity: int) -> str:
-    """Component of the interpreted expression at an object tuple."""
+def eval_expr(alg: Algebra, e: TwoCellExpr, mors: Tuple[str, ...]) -> str:
+    """Evaluation on morphism tuples; typing once, at construction.
+
+    The diagonal t(m).e_x = e_y.s(m) of the naturality square of
+    ``e: s => t`` at ``m: x -> y``, so the component e_x is the diagonal at
+    the identity tuple of x.  The presentation typed ``e`` when it was
+    built, and no arity or boundary term is needed here: an identity cell
+    is its term's action, a vertical composite is after(m).before(1_x), and
+    a substitution is its head at its arguments' diagonals (the
+    interchange law).
+    """
     C = alg.carrier
-    pres = alg.presentation
     if isinstance(e, IdCell):
-        return C.identity(eval_term_obj(alg, e.term, objs))
-    if isinstance(e, GenCell):
-        return alg.gen_at(e.name, objs)
-    if isinstance(e, InvCell):
-        inv = C.inverse(alg.gen_at(e.name, objs))
+        return eval_term_mor(alg, e.term, mors)
+    if isinstance(e, SubstCell):
+        return eval_expr(alg, e.head, tuple(
+            eval_term_mor(alg, a, mors) if isinstance(a, _TERM_TYPES) else eval_expr(alg, a, mors)
+            for a in e.args))
+    if isinstance(e, VCompCell):
+        ids = tuple(C.identity(C.dom(u)) for u in mors)
+        return C.compose(eval_expr(alg, e.after, mors), eval_expr(alg, e.before, ids))
+    if isinstance(e, (GenCell, InvCell)):
+        g = alg.presentation.generator[e.name]
+        objs = tuple(C.dom(u) for u in mors)
+        comp = alg.gen_at(e.name, objs)
+        if isinstance(e, GenCell):
+            return C.compose(eval_term_mor(alg, g.target, mors), comp)
+        inv = C.inverse(comp)
         if inv is None:
             raise NonInvertibleComponent(
                 "component of %s at %r has no inverse" % (e.name, objs), witness=(e.name, objs)
             )
-        return inv
-    if isinstance(e, VCompCell):
-        return C.compose(
-            eval_expr(alg, e.after, objs, arity), eval_expr(alg, e.before, objs, arity)
-        )
-    if isinstance(e, SubstCell):
-        src_vals: List[str] = []
-        comp_mors: List[str] = []
-        for a in e.args:
-            if isinstance(a, _TERM_TYPES):
-                o = eval_term_obj(alg, a, objs)
-                src_vals.append(o)
-                comp_mors.append(C.identity(o))
-            else:
-                s_term, _ = pres.boundary(a, arity)
-                src_vals.append(eval_term_obj(alg, s_term, objs))
-                comp_mors.append(eval_expr(alg, a, objs, arity))
-        head_comp = eval_expr(alg, e.head, tuple(src_vals), len(e.args))
-        _, ht = pres.boundary(e.head, len(e.args))
-        action = eval_term_mor(alg, ht, tuple(comp_mors))
-        return C.compose(action, head_comp)
+        return C.compose(eval_term_mor(alg, g.source, mors), inv)
     raise TypeError(e)
 
 
-def interpret_term(alg: Algebra, t: Term, arity: Optional[int] = None) -> Functor:
-    """Materialize the interpretation of a term as a functor out of the
-    corresponding power of the carrier."""
-    n = term_min_arity(t) if arity is None else arity
-    alg.presentation.signature.check_term(t, n)
-    span = power(alg.carrier, n)
-    return Functor(
-        span.category,
-        alg.carrier,
-        {span.obj_of[tup]: eval_term_obj(alg, t, tup) for tup in alg.obj_tuples(n)},
-        {span.mor_of[tup]: eval_term_mor(alg, t, tup) for tup in alg.mor_tuples(n)},
-        name="[%s]" % (term_to_json(t),),
-    )
-
-
-def interpret_two_cell(
-    alg: Algebra, e: TwoCellExpr, arity: Optional[int] = None
-) -> NatTransformation:
-    """Materialize the interpretation of a 2-cell expression as a natural
-    transformation between interpreted boundary terms."""
-    n = alg.presentation.resolve_arity(e) if arity is None else arity
-    src, tgt = alg.presentation.boundary(e, n)
-    span = power(alg.carrier, n)
-    return NatTransformation(
-        interpret_term(alg, src, n),
-        interpret_term(alg, tgt, n),
-        {span.obj_of[tup]: eval_expr(alg, e, tup, n) for tup in alg.obj_tuples(n)},
-    )
-
-
 # -- satisfaction ------------------------------------------------------
-
-
-def _equations_of(E: Union[Extension, Presentation]):
-    if isinstance(E, Extension):
-        return (), E.added_two_cell_equations
-    return E.term_equations, E.two_cell_equations
 
 
 def _check_compatible(alg: Algebra, E: Union[Extension, Presentation]) -> None:
@@ -775,8 +682,7 @@ def satisfies(alg: Algebra, E: Union[Extension, Presentation]) -> CheckResult:
     sides evaluate differently.
     """
     _check_compatible(alg, E)
-    pres = E.base if isinstance(E, Extension) else E
-    term_eqs, cell_eqs = _equations_of(E)
+    term_eqs = () if isinstance(E, Extension) else E.term_equations
     for i, (l, r) in enumerate(term_eqs):
         n = max(term_min_arity(l), term_min_arity(r))
         for t in alg.obj_tuples(n):
@@ -793,17 +699,24 @@ def satisfies(alg: Algebra, E: Union[Extension, Presentation]) -> CheckResult:
                     False,
                     {"kind": "term", "equation": i, "tuple": mt, "lhs": lv, "rhs": rv},
                 )
-    for i, (l, r) in enumerate(cell_eqs):
-        n = pres.resolve_arity(l, r)
-        for t in alg.obj_tuples(n):
-            lv = eval_expr(alg, l, t, n)
-            rv = eval_expr(alg, r, t, n)
-            if lv != rv:
-                return CheckResult(
-                    False,
-                    {"kind": "two_cell", "equation": i, "tuple": t, "lhs": lv, "rhs": rv},
-                )
+    for i, t, lv, rv in _cell_disagreements(alg, E):
+        return CheckResult(
+            False, {"kind": "two_cell", "equation": i, "tuple": t, "lhs": lv, "rhs": rv}
+        )
     return CheckResult(True)
+
+
+def _cell_disagreements(alg: Algebra, E: Union[Extension, Presentation]):
+    """(equation, object tuple, lhs, rhs) wherever the two sides of one of
+    E's 2-cell equations have different components, equation by equation,
+    tuples in carrier declaration order."""
+    identity = alg.carrier.identity
+    for i, (l, r, n) in enumerate(E._cell_equations):
+        for t in alg.obj_tuples(n):
+            ids = tuple(identity(a) for a in t)
+            lv, rv = eval_expr(alg, l, ids), eval_expr(alg, r, ids)
+            if lv != rv:
+                yield i, t, lv, rv
 
 
 # -- homomorphisms -----------------------------------------------------
@@ -844,16 +757,29 @@ class AlgebraHom:
     """A functor between carriers that is a strict homomorphism."""
 
     def __init__(self, source: Algebra, target: Algebra, functor: Functor, name: str = ""):
-        self.source = source
-        self.target = target
-        self.functor = functor
-        self.name = name or functor.name
+        self._fill(source, target, functor, name)
         check = is_algebra_hom(functor, source, target)
         if not check:
             raise ValidationError(
                 "functor %s is not a homomorphism: %r" % (self.name or "?", check.witness),
                 witness=check.witness,
             )
+
+    @classmethod
+    def _trusted(cls, source, target, functor, name=""):
+        """The constructor without the homomorphism check, for functors that
+        are homomorphisms by construction: composites of homomorphisms,
+        product and quotient projections, and search results that have
+        passed :func:`is_algebra_hom`."""
+        self = cls.__new__(cls)
+        self._fill(source, target, functor, name)
+        return self
+
+    def _fill(self, source, target, functor, name) -> None:
+        self.source = source
+        self.target = target
+        self.functor = functor
+        self.name = name or functor.name
         self._key = (source._key, target._key, functor._key)
         self._hash = hash(self._key)
 
@@ -878,8 +804,8 @@ class AlgebraHom:
 
 
 def compose_algebra_homs(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
-    return AlgebraHom(f.source, g.target, compose_functors(g.functor, f.functor),
-                      name="%s.%s" % (g.name or "?", f.name or "?"))
+    return AlgebraHom._trusted(f.source, g.target, compose_functors(g.functor, f.functor),
+                               name="%s.%s" % (g.name or "?", f.name or "?"))
 
 
 def enumerate_algebra_homs(
@@ -888,7 +814,7 @@ def enumerate_algebra_homs(
     out = []
     for F in enumerate_functors(A.carrier, B.carrier, limit=limit):
         if is_algebra_hom(F, A, B):
-            out.append(AlgebraHom(A, B, F))
+            out.append(AlgebraHom._trusted(A, B, F))
     return tuple(out)
 
 
@@ -970,7 +896,8 @@ def product_algebra(A: Algebra, B: Algebra):
         lambda g, t: span.mor_of[(A.gen_at(g, tuple(pr1.obj(x) for x in t)),
                                   B.gen_at(g, tuple(pr2.obj(x) for x in t)))],
     )
-    return prod, AlgebraHom(prod, A, pr1, name="pr1"), AlgebraHom(prod, B, pr2, name="pr2")
+    return (prod, AlgebraHom._trusted(prod, A, pr1, name="pr1"),
+            AlgebraHom._trusted(prod, B, pr2, name="pr2"))
 
 
 # -- subalgebras -------------------------------------------------------
@@ -1096,8 +1023,7 @@ def _trusted_quotient_algebra(A: Algebra, cong: Congruence):
     quot = _induced_algebra(Algebra._trusted, A.presentation, Q, "%s/~" % (A.name or "?"),
                             A.op_obj, lambda op, t: rep[A.op_mor(op, t)],
                             lambda g, t: rep[A.gen_at(g, t)])
-    hom = AlgebraHom(A, quot, q, name="q")
-    return quot, hom
+    return quot, AlgebraHom._trusted(A, quot, q, name="q")
 
 
 # -- reflexive coequifiers --------------------------------------------

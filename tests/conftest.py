@@ -16,7 +16,7 @@ import pytest
 
 from birkhoff2d import corpus, fincat, theory
 from birkhoff2d.fincat import Congruence, FinCategory, Functor, NatTransformation
-from birkhoff2d.theory import Algebra
+from birkhoff2d.theory import Algebra, AlgebraHom
 
 acceptance_lines = []
 
@@ -63,7 +63,8 @@ def strict_patches():
     in every package module that holds it.
     """
     patches = [(cls, "_trusted", staticmethod(cls))
-               for cls in (FinCategory, Functor, NatTransformation, Congruence, Algebra)]
+               for cls in (FinCategory, Functor, NatTransformation, Congruence, Algebra,
+                           AlgebraHom)]
     build = theory._trusted_quotient_algebra
 
     def checked_quotient(A, cong):

@@ -15,7 +15,7 @@ from birkhoff2d.errors import (
     NotOperationClosed,
     ValidationError,
 )
-from birkhoff2d.factor import CheckResult, diagonal_fillins
+from birkhoff2d.factor import FACTOR_SYSTEMS, CheckResult, diagonal_fillins
 from birkhoff2d.fincat import (
     Congruence,
     Functor,
@@ -28,10 +28,17 @@ from birkhoff2d.fincat import (
     enumerate_nat_transformations,
     lifts,
     nat_lifts,
+    power_span,
     quotient_by_congruence,
 )
 from birkhoff2d.theory import (
     Algebra,
+    App,
+    GenCell,
+    IdCell,
+    SubstCell,
+    Var,
+    VCompCell,
     algebra_two_cells,
     compose_algebra_homs,
     enumerate_algebra_homs,
@@ -39,7 +46,9 @@ from birkhoff2d.theory import (
     eval_term_mor,
     eval_term_obj,
     quotient_algebra,
+    subst_term,
     term_min_arity,
+    term_to_json,
 )
 
 # Functor counts between the six bundled categories, derived by hand
@@ -658,11 +667,119 @@ def validate_by_all_pairs(alg):
                 raise ValidationError(
                     "term equation %d fails on morphisms at %r" % (i, mt), witness=(i, mt)
                 )
-    for i, (l, r) in enumerate(alg.presentation.two_cell_equations):
-        n = alg.presentation.resolve_arity(l, r)
+    for i, (l, r, n) in enumerate(alg.presentation._cell_equations):
         for t in alg.obj_tuples(n):
-            if eval_expr(alg, l, t, n) != eval_expr(alg, r, t, n):
+            if eval_expr_at_objects(alg, l, t) != eval_expr_at_objects(alg, r, t):
                 raise ValidationError(
                     "2-cell equation %d fails at %r" % (i, t), witness=(i, t)
                 )
 
+
+# 2-cell expressions as the package evaluated them before evaluation moved to
+# morphism tuples: one component at an object tuple, with each substitution
+# argument's source and the head's target read off the boundary terms.
+
+
+def boundary(pres, e):
+    """Source and target terms of a well-typed 2-cell expression."""
+    if isinstance(e, IdCell):
+        return e.term, e.term
+    if isinstance(e, VCompCell):
+        return boundary(pres, e.before)[0], boundary(pres, e.after)[1]
+    if isinstance(e, SubstCell):
+        parts = [(a, a) if isinstance(a, (Var, App)) else boundary(pres, a) for a in e.args]
+        return tuple(subst_term(h, [p[side] for p in parts])
+                     for side, h in enumerate(boundary(pres, e.head)))
+    g = pres.generator[e.name]
+    return (g.source, g.target) if isinstance(e, GenCell) else (g.target, g.source)
+
+
+def eval_expr_at_objects(alg, e, objs):
+    """The component of the interpreted expression at an object tuple."""
+    C = alg.carrier
+    if isinstance(e, IdCell):
+        return C.identity(eval_term_obj(alg, e.term, objs))
+    if isinstance(e, GenCell):
+        return alg.gen_at(e.name, objs)
+    if isinstance(e, VCompCell):
+        return C.compose(eval_expr_at_objects(alg, e.after, objs),
+                         eval_expr_at_objects(alg, e.before, objs))
+    if isinstance(e, SubstCell):
+        src_vals, comp_mors = [], []
+        for a in e.args:
+            if isinstance(a, (Var, App)):
+                o = eval_term_obj(alg, a, objs)
+                src_vals.append(o)
+                comp_mors.append(C.identity(o))
+            else:
+                src_vals.append(eval_term_obj(alg, boundary(alg.presentation, a)[0], objs))
+                comp_mors.append(eval_expr_at_objects(alg, a, objs))
+        head_comp = eval_expr_at_objects(alg, e.head, tuple(src_vals))
+        action = eval_term_mor(alg, boundary(alg.presentation, e.head)[1], tuple(comp_mors))
+        return C.compose(action, head_comp)
+    inv = C.inverse(alg.gen_at(e.name, objs))
+    if inv is None:
+        raise NonInvertibleComponent(
+            "component of %s at %r has no inverse" % (e.name, objs), witness=(e.name, objs))
+    return inv
+
+
+def _power(C, n):
+    return power_span((C,) * n, name="%s^%d" % (C.name or "?", n))
+
+
+def interpret_term(alg, t, n):
+    """The interpretation of a term at arity n as a functor out of the n-th
+    power of the carrier."""
+    alg.presentation.signature.check_term(t, n)
+    span = _power(alg.carrier, n)
+    return Functor(
+        span.category,
+        alg.carrier,
+        {span.obj_of[tup]: eval_term_obj(alg, t, tup) for tup in alg.obj_tuples(n)},
+        {span.mor_of[tup]: eval_term_mor(alg, t, tup) for tup in alg.mor_tuples(n)},
+        name="[%s]" % (term_to_json(t),),
+    )
+
+
+def interpret_two_cell(alg, e, n):
+    """The interpretation of a 2-cell expression at arity n as a natural
+    transformation between its interpreted boundary terms, with the
+    package's components: its diagonals at identity tuples."""
+    src, tgt = boundary(alg.presentation, e)
+    span = _power(alg.carrier, n)
+    C = alg.carrier
+    return NatTransformation(
+        interpret_term(alg, src, n),
+        interpret_term(alg, tgt, n),
+        {span.obj_of[tup]: eval_expr(alg, e, tuple(C.identity(a) for a in tup))
+         for tup in alg.obj_tuples(n)},
+    )
+
+
+# Helpers that only tests use.
+
+
+def identity_nat(F):
+    """The identity 2-cell on a functor."""
+    B = F.target
+    return NatTransformation(
+        F, F, {a: B.identity(F.obj(a)) for a in F.source.objects}, name="1_%s" % (F.name or "?")
+    )
+
+
+def factorisation_sound(f, system):
+    """Factor f in the named system and check the classes of both legs.
+    Recomposition needs no check here: every builder raises LabError when
+    its legs do not recompose to f."""
+    build, left_flag, right_flag = FACTOR_SYSTEMS[system]
+    fact = build(f)
+    lf = getattr(classify(fact.left), left_flag)
+    rf = getattr(classify(fact.right), right_flag)
+    if not (lf and rf):
+        return CheckResult(
+            False,
+            {"reason": "wrong classes", "functor": f.name,
+             "left_" + left_flag: lf, "right_" + right_flag: rf},
+        )
+    return CheckResult(True)

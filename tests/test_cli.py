@@ -63,6 +63,18 @@ def test_validate_a_directory(capsys, tmp_path):
     assert err.startswith("error: cannot read")
 
 
+@pytest.mark.parametrize("content,needle", [
+    (b"\xff\xfe{}", "is not UTF-8"),
+    (b"[" * 100000, "nested too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_validate_an_unreadable_json_file(capsys, tmp_path, content, needle):
+    path = tmp_path / "c.json"
+    path.write_bytes(content)
+    code, out, err = go(capsys, ["validate", "--category", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s " % path) and needle in err, err
+
+
 def _pop(*path):
     def go(data):
         node = data

@@ -14,7 +14,6 @@ from birkhoff2d.factor import (
     factor_bof,
     factor_bo_ff,
     factor_so_ioff,
-    factorisation_sound,
 )
 from birkhoff2d.fincat import (
     Functor,
@@ -54,7 +53,7 @@ def test_factorisations_sound_on_corpus(all_functors, system):
     into_apex = tuple(F for C in corpus.categories() for F in enumerate_functors(C, apex))
     assert len(into_apex) == 110
     for f in all_functors + into_apex + (_discrete_with_pipes(),):
-        res = factorisation_sound(f, system)
+        res = oracles.factorisation_sound(f, system)
         assert res, (f.name, res.witness)
 
 

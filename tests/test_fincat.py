@@ -29,7 +29,6 @@ from birkhoff2d.fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     identity_functor,
-    identity_nat,
     lifts,
     nat_lifts,
     product_category,
@@ -481,7 +480,7 @@ def test_vertical_composition_unit_and_associativity(cats):
     z2z2 = cats["z2z2"]
     idf = identity_functor(z2z2)
     nats = enumerate_nat_transformations(idf, idf)
-    unit = identity_nat(idf)
+    unit = oracles.identity_nat(idf)
     for a in nats:
         assert oracles.vcompose(a, unit) == a
         assert oracles.vcompose(unit, a) == a
@@ -516,7 +515,7 @@ def test_whiskers_are_natural_and_match_the_definition(cats, all_functors):
                     counts[side] += 1
     assert counts == {"left": 7682, "right": 7676}
     h = identity_functor(cats["two"])
-    alpha = identity_nat(identity_functor(cats["z2"]))
+    alpha = oracles.identity_nat(identity_functor(cats["z2"]))
     with pytest.raises(BoundaryMismatch, match="left whisker"):
         whisker(h, alpha, "left")
     with pytest.raises(BoundaryMismatch, match="right whisker"):

@@ -16,7 +16,6 @@ from birkhoff2d.fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     identity_functor,
-    identity_nat,
     lifts,
     nat_lifts,
 )
@@ -97,7 +96,7 @@ def test_coequify_of_equal_cells_is_isomorphism(walking_pair):
 def test_coequify_rejects_mismatched_cells(cats, walking_pair):
     phi, _ = walking_pair
     idp = identity_functor(cats["p"])
-    other = identity_nat(idp)
+    other = oracles.identity_nat(idp)
     with pytest.raises(BoundaryMismatch):
         coequify(phi, other)
 
@@ -137,7 +136,7 @@ def test_undersized_datum_fails_universality(cats):
     f = corpus.collapse_functor()
     one, P = cats["one"], cats["p"]
     pick = Functor(one, P, {"*": "a"}, {"id": "ida"}, name="pick")
-    trivial = identity_nat(pick)
+    trivial = oracles.identity_nat(pick)
     kd_small = KernelData(one, pick, pick, trivial, trivial)
     assert coequifies(f, kd_small.phi, kd_small.psi)
     res = verify_kernel_universal(kd_small, f, [one])
@@ -185,7 +184,8 @@ def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeyp
         assert verify_kernel_universal(bof_kernel(f), f, apexes)
     collapse = corpus.collapse_functor()
     pick = Functor(cats["one"], cats["p"], {"*": "a"}, {"id": "ida"})
-    small = KernelData(cats["one"], pick, pick, identity_nat(pick), identity_nat(pick))
+    unit = oracles.identity_nat(pick)
+    small = KernelData(cats["one"], pick, pick, unit, unit)
     assert verify_kernel_universal(small, collapse, apexes).witness["mediators"] == 0
     doubled = _doubled(bof_kernel(collapse))
     assert verify_kernel_universal(doubled, collapse, apexes).witness["mediators"] == 2
@@ -227,7 +227,7 @@ def test_non_parallel_cells_are_never_coequified(cats, walking_pair):
     cells are not a parallel pair to coequify."""
     phi, _ = walking_pair
     crush = _crush_to_one(cats)
-    unit = identity_nat(phi.source)
+    unit = oracles.identity_nat(phi.source)
     assert oracles.whole_whisker(crush, phi, "left") == oracles.whole_whisker(crush, unit, "left")
     assert not coequifies(crush, phi, unit)
 
@@ -259,7 +259,7 @@ def test_make_reflexive_laws(walking_pair):
     A = rd.s.target
     assert compose_functors(rd.s, rd.section) == identity_functor(A)
     assert compose_functors(rd.t, rd.section) == identity_functor(A)
-    unit = identity_nat(identity_functor(A))
+    unit = oracles.identity_nat(identity_functor(A))
     assert oracles.whole_whisker(rd.section, rd.phi, "right") == unit
     assert oracles.whole_whisker(rd.section, rd.psi, "right") == unit
 
@@ -285,7 +285,7 @@ def test_reflexive_data_accepts_the_cells_whole_whiskers_accept(mode, request):
         if phi.source.target.name != "z2":
             continue
         rd = make_reflexive(phi, psi)
-        unit = identity_nat(identity_functor(rd.s.target))
+        unit = oracles.identity_nat(identity_functor(rd.s.target))
         for cell in enumerate_nat_transformations(rd.s, rd.t):
             kills = oracles.whole_whisker(rd.section, cell, "right") == unit
             for cells in ((cell, rd.psi), (rd.phi, cell)):
@@ -303,8 +303,8 @@ def test_reflexive_data_refuses_cells_that_do_not_run_s_to_t(walking_pair):
     """The identity 2-cells of s and of t restrict along the section to the
     identity 2-cell, as phi and psi do, but they do not run s => t."""
     rd = make_reflexive(*walking_pair)
-    unit = identity_nat(identity_functor(rd.s.target))
-    for cell in (identity_nat(rd.s), identity_nat(rd.t)):
+    unit = oracles.identity_nat(identity_functor(rd.s.target))
+    for cell in (oracles.identity_nat(rd.s), oracles.identity_nat(rd.t)):
         assert oracles.whole_whisker(rd.section, cell, "right") == unit
         for cells in ((cell, rd.psi), (rd.phi, cell)):
             with pytest.raises(BoundaryMismatch, match="2-cells must run s => t"):

@@ -20,7 +20,9 @@ from birkhoff2d.errors import (
 )
 from birkhoff2d.fincat import (
     Congruence,
+    FinCategory,
     Functor,
+    Morphism,
     classify,
     congruence_closure,
     identity_functor,
@@ -44,10 +46,9 @@ from birkhoff2d.theory import (
     algebra_two_cells,
     congruence_operation_witness,
     enumerate_algebra_homs,
+    eval_expr,
     eval_term_mor,
     eval_term_obj,
-    interpret_term,
-    interpret_two_cell,
     is_algebra_hom,
     product_algebra,
     quotient_algebra,
@@ -107,6 +108,54 @@ def test_duplicate_operations_rejected():
 def test_substitution_needs_an_argument_list():
     with pytest.raises(ValidationError):
         theory.expr_from_json(["subst", ["gen", "assoc"], 2])
+
+
+# -- typing 2-cell expressions -----------------------------------------
+
+ASSOC, LUNIT = GenCell("assoc"), GenCell("lunit")
+T12 = TENSOR(Var(1), Var(2))
+ASSOC_SOURCE, ASSOC_TARGET = TENSOR(T12, Var(3)), TENSOR(Var(1), TENSOR(Var(2), Var(3)))
+
+# One malformed equation per typing error, with the class, message and
+# witness the presentation (and an extension) refuses it with.
+TYPING_ERRORS = [
+    ((GenCell("nope"), ASSOC), SignatureMismatch,
+     "unknown 2-cell generator 'nope'", GenCell("nope")),
+    ((InvCell("lax"), InvCell("lax")), SignatureMismatch,
+     "generator lax is not invertible", InvCell("lax")),
+    ((VCompCell(ASSOC, LUNIT), ASSOC), BoundaryMismatch,
+     "vertical composite mixes arities", VCompCell(ASSOC, LUNIT)),
+    ((VCompCell(ASSOC, ASSOC), ASSOC), BoundaryMismatch,
+     "vertical composite boundary mismatch", (ASSOC_TARGET, ASSOC_SOURCE)),
+    ((SubstCell(ASSOC, (Var(1), Var(2))), IdCell(T12)), BoundaryMismatch,
+     "substitution head has arity 3, got 2 arguments", SubstCell(ASSOC, (Var(1), Var(2)))),
+    ((SubstCell(IdCell(T12), (Var(1),)), IdCell(Var(1))), BoundaryMismatch,
+     "substitution head needs more arguments", SubstCell(IdCell(T12), (Var(1),))),
+    ((SubstCell(IdCell(T12), (ASSOC, LUNIT)), ASSOC), BoundaryMismatch,
+     "substitution arguments mix arities", SubstCell(IdCell(T12), (ASSOC, LUNIT))),
+    ((ASSOC, LUNIT), BoundaryMismatch, "expressions have incompatible arities", None),
+    ((SubstCell(IdCell(Var(1)), (LUNIT, Var(2))), LUNIT), BoundaryMismatch,
+     "resolved arity below minimal variable index", None),
+    ((IdCell(App("mystery", ())), IdCell(UNIT)), SignatureMismatch,
+     "unknown operation 'mystery'", App("mystery", ())),
+    ((ASSOC, IdCell(ASSOC_SOURCE)), BoundaryMismatch, "equation sides are not parallel",
+     ((ASSOC_SOURCE, ASSOC_TARGET), (ASSOC_SOURCE, ASSOC_SOURCE))),
+]
+
+
+@pytest.mark.parametrize("equation,cls,message,witness", TYPING_ERRORS, ids=[
+    "unknown-generator", "non-invertible-inverse", "vertical-arities", "vertical-boundary",
+    "head-arity", "head-needs-arguments", "argument-arities", "equation-arities",
+    "below-minimal-arity", "unknown-operation", "not-parallel"])
+def test_ill_typed_equations_are_refused(xor, equation, cls, message, witness):
+    base = xor.presentation
+    lax = TwoCellGenerator("lax", 2, T12, T12, False)
+    refused = (cls, message, witness)
+    assert _rejection(lambda: Presentation(
+        base.signature, generators=base.generators + (lax,),
+        two_cell_equations=[equation])) == refused
+    if equation[0] != InvCell("lax"):
+        assert _rejection(lambda: theory.Extension(base, [equation])) == refused
 
 
 # -- evaluation and the substitution property --------------------------
@@ -170,20 +219,20 @@ def test_substitution_lemma_random_terms(t, args):
 
 
 def test_interpret_variable_is_projection(xor):
-    F = interpret_term(xor, Var(1), 1)
+    F = oracles.interpret_term(xor, Var(1), 1)
     for a in xor.carrier.objects:
         assert F.obj("(%s)" % a) == a
 
 
 def test_interpret_tensor_matches_tables(xor):
-    F = interpret_term(xor, TENSOR(Var(1), Var(2)), 2)
+    F = oracles.interpret_term(xor, TENSOR(Var(1), Var(2)), 2)
     for (a, b) in itertools.product(xor.carrier.objects, repeat=2):
         assert F.obj("(%s,%s)" % (a, b)) == xor.op_obj("tensor", (a, b))
 
 
 def test_identity_cell_interprets_to_identity_nat(xor):
     t = TENSOR(Var(1), Var(2))
-    nat = interpret_two_cell(xor, IdCell(t), 2)
+    nat = oracles.interpret_two_cell(xor, IdCell(t), 2)
     C = xor.carrier
     for o, comp in nat.components.items():
         assert C.is_identity(comp)
@@ -191,24 +240,130 @@ def test_identity_cell_interprets_to_identity_nat(xor):
 
 def test_vertical_composite_cell_matches_vcompose(sigma):
     g = GenCell("assoc")
-    comp_expr = interpret_two_cell(sigma, VCompCell(InvCell("assoc"), g), 3)
+    comp_expr = oracles.interpret_two_cell(sigma, VCompCell(InvCell("assoc"), g), 3)
     direct = oracles.vcompose(
-        interpret_two_cell(sigma, InvCell("assoc"), 3),
-        interpret_two_cell(sigma, g, 3),
+        oracles.interpret_two_cell(sigma, InvCell("assoc"), 3),
+        oracles.interpret_two_cell(sigma, g, 3),
     )
     assert comp_expr == direct
 
 
 def test_inverse_cell_cancels_generator(sigma):
     both = VCompCell(InvCell("assoc"), GenCell("assoc"))
-    nat = interpret_two_cell(sigma, both, 3)
+    nat = oracles.interpret_two_cell(sigma, both, 3)
     src = TENSOR(Var(1), TENSOR(Var(2), Var(3)))
-    assert nat == interpret_two_cell(sigma, IdCell(src), 3)
+    assert nat == oracles.interpret_two_cell(sigma, IdCell(src), 3)
 
 
 def test_twisted_associator_components(sigma):
-    nat = interpret_two_cell(sigma, GenCell("assoc"), 3)
+    nat = oracles.interpret_two_cell(sigma, GenCell("assoc"), 3)
     assert sorted(set(nat.components.values())) == ["s0", "s1"]
+
+
+def _subexpressions(e, n, found):
+    """Record e at arity n and every expression inside it at its arity: a
+    substitution head at its number of arguments, the rest at n."""
+    found[(e, n)] = None
+    if isinstance(e, VCompCell):
+        _subexpressions(e.after, n, found)
+        _subexpressions(e.before, n, found)
+    elif isinstance(e, SubstCell):
+        _subexpressions(e.head, len(e.args), found)
+        for a in e.args:
+            if isinstance(a, (VCompCell, SubstCell, GenCell, InvCell, IdCell)):
+                _subexpressions(a, n, found)
+
+
+def _cyclic_algebra(presentation):
+    """The cyclic group of order 3 as a one-object carrier, tensor its
+    multiplication, with every generator component a: the corpus components
+    are all their own inverses, these are not."""
+    names = ("e", "a", "b")
+    C = FinCategory(["*"], [Morphism(u, "*", "*") for u in names], {"*": "e"},
+                    {(u, v): names[(i + j) % 3] for i, u in enumerate(names)
+                     for j, v in enumerate(names)}, name="z3")
+    ops = {"unit": OpTable.from_maps({(): "*"}, {(): "e"}),
+           "tensor": OpTable.from_maps({("*", "*"): "*"}, C.composition)}
+    gens = {g.name: {("*",) * g.arity: "a"} for g in presentation.generators}
+    return Algebra(presentation, C, ops, gens, name="z3_twisted")
+
+
+def _typed_subexpressions(E, found):
+    """Every subexpression of the 2-cell equations of a presentation or an
+    extension, with its arity."""
+    for (l, r, n) in E._cell_equations:
+        _subexpressions(l, n, found)
+        _subexpressions(r, n, found)
+    return found
+
+
+def _check_diagonals(A, found, checked, max_morphisms):
+    """eval_expr at the identity tuple of x is the reference component
+    e_x, for every object tuple x; at every morphism tuple m: x -> y it is
+    t(m).e_x = e_y.s(m), when the carrier has at most max_morphisms."""
+    C = A.carrier
+    for (e, n) in found:
+        s, t = oracles.boundary(A.presentation, e)
+        comps = {x: oracles.eval_expr_at_objects(A, e, x) for x in A.obj_tuples(n)}
+        for x, e_x in comps.items():
+            assert eval_expr(A, e, tuple(map(C.identity, x))) == e_x, (A.name, e, x)
+        checked[0] += len(comps)
+        if len(C.morphisms) > max_morphisms:
+            continue
+        for m in A.mor_tuples(n):
+            diagonal = eval_expr(A, e, m)
+            e_x, e_y = comps[tuple(map(C.dom, m))], comps[tuple(map(C.cod, m))]
+            assert diagonal == C.compose(eval_term_mor(A, t, m), e_x), (A.name, e, m)
+            assert diagonal == C.compose(e_y, eval_term_mor(A, s, m)), (A.name, e, m)
+            checked[1] += 1
+
+
+def test_diagonals_match_the_components_of_the_reference(algebras, coherence):
+    """Every subexpression of a corpus equation, plus two with inverse
+    cells (the corpus has none), on every catalog algebra, every binary
+    product of two and a cyclic algebra whose components are not their own
+    inverses.  Morphism tuples are checked on the algebras with at most six
+    morphisms: the ten larger products would add 2.6 million tuples (over
+    a minute), and a product acts componentwise, so each of their tuples
+    pairs two tuples checked on the factors."""
+    inverses = theory.Extension(coherence.base, [(e, e) for e in (
+        VCompCell(SubstCell(InvCell("assoc"), (Var(1), Var(2), UNIT)),
+                  SubstCell(ASSOC, (Var(1), Var(2), UNIT))),
+        SubstCell(InvCell("lunit"), (SubstCell(InvCell("runit"), (Var(1),)),)))])
+    found = {}
+    for E in (coherence.base, coherence, inverses):
+        _typed_subexpressions(E, found)
+    pairs = itertools.combinations_with_replacement(list(algebras.values()), 2)
+    checked = [0, 0]
+    cyclic = _cyclic_algebra(coherence.base)
+    for A in [cyclic] + list(algebras.values()) + [product_algebra(*p)[0] for p in pairs]:
+        _check_diagonals(A, found, checked, 6)
+    assert (len(found), checked) == (28, [20248, 51564])
+
+
+def test_diagonals_tell_a_generator_source_from_its_target():
+    """On the catalog every generator's two boundary terms agree on
+    morphisms.  Here turn: x => flip(x) on the category 0 <-> 1 has
+    components 0 -> 1 and 1 -> 0, so only the right term composes."""
+    sig = Signature([Operation("flip", 1)])
+    turn = TwoCellGenerator("turn", 1, Var(1), App("flip", (Var(1),)), True)
+    pres = Presentation(sig, generators=[turn])
+    C = FinCategory(["0", "1"], [Morphism("id0", "0", "0"), Morphism("id1", "1", "1"),
+                                 Morphism("u", "0", "1"), Morphism("v", "1", "0")],
+                    {"0": "id0", "1": "id1"},
+                    {("id0", "id0"): "id0", ("id1", "id1"): "id1", ("u", "id0"): "u",
+                     ("id1", "u"): "u", ("v", "id1"): "v", ("id0", "v"): "v",
+                     ("u", "v"): "id1", ("v", "u"): "id0"}, name="iso")
+    flip = OpTable.from_maps({("0",): "1", ("1",): "0"},
+                             {("id0",): "id1", ("id1",): "id0", ("u",): "v", ("v",): "u"})
+    A = Algebra(pres, C, {"flip": flip}, {"turn": {("0",): "u", ("1",): "v"}}, name="turn")
+    g, inv = GenCell("turn"), InvCell("turn")
+    cells = theory.Extension(pres, [(e, e) for e in (
+        VCompCell(inv, g), VCompCell(g, inv), SubstCell(g, (inv,)),
+        SubstCell(IdCell(App("flip", (Var(1),))), (g,)))])
+    checked = [0, 0]
+    _check_diagonals(A, _typed_subexpressions(cells, {}), checked, 4)
+    assert checked == [14, 28]
 
 
 # -- satisfaction ------------------------------------------------------

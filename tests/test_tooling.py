@@ -1,8 +1,9 @@
 """Checks on the repository itself: the demos run, no correctness
 condition in the package relies on `assert`, which `python -O` removes,
-and trusted builders stay behind the input boundary and under strict
-mode."""
+trusted builders stay behind the input boundary and under strict mode, and
+the benchmark's tracer names only evaluators that exist."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -69,3 +70,17 @@ def test_strict_mode_patches_every_trusted_builder():
     builders = _trusted_builders()
     assert ("birkhoff2d.fincat", "Functor", "_trusted") in builders
     assert builders - patched == set()
+
+
+def test_the_evaluators_the_tracer_leaves_unwrapped_exist():
+    """`perfbench/tracer.py` wraps every public function of a layer except
+    those in LEAVES, the evaluators called once per tuple; a renamed one
+    would be wrapped unnoticed, so every name there must still be defined."""
+    tree = _tree(REPO / "perfbench" / "tracer.py")
+    leaves = [ast.literal_eval(node.value.args[0]) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == "LEAVES"]
+    assert len(leaves) == 1 and "theory.eval_expr" in leaves[0]
+    missing = [name for name in sorted(leaves[0]) if not hasattr(
+        importlib.import_module("birkhoff2d." + name.split(".")[0]), name.split(".")[1])]
+    assert missing == []

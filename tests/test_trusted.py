@@ -21,7 +21,7 @@ from birkhoff2d.errors import (
     NotOperationClosed,
     ValidationError,
 )
-from birkhoff2d.factor import FACTOR_SYSTEMS, factor_bof, factorisation_sound
+from birkhoff2d.factor import FACTOR_SYSTEMS, factor_bof
 from birkhoff2d.fincat import (
     Congruence,
     FinCategory,
@@ -33,11 +33,17 @@ from birkhoff2d.fincat import (
     coproduct_category,
     enumerate_functors,
     enumerate_nat_transformations,
-    identity_nat,
     lifts,
     product_category,
 )
-from birkhoff2d.theory import Algebra, OpTable, product_algebra
+from birkhoff2d.theory import (
+    Algebra,
+    AlgebraHom,
+    OpTable,
+    compose_algebra_homs,
+    enumerate_algebra_homs,
+    product_algebra,
+)
 
 
 def _error(build):
@@ -61,6 +67,8 @@ def _public(x):
         return NatTransformation(x.source, x.target, x.components, name=x.name)
     if isinstance(x, Congruence):
         return Congruence(x.base, x.classes)
+    if isinstance(x, AlgebraHom):
+        return AlgebraHom(x.source, x.target, x.functor, name=x.name)
     return Algebra(x.presentation, x.carrier, *_tables(x), name=x.name)
 
 
@@ -161,14 +169,15 @@ def test_strict_mode_catches_a_broken_operation_table(catalog, request):
 
 
 def test_strict_mode_restores_the_quotient_scan(catalog, request):
-    """Without the scan, a congruence that is not operation-closed is caught
-    only by the projection's homomorphism check; strict mode scans first,
-    as quotient_algebra does."""
+    """Without the scan, a congruence that is not operation-closed gives a
+    quotient whose trusted projection is no homomorphism; strict mode scans
+    first, as quotient_algebra does."""
     A = catalog["xor_strict"]
     partial = Congruence(A.carrier, [["id0", "s0"], ["id1"], ["s1"]])
-    trusted = _error(lambda: theory._trusted_quotient_algebra(A, partial))
+    Q, q = theory._trusted_quotient_algebra(A, partial)
+    assert not theory.is_algebra_hom(q.functor, A, Q)
     public = _error(lambda: theory.quotient_algebra(A, partial))
-    assert (trusted[0], public[0]) == (ValidationError, NotOperationClosed)
+    assert public[0] is NotOperationClosed
     request.getfixturevalue("strict")
     assert _error(lambda: theory._trusted_quotient_algebra(A, partial)) == public
 
@@ -189,7 +198,7 @@ def test_fincat_constructions_match_public_builds(cats, all_functors):
         A, B = cats[a], cats[b]
         _assert_same_as_public(*product_category(A, B), *coproduct_category(A, B))
         for F in enumerate_functors(A, B):
-            _assert_same_as_public(F, identity_nat(F))
+            _assert_same_as_public(F)
     for f in all_functors:
         closure = congruence_closure(
             f.source, [(u, v) for (u, v) in f.source.parallel_pairs() if f.mor(u) == f.mor(v)])
@@ -201,13 +210,16 @@ def test_fincat_constructions_match_public_builds(cats, all_functors):
 def test_algebra_constructions_match_public_builds(catalog, coherence):
     for A in catalog.values():
         R = reflect(A, coherence)
-        _assert_same_as_public(R.reflected, R.congruence)
+        _assert_same_as_public(R.reflected, R.congruence, R.unit)
     for A in list(catalog.values()) + [corpus.plain_p()]:
-        for cong, Q, _ in enumerate_quotient_algebras(A):
-            _assert_same_as_public(cong, Q, Q.carrier)
+        for cong, Q, q in enumerate_quotient_algebras(A):
+            _assert_same_as_public(cong, Q, Q.carrier, q)
     for A, B in itertools.combinations_with_replacement(list(catalog.values()), 2):
-        P, _, _ = product_algebra(A, B)
-        _assert_same_as_public(P, P.carrier)
+        P, pr1, pr2 = product_algebra(A, B)
+        _assert_same_as_public(P, P.carrier, pr1, pr2)
+        for f in enumerate_algebra_homs(A, B):
+            for g in enumerate_algebra_homs(B, A):
+                _assert_same_as_public(f, g, compose_algebra_homs(g, f))
 
 
 CATEGORY_FIELDS = {"name", "objects", "morphisms", "identities", "composition"}
@@ -225,7 +237,7 @@ def test_a_trusted_category_holds_only_its_fields_until_a_table_is_read(cats, al
     assert set(vars(P)) == CATEGORY_FIELDS | {"_hom"}
     for f in all_functors:
         fact = factor_bof(f)
-        assert factorisation_sound(f, "bof")
+        assert oracles.factorisation_sound(f, "bof")
         assert set(vars(fact.middle)) == CATEGORY_FIELDS, f
 
 
