@@ -12,7 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import birkhoff, corpus
 from .errors import LabError, UsageError, ValidationError
 from .factor import FACTOR_SYSTEMS, check_orthogonal_morphisms, check_orthogonal_object
 from .fincat import DEFAULT_SEARCH_LIMIT, classify
@@ -27,17 +26,9 @@ from .jsonio import (
     parse_sub_witnesses,
     presentation_to_json,
 )
-from .kernel import (
-    bof_kernel,
-    coequifies,
-    coequify,
-    immediate_convergence_check,
-    lemma_cancel_two_cells,
-    lemma_coeq_refl,
-    lemma_immediate_convergence,
-    lemma_so_faithful,
-)
-from .theory import Extension, Presentation, satisfies
+
+# Each handler imports the kernel, theory, birkhoff and corpus modules it
+# runs, so a command compiles only what it needs.
 
 
 def _plain(x):
@@ -68,8 +59,11 @@ def _rel(path: Path, out_dir: Path) -> str:
 
 
 def _write(out_dir: Path, name: str, data) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dump(data, out_dir / name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump(data, out_dir / name)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (out_dir / name, exc.strerror)) from None
     print("wrote %s" % (out_dir / name))
 
 
@@ -161,6 +155,7 @@ def cmd_orthogonal_object(args, ws: Workspace) -> int:
 
 
 def cmd_kernel(args, ws: Workspace) -> int:
+    from .kernel import bof_kernel, coequifies
     f = ws.functor(args.functor)
     kd = bof_kernel(f)
     report = {
@@ -187,6 +182,7 @@ def cmd_kernel(args, ws: Workspace) -> int:
 
 
 def cmd_coequify(args, ws: Workspace) -> int:
+    from .kernel import coequify
     phi = ws.nat(args.phi)
     psi = ws.nat(args.psi)
     q, C = coequify(phi, psi)
@@ -226,6 +222,7 @@ def _merged_classes(q):
 
 
 def cmd_converges(args, ws: Workspace) -> int:
+    from .kernel import immediate_convergence_check
     f = ws.functor(args.functor)
     res = immediate_convergence_check(f)
     flags = classify(res.comparison)
@@ -242,16 +239,12 @@ def cmd_converges(args, ws: Workspace) -> int:
     return 0 if res else 1
 
 
-def _satisfaction_target(ws: Workspace, ref: str):
-    entity = ws.load(ref)
-    if not isinstance(entity, (Extension, Presentation)):
-        raise UsageError("%s is neither an extension nor a presentation" % ref)
-    return entity
-
-
 def cmd_satisfies(args, ws: Workspace) -> int:
+    from .theory import Extension, Presentation, satisfies
     A = ws.algebra(args.algebra)
-    E = _satisfaction_target(ws, args.extension)
+    E = ws.load(args.extension)
+    if not isinstance(E, (Extension, Presentation)):
+        raise UsageError("%s is neither an extension nor a presentation" % args.extension)
     res = satisfies(A, E)
     if args.as_json:
         _emit_json({"satisfies": res.ok, "witness": res.witness})
@@ -263,6 +256,7 @@ def cmd_satisfies(args, ws: Workspace) -> int:
 
 
 def cmd_reflect(args, ws: Workspace) -> int:
+    from . import birkhoff
     A = ws.algebra(args.algebra)
     E = ws.extension(args.extension)
     R = birkhoff.reflect(A, E)
@@ -296,6 +290,7 @@ def cmd_reflect(args, ws: Workspace) -> int:
 
 
 def cmd_quotients(args, ws: Workspace) -> int:
+    from . import birkhoff
     A = ws.algebra(args.algebra)
     quots = birkhoff.enumerate_quotient_algebras(A, limit=args.limit)
     entries = []
@@ -315,6 +310,7 @@ def cmd_quotients(args, ws: Workspace) -> int:
 
 
 def cmd_audit(args, ws: Workspace) -> int:
+    from . import birkhoff
     E = ws.extension(args.extension)
     catalog = ws.catalog(args.catalog)
     algebras = [a for (_, a) in catalog]
@@ -348,6 +344,7 @@ def cmd_audit(args, ws: Workspace) -> int:
 
 
 def cmd_ortho_char(args, ws: Workspace) -> int:
+    from . import birkhoff
     E = ws.extension(args.extension)
     catalog = ws.catalog(args.catalog)
     res = birkhoff.verify_orthogonality_characterisation(
@@ -363,6 +360,9 @@ def cmd_ortho_char(args, ws: Workspace) -> int:
 
 
 def cmd_lemmas(args, ws: Workspace) -> int:
+    from . import corpus
+    from .kernel import (lemma_cancel_two_cells, lemma_coeq_refl,
+                         lemma_immediate_convergence, lemma_so_faithful)
     cats = corpus.categories()
     functors = corpus.corpus_functors(limit=args.limit)
     suites = [

@@ -105,8 +105,8 @@ class FinCategory:
     @classmethod
     def _trusted(cls, objects, morphisms, identities, composition, name=""):
         """The constructor without ``_validate``, for parts that already
-        satisfy the laws: quotients, products, coproducts and factorisation
-        middles of validated categories."""
+        satisfy the laws: quotients, products, coproducts, kernel apexes and
+        factorisation middles of validated categories."""
         self = cls.__new__(cls)
         self._fill(objects, morphisms, identities, composition, name)
         return self
@@ -426,7 +426,8 @@ class Functor:
     def _trusted(cls, source, target, on_objects, on_morphisms, name=""):
         """The constructor without the law check, for maps that are
         functorial by construction: search results, composites, identities,
-        projections, injections, quotient maps and factorisation legs."""
+        projections, injections, quotient maps, factorisation legs and the
+        legs and comparisons of kernel data."""
         self = cls.__new__(cls)
         self._fill(source, target, on_objects, on_morphisms, name)
         return self
@@ -556,7 +557,8 @@ class NatTransformation:
     @classmethod
     def _trusted(cls, source, target, components, name=""):
         """The constructor without its checks, for components that are
-        natural by construction: search results and identities."""
+        natural by construction: search results, identities and the
+        2-cells of kernel data."""
         self = cls.__new__(cls)
         self._fill(source, target, components, name)
         return self

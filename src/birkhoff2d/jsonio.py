@@ -17,20 +17,10 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import UsageError, ValidationError
 from .fincat import FinCategory, Functor, NatTransformation, validate_category
-from .theory import (
-    Algebra,
-    AlgebraHom,
-    Extension,
-    Operation,
-    OpTable,
-    Presentation,
-    Signature,
-    TwoCellGenerator,
-    expr_from_json,
-    expr_to_json,
-    term_from_json,
-    term_to_json,
-)
+
+# ``theory`` is imported only where a presentation, extension or algebra is
+# read or written, so loading categories, functors and 2-cells never
+# compiles it.
 
 
 def entity_kind(data) -> str:
@@ -120,6 +110,8 @@ def category_to_json(C: FinCategory) -> dict:
 
 
 def parse_presentation(data, name: str = "") -> Presentation:
+    from .theory import (Operation, Presentation, Signature, TwoCellGenerator,
+                         expr_from_json, term_from_json)
     kind = "presentation"
     op_kind, gen_kind = "presentation operation", "presentation generator"
     sig = Signature([
@@ -148,6 +140,7 @@ def parse_presentation(data, name: str = "") -> Presentation:
 
 
 def presentation_to_json(P: Presentation) -> dict:
+    from .theory import expr_to_json, term_to_json
     out = {
         "operations": [{"name": o.name, "arity": o.arity} for o in P.signature.operations],
         "term_equations": [[term_to_json(l), term_to_json(r)] for l, r in P.term_equations],
@@ -171,6 +164,7 @@ def presentation_to_json(P: Presentation) -> dict:
 
 
 def extension_to_json(E: Extension, base_ref: str) -> dict:
+    from .theory import expr_to_json
     out = {
         "base": base_ref,
         "added_two_cell_equations": [
@@ -208,6 +202,7 @@ def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:
 
 def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
                   name: str = "") -> Algebra:
+    from .theory import Algebra, OpTable
     ops = _field(data, "operations", "algebra", "object", {})
     gens = _field(data, "generators", "algebra", "object", {})
     operations = {}
@@ -313,6 +308,7 @@ class Workspace:
         elif kind == "presentation":
             return parse_presentation(data, name=name)
         elif kind == "extension":
+            from .theory import Extension, expr_from_json
             base_pres = self.presentation(_field(data, "base", "extension", str), base=here)
             return Extension(
                 base_pres,
@@ -361,16 +357,20 @@ class Workspace:
         return self._typed(ref, base, NatTransformation, "natural transformation")
 
     def presentation(self, ref, base: Optional[Path] = None) -> Presentation:
+        from .theory import Presentation
         return self._typed(ref, base, Presentation, "presentation")
 
     def extension(self, ref, base: Optional[Path] = None) -> Extension:
+        from .theory import Extension
         return self._typed(ref, base, Extension, "extension")
 
     def algebra(self, ref, base: Optional[Path] = None) -> Algebra:
+        from .theory import Algebra
         return self._typed(ref, base, Algebra, "algebra")
 
     def catalog(self, directory: Union[str, Path]) -> List[Tuple[str, Algebra]]:
         """All algebras in a directory, sorted by file name."""
+        from .theory import Algebra
         d = self._resolve(directory, None)
         if not d.is_dir():
             raise UsageError("catalog directory not found: %s" % d)
@@ -432,6 +432,7 @@ def parse_refl_data(data, ws: Workspace, here: Path,
     """Reflexive 2-cell data list.  Each entry names the apex algebra and
     target member and gives u, v, section as object/morphism maps and
     phi, psi as component maps."""
+    from .theory import AlgebraHom
     kind = "reflexive datum"
     out = []
     for entry in _entries(data, kind):

@@ -9,6 +9,10 @@ datum with a section without changing the coequifier.  These pieces
 compose into the kernel-quotient factorisation, which for this system
 converges in one step: the induced comparison out of the quotient is
 always faithful.
+
+The kernel, its reflexivization and the comparison are built trusted;
+``KernelData`` and ``ReflexiveData`` still check their boundaries, and
+the comparison is checked to give back the functor it came from.
 """
 from __future__ import annotations
 
@@ -120,24 +124,24 @@ def bof_kernel(f: Functor, max_size: int = DEFAULT_APEX_CAP) -> KernelData:
                 continue
             comp = (A.compose(pq2[0], pq1[0]), A.compose(pq2[1], pq1[1]))
             composition[(n2, n1)] = mor_index[(comp, src1, dst2)]
-    K = FinCategory(objects, morphisms, identities, composition,
-                    name="ker(%s)" % (f.name or "?"))
-    s = Functor(
+    K = FinCategory._trusted(objects, morphisms, identities, composition,
+                             name="ker(%s)" % (f.name or "?"))
+    s = Functor._trusted(
         K,
         A,
         {oname(uv): A.dom(uv[0]) for uv in pairs},
         {name: pq[0] for ((pq, _s, _d), name) in mor_index.items()},
         name="s",
     )
-    t = Functor(
+    t = Functor._trusted(
         K,
         A,
         {oname(uv): A.cod(uv[0]) for uv in pairs},
         {name: pq[1] for ((pq, _s, _d), name) in mor_index.items()},
         name="t",
     )
-    phi = NatTransformation(s, t, {oname(uv): uv[0] for uv in pairs}, name="phi")
-    psi = NatTransformation(s, t, {oname(uv): uv[1] for uv in pairs}, name="psi")
+    phi = NatTransformation._trusted(s, t, {oname(uv): uv[0] for uv in pairs}, name="phi")
+    psi = NatTransformation._trusted(s, t, {oname(uv): uv[1] for uv in pairs}, name="psi")
     return KernelData(K, s, t, phi, psi)
 
 
@@ -319,18 +323,18 @@ def make_reflexive(phi: NatTransformation, psi: NatTransformation) -> ReflexiveD
     on_obj_s.update({inr.obj(a): a for a in A.objects})
     on_mor_s = {inl.mor(m.name): s.mor(m.name) for m in K.morphisms}
     on_mor_s.update({inr.mor(m.name): m.name for m in A.morphisms})
-    S = Functor(KA, A, on_obj_s, on_mor_s, name="[s,id]")
+    S = Functor._trusted(KA, A, on_obj_s, on_mor_s, name="[s,id]")
     on_obj_t = {inl.obj(k): t.obj(k) for k in K.objects}
     on_obj_t.update({inr.obj(a): a for a in A.objects})
     on_mor_t = {inl.mor(m.name): t.mor(m.name) for m in K.morphisms}
     on_mor_t.update({inr.mor(m.name): m.name for m in A.morphisms})
-    T = Functor(KA, A, on_obj_t, on_mor_t, name="[t,id]")
+    T = Functor._trusted(KA, A, on_obj_t, on_mor_t, name="[t,id]")
     comp_phi = {inl.obj(k): phi.at(k) for k in K.objects}
     comp_phi.update({inr.obj(a): A.identity(a) for a in A.objects})
     comp_psi = {inl.obj(k): psi.at(k) for k in K.objects}
     comp_psi.update({inr.obj(a): A.identity(a) for a in A.objects})
-    PHI = NatTransformation(S, T, comp_phi, name="[phi,1]")
-    PSI = NatTransformation(S, T, comp_psi, name="[psi,1]")
+    PHI = NatTransformation._trusted(S, T, comp_phi, name="[phi,1]")
+    PSI = NatTransformation._trusted(S, T, comp_psi, name="[psi,1]")
     return ReflexiveData(S, T, PHI, PSI, inr)
 
 
@@ -355,7 +359,7 @@ def immediate_convergence_check(f: Functor, max_size: int = DEFAULT_APEX_CAP) ->
     kd = bof_kernel(f, max_size=max_size)
     q, C = coequify(kd.phi, kd.psi)
     A, B = f.source, f.target
-    eps = Functor(
+    eps = Functor._trusted(
         C,
         B,
         {a: f.obj(a) for a in C.objects},

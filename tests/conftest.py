@@ -10,10 +10,13 @@ builders that skip the law checks.  The ``strict`` fixture routes every
 trusted builder back through the validating path, so a construction that
 builds an unlawful value raises there instead.
 """
+import importlib
+import pkgutil
 import sys
 
 import pytest
 
+import birkhoff2d
 from birkhoff2d import corpus, fincat, theory
 from birkhoff2d.fincat import Congruence, FinCategory, Functor, NatTransformation
 from birkhoff2d.theory import Algebra, AlgebraHom
@@ -60,8 +63,13 @@ def strict_patches():
 
     Each class's ``_trusted`` becomes the public constructor.  The trusted
     quotient builder first checks the precondition of ``quotient_algebra``,
-    in every package module that holds it.
+    in every package module that holds it.  The package imports its
+    modules lazily, so every module is imported before the scan: one first
+    imported later would keep the unchecked builder.
     """
+    for info in pkgutil.iter_modules(birkhoff2d.__path__, "birkhoff2d."):
+        if info.name != "birkhoff2d.__main__":  # importing it runs the CLI
+            importlib.import_module(info.name)
     patches = [(cls, "_trusted", staticmethod(cls))
                for cls in (FinCategory, Functor, NatTransformation, Congruence, Algebra,
                            AlgebraHom)]

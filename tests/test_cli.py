@@ -197,6 +197,28 @@ def test_orthogonal_object_verdicts(capsys):
     assert "not surjective on functors" in out
 
 
+@pytest.mark.parametrize("command", ["factor", "kernel", "coequify", "reflect"])
+@pytest.mark.parametrize("where", ["a file", "a path under a file"])
+def test_out_onto_a_file_is_a_usage_error(capsys, tmp_path, command, where):
+    argv = {
+        "factor": ["factor", "--system", "bof", "--functor", COLLAPSE],
+        "kernel": ["kernel", "--functor", COLLAPSE],
+        "coequify": ["coequify", "--phi", str(tmp_path / "kern" / "phi.json"),
+                     "--psi", str(tmp_path / "kern" / "psi.json")],
+        "reflect": ["reflect", "--algebra", SIGMA, "--extension", COHERENCE],
+    }[command]
+    if command == "coequify":
+        assert go(capsys, ["kernel", "--functor", COLLAPSE,
+                           "--out", str(tmp_path / "kern")])[0] == 0
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken if where == "a file" else taken / "sub"
+    code, _, err = go(capsys, argv + ["--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: cannot write %s" % out)
+    assert taken.read_text() == "keep\n"
+
+
 # -- kernel, coequifier, convergence -----------------------------------
 
 

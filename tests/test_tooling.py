@@ -72,6 +72,21 @@ def test_strict_mode_patches_every_trusted_builder():
     assert builders - patched == set()
 
 
+def test_strict_mode_patches_modules_not_imported_yet():
+    """The package imports lazily, so in a fresh interpreter ``birkhoff``,
+    which holds the trusted quotient builder too, may not be loaded when
+    the strict fixture starts; its copy must be patched all the same."""
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "from conftest import strict_patches\n"
+            "print(sorted(owner.__name__ for owner, attr, _ in strict_patches()\n"
+            "             if attr == '_trusted_quotient_algebra'))\n") % str(REPO / "tests")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split("\n")[0] == "['birkhoff2d.birkhoff', 'birkhoff2d.theory']"
+
+
 def test_the_evaluators_the_tracer_leaves_unwrapped_exist():
     """`perfbench/tracer.py` wraps every public function of a layer except
     those in LEAVES, the evaluators called once per tuple; a renamed one
