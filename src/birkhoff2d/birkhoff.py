@@ -280,6 +280,14 @@ def audit_closure(
     membership meaning isomorphism to some listed algebra; that mode
     exists to demonstrate failure on subclasses that are not equationally
     defined.
+
+    Each check builds one algebra and judges its membership, families in
+    the order products, subalgebras, quotients, reflexive coequifiers.  A
+    non-member fails with ``{"equation_failure": ...}``, or with
+    ``{"not_isomorphic_to_any_member": ...}`` in pinned mode.  A LabError
+    while building a subalgebra or a reflexive coequifier fails its check
+    with ``{"induction_failed": ...}`` or ``{"lift_failed": ...}``; any
+    other LabError, and every SizeLimitExceeded, propagates.
     """
     for A in catalog:
         if A.presentation != E.base:
@@ -308,78 +316,41 @@ def audit_closure(
     def nm(X: Algebra) -> str:
         return X.name or "?"
 
+    def candidates():
+        """(family, inputs, build, failure key) per check, in report order."""
+        for i, Ai in enumerate(subclass):
+            for Aj in subclass[i:]:
+                yield ("products", "%s x %s" % (nm(Ai), nm(Aj)),
+                       lambda Ai=Ai, Aj=Aj: product_algebra(Ai, Aj)[0], None)
+        for (m, target) in sub_witnesses:
+            if target in subclass:
+                yield ("subalgebras", "%s into %s" % (m.name or "?", nm(target)),
+                       lambda m=m, target=target: subalgebra_check(m, target),
+                       "induction_failed")
+        for Ai in subclass:
+            for (cong, Q, _) in enumerate_quotient_algebras(Ai, limit=limit):
+                merged = [list(cl) for cl in cong.classes if len(cl) > 1]
+                yield ("quotients", "%s / %s" % (nm(Ai), merged or "discrete"),
+                       lambda Q=Q: Q, None)
+        for datum in refl_data:
+            target = datum["u"].target
+            if target in subclass:
+                yield ("reflexive_coequifiers", datum.get("name", nm(target)),
+                       lambda d=datum: reflexive_coequifier_algebra(
+                           d["u"], d["v"], d["phi"], d["psi"], d["section"])[0],
+                       "lift_failed")
+
     checks: List[dict] = []
-
-    for i, Ai in enumerate(subclass):
-        for Aj in subclass[i:]:
-            P, _, _ = product_algebra(Ai, Aj)
-            ok, witness = member_of(P)
-            checks.append({
-                "family": "products",
-                "inputs": "%s x %s" % (nm(Ai), nm(Aj)),
-                "ok": ok,
-                "witness": witness,
-            })
-
-    for (m, target) in sub_witnesses:
-        if not any(target is S or target == S for S in subclass):
-            continue
+    for family, inputs, build, failure_key in candidates():
         try:
-            S = subalgebra_check(m, target)
-        except SizeLimitExceeded:
-            raise
+            X = build()
         except LabError as exc:
-            checks.append({
-                "family": "subalgebras",
-                "inputs": "%s into %s" % (m.name or "?", nm(target)),
-                "ok": False,
-                "witness": {"induction_failed": str(exc)},
-            })
-            continue
-        ok, witness = member_of(S)
-        checks.append({
-            "family": "subalgebras",
-            "inputs": "%s into %s" % (m.name or "?", nm(target)),
-            "ok": ok,
-            "witness": witness,
-        })
-
-    for Ai in subclass:
-        for (cong, Q, _) in enumerate_quotient_algebras(Ai, limit=limit):
-            merged = [list(cl) for cl in cong.classes if len(cl) > 1]
-            ok, witness = member_of(Q)
-            checks.append({
-                "family": "quotients",
-                "inputs": "%s / %s" % (nm(Ai), merged or "discrete"),
-                "ok": ok,
-                "witness": witness,
-            })
-
-    for datum in refl_data:
-        target = datum["u"].target
-        if not any(target is S or target == S for S in subclass):
-            continue
-        try:
-            Q, _ = reflexive_coequifier_algebra(
-                datum["u"], datum["v"], datum["phi"], datum["psi"], datum["section"]
-            )
-        except SizeLimitExceeded:
-            raise
-        except LabError as exc:
-            checks.append({
-                "family": "reflexive_coequifiers",
-                "inputs": datum.get("name", nm(target)),
-                "ok": False,
-                "witness": {"lift_failed": str(exc)},
-            })
-            continue
-        ok, witness = member_of(Q)
-        checks.append({
-            "family": "reflexive_coequifiers",
-            "inputs": datum.get("name", nm(target)),
-            "ok": ok,
-            "witness": witness,
-        })
+            if failure_key is None or isinstance(exc, SizeLimitExceeded):
+                raise
+            ok, witness = False, {failure_key: str(exc)}
+        else:
+            ok, witness = member_of(X)
+        checks.append({"family": family, "inputs": inputs, "ok": ok, "witness": witness})
 
     return ClosureReport(
         extension=E.name or "?",

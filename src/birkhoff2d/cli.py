@@ -49,11 +49,6 @@ def _emit_json(report) -> None:
     print(json.dumps(_plain(report), indent=1, sort_keys=True))
 
 
-def _resolve(ref: str, base: Path) -> Path:
-    p = Path(ref)
-    return p if p.is_absolute() else (base / p).resolve()
-
-
 def _rel(path: Path, out_dir: Path) -> str:
     return os.path.relpath(path, out_dir)
 
@@ -315,14 +310,8 @@ def cmd_audit(args, ws: Workspace) -> int:
     catalog = ws.catalog(args.catalog)
     algebras = [a for (_, a) in catalog]
     by_name = dict(catalog)
-    subs = ()
-    if args.subs:
-        path = _resolve(args.subs, Path(".").resolve())
-        subs = parse_sub_witnesses(ws._data(path), ws, path.parent, by_name)
-    refl = ()
-    if args.refl:
-        path = _resolve(args.refl, Path(".").resolve())
-        refl = parse_refl_data(ws._data(path), ws, path.parent, by_name)
+    subs = parse_sub_witnesses(ws, args.subs, by_name) if args.subs else ()
+    refl = parse_refl_data(ws, args.refl, by_name) if args.refl else ()
     members = None
     if args.members:
         members = []

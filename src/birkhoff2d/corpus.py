@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 
 from .fincat import DEFAULT_SEARCH_LIMIT, FinCategory, Functor, enumerate_functors
 from .jsonio import Workspace, parse_refl_data, parse_sub_witnesses
-from .theory import Algebra, Extension, Presentation
 
 CATEGORY_NAMES = ("one", "two", "p", "d2", "z2", "z2z2")
 
@@ -38,7 +37,7 @@ def workspace() -> Workspace:
 
 
 def category(name: str) -> FinCategory:
-    return workspace().category(corpus_root() / ("%s.json" % name))
+    return workspace().category("%s.json" % name)
 
 
 def categories() -> Tuple[FinCategory, ...]:
@@ -56,47 +55,35 @@ def corpus_functors(limit: int = DEFAULT_SEARCH_LIMIT) -> Tuple[Functor, ...]:
 
 
 def collapse_functor() -> Functor:
-    return workspace().functor(corpus_root() / "collapse.json")
+    return workspace().functor("collapse.json")
 
 
 def monoidal_presentation() -> Presentation:
-    return workspace().presentation(corpus_root() / "monoidal.json")
+    return workspace().presentation("monoidal.json")
 
 
 def coherence_extension() -> Extension:
-    return workspace().extension(corpus_root() / "coherence.json")
+    return workspace().extension("coherence.json")
 
 
 def plain_p() -> Algebra:
-    return workspace().algebra(corpus_root() / "plain_p.json")
+    return workspace().algebra("plain_p.json")
 
 
 def catalog() -> Tuple[Tuple[str, Algebra], ...]:
-    return tuple(workspace().catalog(corpus_root() / "monoidal"))
+    return tuple(workspace().catalog("monoidal"))
 
 
 def catalog_algebra(name: str) -> Algebra:
-    return workspace().algebra(corpus_root() / "monoidal" / ("%s.json" % name))
+    return workspace().algebra("monoidal/%s.json" % name)
 
 
 def sub_witnesses():
-    import json
-
-    path = corpus_root() / "subs.json"
-    members = dict(catalog())
-    return parse_sub_witnesses(
-        json.loads(path.read_text()), workspace(), path.parent, members
-    )
+    return parse_sub_witnesses(workspace(), "subs.json", dict(catalog()))
 
 
 def refl_data():
-    import json
-
-    path = corpus_root() / "refl.json"
-    members = dict(catalog())
-    return parse_refl_data(
-        json.loads(path.read_text()), workspace(), path.parent, members
-    )
+    return parse_refl_data(workspace(), "refl.json", dict(catalog()))
 
 
 def coequifier_data(limit: int = DEFAULT_SEARCH_LIMIT):

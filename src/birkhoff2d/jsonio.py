@@ -387,11 +387,14 @@ class Workspace:
 # -- audit input files -------------------------------------------------
 
 
-def _entries(data, kind: str) -> list:
-    """``data``, checked to be a list of JSON objects."""
+def _entries(ws: Workspace, ref: Union[str, Path], kind: str) -> Tuple[list, Path]:
+    """The audit file ``ref``, read through ``ws`` and checked to be a list
+    of JSON objects, and the directory its references resolve against."""
+    path = ws._resolve(ref, None)
+    data = ws._data(path)
     if not _SHAPES["objects"][1](data):
         raise ValidationError("%s file must be a list of objects" % kind, witness=kind)
-    return data
+    return data, path.parent
 
 
 def _functor_maps(data: dict, key: str, kind: str):
@@ -408,13 +411,14 @@ def _member(entry: dict, kind: str, members: Mapping[str, Algebra]) -> Algebra:
     return members[name]
 
 
-def parse_sub_witnesses(data, ws: Workspace, here: Path,
+def parse_sub_witnesses(ws: Workspace, ref: Union[str, Path],
                         members: Mapping[str, Algebra]):
-    """Subalgebra witness list: [{"witness": functor-ref-or-inline,
+    """Subalgebra witness file: [{"witness": functor-ref-or-inline,
     "member": catalog-name}]."""
     kind = "subalgebra witness"
+    entries, here = _entries(ws, ref, kind)
     out = []
-    for entry in _entries(data, kind):
+    for entry in entries:
         member = _member(entry, kind, members)
         w = entry.get("witness")
         if isinstance(w, str):
@@ -427,15 +431,16 @@ def parse_sub_witnesses(data, ws: Workspace, here: Path,
     return out
 
 
-def parse_refl_data(data, ws: Workspace, here: Path,
+def parse_refl_data(ws: Workspace, ref: Union[str, Path],
                     members: Mapping[str, Algebra]):
-    """Reflexive 2-cell data list.  Each entry names the apex algebra and
+    """Reflexive 2-cell data file.  Each entry names the apex algebra and
     target member and gives u, v, section as object/morphism maps and
     phi, psi as component maps."""
     from .theory import AlgebraHom
     kind = "reflexive datum"
+    entries, here = _entries(ws, ref, kind)
     out = []
-    for entry in _entries(data, kind):
+    for entry in entries:
         member = _member(entry, kind, members)
         apex = ws.algebra(_field(entry, "apex", kind, str), base=here)
         datum = {"name": entry.get("name", entry["member"]), "member": entry["member"]}

@@ -68,13 +68,14 @@ class KernelData:
         return self.s.target
 
 
-def bof_kernel(f: Functor, max_size: int = DEFAULT_APEX_CAP) -> KernelData:
+def bof_kernel(f: Functor) -> KernelData:
     """Kernel data of f: apex objects are the parallel pairs (u, v) of
     f's source with equal image, morphisms are the pairs (p, q) making
     both squares commute; s and t project to domains and codomains and
     phi, psi pick out the two members of each pair.
 
-    The apex squares the morphism count, so its size is capped.
+    The apex squares the morphism count, so its size is capped at
+    DEFAULT_APEX_CAP objects and morphisms.
     """
     A = f.source
     pairs: List[Tuple[str, str]] = []
@@ -82,7 +83,7 @@ def bof_kernel(f: Functor, max_size: int = DEFAULT_APEX_CAP) -> KernelData:
         for v in A.morphisms:
             if u.dom == v.dom and u.cod == v.cod and f.mor(u.name) == f.mor(v.name):
                 pairs.append((u.name, v.name))
-    if len(pairs) > max_size:
+    if len(pairs) > DEFAULT_APEX_CAP:
         raise SizeLimitExceeded("kernel apex would have %d objects" % len(pairs))
 
     def oname(uv: Tuple[str, str]) -> str:
@@ -107,9 +108,10 @@ def bof_kernel(f: Functor, max_size: int = DEFAULT_APEX_CAP) -> KernelData:
                         name = mname((p, q), src, dst)
                         morphisms.append(Morphism(name, oname(src), oname(dst)))
                         mor_index[((p, q), src, dst)] = name
-                        if len(morphisms) > max_size:
+                        if len(morphisms) > DEFAULT_APEX_CAP:
                             raise SizeLimitExceeded(
-                                "kernel apex would have more than %d morphisms" % max_size
+                                "kernel apex would have more than %d morphisms"
+                                % DEFAULT_APEX_CAP
                             )
     identities = {}
     for uv in pairs:
@@ -319,22 +321,22 @@ def make_reflexive(phi: NatTransformation, psi: NatTransformation) -> ReflexiveD
     s, t = phi.source, phi.target
     K, A = s.source, s.target
     KA, inl, inr = coproduct_category(K, A)
-    on_obj_s = {inl.obj(k): s.obj(k) for k in K.objects}
-    on_obj_s.update({inr.obj(a): a for a in A.objects})
-    on_mor_s = {inl.mor(m.name): s.mor(m.name) for m in K.morphisms}
-    on_mor_s.update({inr.mor(m.name): m.name for m in A.morphisms})
-    S = Functor._trusted(KA, A, on_obj_s, on_mor_s, name="[s,id]")
-    on_obj_t = {inl.obj(k): t.obj(k) for k in K.objects}
-    on_obj_t.update({inr.obj(a): a for a in A.objects})
-    on_mor_t = {inl.mor(m.name): t.mor(m.name) for m in K.morphisms}
-    on_mor_t.update({inr.mor(m.name): m.name for m in A.morphisms})
-    T = Functor._trusted(KA, A, on_obj_t, on_mor_t, name="[t,id]")
-    comp_phi = {inl.obj(k): phi.at(k) for k in K.objects}
-    comp_phi.update({inr.obj(a): A.identity(a) for a in A.objects})
-    comp_psi = {inl.obj(k): psi.at(k) for k in K.objects}
-    comp_psi.update({inr.obj(a): A.identity(a) for a in A.objects})
-    PHI = NatTransformation._trusted(S, T, comp_phi, name="[phi,1]")
-    PSI = NatTransformation._trusted(S, T, comp_psi, name="[psi,1]")
+
+    def copair(leg: Functor, name: str) -> Functor:
+        on_obj = {inl.obj(k): leg.obj(k) for k in K.objects}
+        on_obj.update({inr.obj(a): a for a in A.objects})
+        on_mor = {inl.mor(m.name): leg.mor(m.name) for m in K.morphisms}
+        on_mor.update({inr.mor(m.name): m.name for m in A.morphisms})
+        return Functor._trusted(KA, A, on_obj, on_mor, name=name)
+
+    S, T = copair(s, "[s,id]"), copair(t, "[t,id]")
+
+    def pad(cell: NatTransformation, name: str) -> NatTransformation:
+        comps = {inl.obj(k): cell.at(k) for k in K.objects}
+        comps.update({inr.obj(a): A.identity(a) for a in A.objects})
+        return NatTransformation._trusted(S, T, comps, name=name)
+
+    PHI, PSI = pad(phi, "[phi,1]"), pad(psi, "[psi,1]")
     return ReflexiveData(S, T, PHI, PSI, inr)
 
 
@@ -348,7 +350,7 @@ class ConvergenceResult:
         return self.converges
 
 
-def immediate_convergence_check(f: Functor, max_size: int = DEFAULT_APEX_CAP) -> ConvergenceResult:
+def immediate_convergence_check(f: Functor) -> ConvergenceResult:
     """Run one kernel-quotient step on f and test convergence.
 
     Builds q = coequify(bof_kernel(f)) and the comparison e with
@@ -356,7 +358,7 @@ def immediate_convergence_check(f: Functor, max_size: int = DEFAULT_APEX_CAP) ->
     well defined by construction).  Convergence means e is faithful; for
     this system that always holds, and the check makes it observable.
     """
-    kd = bof_kernel(f, max_size=max_size)
+    kd = bof_kernel(f)
     q, C = coequify(kd.phi, kd.psi)
     A, B = f.source, f.target
     eps = Functor._trusted(
@@ -444,10 +446,12 @@ def lemma_so_faithful(
     return CheckResult(True, {"pairs": checked, "cells": cells})
 
 
-def induced_between_quotients(q1: Functor, q2: Functor) -> Optional[Functor]:
+def induced_between_quotients(
+    q1: Functor, q2: Functor, limit: int = DEFAULT_SEARCH_LIMIT
+) -> Optional[Functor]:
     """The functor u with u . q1 == q2, when q1's identifications are
     also made by q2; None otherwise.  Requires q1 surjective."""
-    found = lifts(q1, q2)
+    found = lifts(q1, q2, limit=limit)
     return found[0] if found else None
 
 
@@ -463,8 +467,8 @@ def lemma_coeq_refl(
         q1, C1 = coequify(phi, psi)
         rd = make_reflexive(phi, psi)
         q2, C2 = coequify(rd.phi, rd.psi)
-        u = induced_between_quotients(q1, q2)
-        v = induced_between_quotients(q2, q1)
+        u = induced_between_quotients(q1, q2, limit)
+        v = induced_between_quotients(q2, q1, limit)
         if u is None or v is None:
             return CheckResult(
                 False, {"datum": i, "reason": "quotients identify different morphisms"}

@@ -240,6 +240,63 @@ def test_audit_with_empty_extension_accepts_everything(catalog):
     assert len(report.subclass) == 6
 
 
+# A LabError while building a subalgebra or a reflexive coequifier is a
+# failed check under that family's key; a SizeLimitExceeded, and a
+# constructed algebra outside the subclass, are reported as below.
+
+
+def test_audit_reports_a_subalgebra_that_does_not_induce(catalog, coherence):
+    from birkhoff2d.fincat import Functor
+
+    xor = catalog["xor_strict"]
+    # the object 1 alone: 1 (x) 1 = 0 leaves the image
+    m = Functor(corpus.category("one"), xor.carrier, {"*": "1"}, {"id": "id1"}, name="odd")
+    report = audit_closure(coherence, list(catalog.values()), [(m, xor)])
+    [check] = report.family("subalgebras")
+    assert check["inputs"] == "odd into xor_strict" and not check["ok"]
+    assert list(check["witness"]) == ["induction_failed"]
+    assert "outside the image" in check["witness"]["induction_failed"]
+
+
+def test_audit_reports_a_reflexive_datum_that_does_not_lift(catalog, coherence):
+    datum = dict(corpus.refl_data()[0])
+    datum["u"], datum["v"] = datum["v"], datum["u"]  # the 2-cells now run t => s
+    report = audit_closure(coherence, list(catalog.values()), refl_data=[datum])
+    [check] = report.family("reflexive_coequifiers")
+    assert check["inputs"] == "two_max-projection-vs-tensor" and not check["ok"]
+    assert check["witness"] == {"lift_failed": "2-cells must run s => t"}
+
+
+def test_audit_reports_an_equational_non_member(monkeypatch, catalog, coherence):
+    from birkhoff2d import birkhoff
+
+    sigma = catalog["sigma_assoc"]
+    monkeypatch.setattr(birkhoff, "subalgebra_check", lambda m, A: sigma)
+    report = audit_closure(coherence, list(catalog.values()), corpus.sub_witnesses())
+    checks = report.family("subalgebras")
+    assert len(checks) == 3 and not report.ok
+    expected = {"equation_failure": satisfies(sigma, coherence).witness}
+    assert [c["witness"] for c in checks] == [expected] * 3
+
+
+def test_audit_lets_a_size_limit_out_of_a_family_build(monkeypatch, catalog, coherence):
+    from birkhoff2d import birkhoff
+
+    def too_big(*args):
+        raise SizeLimitExceeded("too big")
+
+    monkeypatch.setattr(birkhoff, "reflexive_coequifier_algebra", too_big)
+    with pytest.raises(SizeLimitExceeded, match="too big"):
+        audit_closure(coherence, list(catalog.values()), refl_data=corpus.refl_data())
+
+
+def test_pinned_audit_raises_at_a_tiny_limit(catalog, coherence):
+    # terminal_alg x xor_strict has xor_strict's size, so it is searched for an isomorphism
+    members = [catalog["terminal_alg"], catalog["xor_strict"]]
+    with pytest.raises(SizeLimitExceeded):
+        audit_closure(coherence, list(catalog.values()), members=members, limit=1)
+
+
 # -- converse and terminality ------------------------------------------
 
 

@@ -35,7 +35,7 @@ COMMANDS = (
               " --subs {C}/subs.json --refl {C}/refl.json", {"kernel", "theory", "birkhoff"}),
     ("ortho-char", "ortho-char --extension {C}/coherence.json --catalog {C}/monoidal",
      {"kernel", "theory", "birkhoff"}),
-    ("lemmas", "lemmas", {"kernel", "theory", "corpus"}),
+    ("lemmas", "lemmas", {"kernel", "corpus"}),
 )
 
 # Runs one command in this interpreter and prints its exit code and the

@@ -137,6 +137,37 @@ def test_refl_data_parse_to_reflexive_shapes():
         assert d["u"].source is d["v"].source
 
 
+@pytest.mark.parametrize("reader,name", [(corpus.sub_witnesses, "subs.json"),
+                                         (corpus.refl_data, "refl.json")], ids=["subs", "refl"])
+@pytest.mark.parametrize("content,message", [(b"[\xff\xfe]", "not UTF-8"),
+                                             (None, "no such file")], ids=["not-utf8", "missing"])
+def test_audit_files_of_a_copied_corpus_are_read_as_input(
+        monkeypatch, tmp_path, reader, name, content, message):
+    """The corpus reads its audit files like every other file: one that is
+    missing or not UTF-8 is a usage error naming the file."""
+    root = tmp_path / "corpus"
+    shutil.copytree(ROOT, root)
+    if content is None:
+        (root / name).unlink()
+    else:
+        (root / name).write_bytes(content)
+    monkeypatch.setenv("BIRKHOFF_CORPUS", str(root))
+    with pytest.raises(UsageError, match=message) as info:
+        reader()
+    assert name in str(info.value)
+
+
+def test_a_relative_corpus_directory_is_read_from_the_working_directory(
+        monkeypatch, tmp_path):
+    shutil.copytree(ROOT, tmp_path / "copy")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BIRKHOFF_CORPUS", "copy")
+    assert corpus.workspace().path_of(corpus.category("one")) == tmp_path / "copy" / "one.json"
+    xor = corpus.catalog_algebra("xor_strict")
+    assert corpus.workspace().path_of(xor) == tmp_path / "copy" / "monoidal" / "xor_strict.json"
+    assert len(corpus.sub_witnesses()) == 3 and len(corpus.refl_data()) == 2
+
+
 def test_dump_is_deterministic(tmp_path):
     data = category_to_json(corpus.category("z2z2"))
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from birkhoff2d import corpus, kernel
-from birkhoff2d.errors import BoundaryMismatch
+from birkhoff2d.errors import BoundaryMismatch, SizeLimitExceeded
 from birkhoff2d.factor import factor_bof
 from birkhoff2d.fincat import (
     Functor,
@@ -417,6 +417,11 @@ def test_reflexivization_suite_on_sample():
     res = lemma_coeq_refl(corpus.coequifier_data()[:6])
     assert res
     assert res.witness["data"] == 6
+
+
+def test_reflexivization_suite_searches_under_its_limit():
+    with pytest.raises(SizeLimitExceeded):
+        lemma_coeq_refl(corpus.coequifier_data()[:1], limit=0)
 
 
 def test_convergence_suite_on_sample(all_functors):

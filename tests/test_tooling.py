@@ -87,6 +87,22 @@ def test_strict_mode_patches_modules_not_imported_yet():
     assert proc.stdout.split("\n")[0] == "['birkhoff2d.birkhoff', 'birkhoff2d.theory']"
 
 
+def test_every_limit_parameter_is_read():
+    """A function that takes a search ``limit`` and never reads it searches
+    at some other limit, so ``--limit`` would not reach it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if "limit" in [a.arg for a in args] and not any(
+                    isinstance(n, ast.Name) and n.id == "limit" and isinstance(n.ctx, ast.Load)
+                    for n in ast.walk(node)):
+                found.append("%s:%s" % (path.relative_to(SRC), node.name))
+    assert found == []
+
+
 def test_the_evaluators_the_tracer_leaves_unwrapped_exist():
     """`perfbench/tracer.py` wraps every public function of a layer except
     those in LEAVES, the evaluators called once per tuple; a renamed one
