@@ -3,6 +3,12 @@
 Exit codes: 0 all checks passed, 1 a property check failed, 2 bad usage
 or invalid input.  Reports are plain text by default and machine
 readable with --json; output is deterministic for identical inputs.
+
+Each ``cmd_*`` handler loads its inputs, runs its check, writes any
+``--out`` files (``_write`` prints one "wrote" line per file) and returns
+``(exit code, report, lines)``.  It prints nothing else: :func:`run` prints
+the report as JSON under --json and the text lines otherwise, once, and
+turns a ``ValidationError`` or ``LabError`` into exit 2.
 """
 from __future__ import annotations
 
@@ -45,8 +51,8 @@ def _show(x) -> str:
     return json.dumps(_plain(x), sort_keys=True)
 
 
-def _emit_json(report) -> None:
-    print(json.dumps(_plain(report), indent=1, sort_keys=True))
+def _yes(flag) -> str:
+    return "yes" if flag else "NO"
 
 
 def _rel(path: Path, out_dir: Path) -> str:
@@ -62,10 +68,16 @@ def _write(out_dir: Path, name: str, data) -> None:
     print("wrote %s" % (out_dir / name))
 
 
+def _verdict(key: str, res):
+    """The outcome of a yes/no check: its witness is shown only on failure."""
+    line = "%s: yes" % key if res else "%s: no  %s" % (key, _show(res.witness))
+    return (0 if res else 1), {key: res.ok, "witness": res.witness}, [line]
+
+
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_validate(args, ws: Workspace) -> int:
+def cmd_validate(args, ws: Workspace):
     loaders = [
         ("category", ws.category),
         ("functor", ws.functor),
@@ -81,22 +93,16 @@ def cmd_validate(args, ws: Workspace) -> int:
             results.append({"path": ref, "kind": kind})
     if not results:
         raise UsageError("nothing to validate; pass at least one entity flag")
-    if args.as_json:
-        _emit_json({"validated": results})
-    else:
-        for r in results:
-            print("ok: %s (%s)" % (r["path"], r["kind"]))
-    return 0
+    return 0, {"validated": results}, ["ok: %s (%s)" % (r["path"], r["kind"]) for r in results]
 
 
-def cmd_factor(args, ws: Workspace) -> int:
+def cmd_factor(args, ws: Workspace):
     f = ws.functor(args.functor)
     build, left_class, right_class = FACTOR_SYSTEMS[args.system]
     fact = build(f)
-    left_flags = classify(fact.left)
-    right_flags = classify(fact.right)
     # every builder refuses legs that do not recompose to f (exit 2)
-    sound = getattr(left_flags, left_class) and getattr(right_flags, right_class)
+    sound = (getattr(classify(fact.left), left_class)
+             and getattr(classify(fact.right), right_class))
     report = {
         "system": args.system,
         "left_class": left_class,
@@ -110,54 +116,34 @@ def cmd_factor(args, ws: Workspace) -> int:
         src = ws.path_of(f.source)
         tgt = ws.path_of(f.target)
         out = Path(args.out)
-        _write(out, "middle.json", category_to_json(fact.middle))
+        _write(out, "middle.json", report["middle"])
         _write(out, "left.json", functor_to_json(fact.left, _rel(src, out), "middle.json"))
         _write(out, "right.json", functor_to_json(fact.right, "middle.json", _rel(tgt, out)))
-    if args.as_json:
-        _emit_json(report)
-    else:
-        print("left: %s, right: %s" % (left_class, right_class))
-        print("middle category: %d objects, %d morphisms"
-              % (len(fact.middle.objects), len(fact.middle.morphisms)))
-        print("sound: %s" % ("yes" if sound else "NO"))
-    return 0 if sound else 1
+    return (0 if sound else 1), report, [
+        "left: %s, right: %s" % (left_class, right_class),
+        "middle category: %d objects, %d morphisms"
+        % (len(fact.middle.objects), len(fact.middle.morphisms)),
+        "sound: %s" % _yes(sound),
+    ]
 
 
-def cmd_orthogonal(args, ws: Workspace) -> int:
+def cmd_orthogonal(args, ws: Workspace):
     f = ws.functor(args.left)
     g = ws.functor(args.right)
-    res = check_orthogonal_morphisms(f, g, limit=args.limit)
-    if args.as_json:
-        _emit_json({"orthogonal": res.ok, "witness": res.witness})
-    elif res:
-        print("orthogonal: yes")
-    else:
-        print("orthogonal: no  %s" % _show(res.witness))
-    return 0 if res else 1
+    return _verdict("orthogonal", check_orthogonal_morphisms(f, g, limit=args.limit))
 
 
-def cmd_orthogonal_object(args, ws: Workspace) -> int:
+def cmd_orthogonal_object(args, ws: Workspace):
     f = ws.functor(args.morphism)
     C = ws.category(args.object)
-    res = check_orthogonal_object(f, C, limit=args.limit)
-    if args.as_json:
-        _emit_json({"orthogonal": res.ok, "witness": res.witness})
-    elif res:
-        print("orthogonal: yes")
-    else:
-        print("orthogonal: no  %s" % _show(res.witness))
-    return 0 if res else 1
+    return _verdict("orthogonal", check_orthogonal_object(f, C, limit=args.limit))
 
 
-def cmd_kernel(args, ws: Workspace) -> int:
+def cmd_kernel(args, ws: Workspace):
     from .kernel import bof_kernel, coequifies
     f = ws.functor(args.functor)
     kd = bof_kernel(f)
-    report = {
-        "apex_objects": len(kd.apex.objects),
-        "apex_morphisms": len(kd.apex.morphisms),
-        "coequified_by_input": coequifies(f, kd.phi, kd.psi),
-    }
+    coequified = coequifies(f, kd.phi, kd.psi)
     if args.out:
         src = ws.path_of(f.source)
         out = Path(args.out)
@@ -166,46 +152,40 @@ def cmd_kernel(args, ws: Workspace) -> int:
         _write(out, "t.json", functor_to_json(kd.t, "apex.json", _rel(src, out)))
         _write(out, "phi.json", nat_to_json(kd.phi, "s.json", "t.json"))
         _write(out, "psi.json", nat_to_json(kd.psi, "s.json", "t.json"))
-    if args.as_json:
-        _emit_json(report)
-    else:
-        print("kernel apex: %d objects, %d morphisms"
-              % (report["apex_objects"], report["apex_morphisms"]))
-        print("input coequifies its kernel: %s"
-              % ("yes" if report["coequified_by_input"] else "NO"))
-    return 0
+    report = {
+        "apex_objects": len(kd.apex.objects),
+        "apex_morphisms": len(kd.apex.morphisms),
+        "coequified_by_input": coequified,
+    }
+    return 0, report, [
+        "kernel apex: %d objects, %d morphisms" % (len(kd.apex.objects), len(kd.apex.morphisms)),
+        "input coequifies its kernel: %s" % _yes(coequified),
+    ]
 
 
-def cmd_coequify(args, ws: Workspace) -> int:
+def cmd_coequify(args, ws: Workspace):
     from .kernel import coequify
     phi = ws.nat(args.phi)
     psi = ws.nat(args.psi)
     q, C = coequify(phi, psi)
-    flags = classify(q)
-    merged = [
-        sorted(cl)
-        for cl in _merged_classes(q)
-    ]
-    report = {
-        "quotient_objects": len(C.objects),
-        "quotient_morphisms": len(C.morphisms),
-        "merged_classes": merged,
-        "projection_bo_full": flags.bo_full,
-    }
+    bo_full = classify(q).bo_full
+    merged = [sorted(cl) for cl in _merged_classes(q)]
     if args.out:
         apath = ws.path_of(phi.source.target)
         out = Path(args.out)
         _write(out, "quotient.json", category_to_json(C))
         _write(out, "projection.json", functor_to_json(q, _rel(apath, out), "quotient.json"))
-    if args.as_json:
-        _emit_json(report)
-    else:
-        print("quotient: %d objects, %d morphisms"
-              % (report["quotient_objects"], report["quotient_morphisms"]))
-        print("merged classes: %s" % (_show(merged) if merged else "none"))
-        print("projection classifies b.o. full: %s"
-              % ("yes" if flags.bo_full else "NO"))
-    return 0
+    report = {
+        "quotient_objects": len(C.objects),
+        "quotient_morphisms": len(C.morphisms),
+        "merged_classes": merged,
+        "projection_bo_full": bo_full,
+    }
+    return 0, report, [
+        "quotient: %d objects, %d morphisms" % (len(C.objects), len(C.morphisms)),
+        "merged classes: %s" % (_show(merged) if merged else "none"),
+        "projection classifies b.o. full: %s" % _yes(bo_full),
+    ]
 
 
 def _merged_classes(q):
@@ -216,53 +196,38 @@ def _merged_classes(q):
     return sorted(v for v in fibres.values() if len(v) > 1)
 
 
-def cmd_converges(args, ws: Workspace) -> int:
+def cmd_converges(args, ws: Workspace):
     from .kernel import immediate_convergence_check
     f = ws.functor(args.functor)
     res = immediate_convergence_check(f)
-    flags = classify(res.comparison)
+    faithful = classify(res.comparison).faithful
     report = {
         "converges": res.converges,
-        "comparison_faithful": flags.faithful,
+        "comparison_faithful": faithful,
         "quotient_bo_full": classify(res.quotient).bo_full,
     }
-    if args.as_json:
-        _emit_json(report)
-    else:
-        print("converges immediately: %s" % ("yes" if res.converges else "NO"))
-        print("comparison functor faithful: %s" % ("yes" if flags.faithful else "NO"))
-    return 0 if res else 1
+    return (0 if res else 1), report, [
+        "converges immediately: %s" % _yes(res.converges),
+        "comparison functor faithful: %s" % _yes(faithful),
+    ]
 
 
-def cmd_satisfies(args, ws: Workspace) -> int:
+def cmd_satisfies(args, ws: Workspace):
     from .theory import Extension, Presentation, satisfies
     A = ws.algebra(args.algebra)
     E = ws.load(args.extension)
     if not isinstance(E, (Extension, Presentation)):
         raise UsageError("%s is neither an extension nor a presentation" % args.extension)
-    res = satisfies(A, E)
-    if args.as_json:
-        _emit_json({"satisfies": res.ok, "witness": res.witness})
-    elif res:
-        print("satisfies: yes")
-    else:
-        print("satisfies: no  %s" % _show(res.witness))
-    return 0 if res else 1
+    return _verdict("satisfies", satisfies(A, E))
 
 
-def cmd_reflect(args, ws: Workspace) -> int:
+def cmd_reflect(args, ws: Workspace):
     from . import birkhoff
     A = ws.algebra(args.algebra)
     E = ws.extension(args.extension)
     R = birkhoff.reflect(A, E)
-    unit_flags = classify(R.unit.functor)
+    bo_full = classify(R.unit.functor).bo_full
     merged = [sorted(cl) for cl in R.congruence.classes if len(cl) > 1]
-    report = {
-        "trivial": R.trivial,
-        "merged_classes": merged,
-        "unit_bo_full": unit_flags.bo_full,
-        "reflected_satisfies": True,
-    }
     if args.out:
         out = Path(args.out)
         _write(out, "presentation.json", presentation_to_json(A.presentation))
@@ -275,36 +240,35 @@ def cmd_reflect(args, ws: Workspace) -> int:
         _write(out, "unit.json",
                functor_to_json(R.unit.functor, "source_carrier.json",
                                "reflected_carrier.json"))
-    if args.as_json:
-        _emit_json(report)
-    else:
-        print("merged classes: %s" % (_show(merged) if merged else "none (already inside)"))
-        print("unit classifies b.o. full: %s" % ("yes" if unit_flags.bo_full else "NO"))
-        print("reflected algebra satisfies the extension: yes")
-    return 0
+    report = {
+        "trivial": R.trivial,
+        "merged_classes": merged,
+        "unit_bo_full": bo_full,
+        "reflected_satisfies": True,
+    }
+    return 0, report, [
+        "merged classes: %s" % (_show(merged) if merged else "none (already inside)"),
+        "unit classifies b.o. full: %s" % _yes(bo_full),
+        "reflected algebra satisfies the extension: yes",
+    ]
 
 
-def cmd_quotients(args, ws: Workspace) -> int:
+def cmd_quotients(args, ws: Workspace):
     from . import birkhoff
     A = ws.algebra(args.algebra)
-    quots = birkhoff.enumerate_quotient_algebras(A, limit=args.limit)
     entries = []
-    for (cong, Q, _) in quots:
-        merged = [sorted(cl) for cl in cong.classes if len(cl) > 1]
-        entries.append({"merged_classes": merged,
+    for (cong, Q, _) in birkhoff.enumerate_quotient_algebras(A, limit=args.limit):
+        entries.append({"merged_classes": [sorted(cl) for cl in cong.classes if len(cl) > 1],
                         "objects": len(Q.carrier.objects),
                         "morphisms": len(Q.carrier.morphisms)})
-    if args.as_json:
-        _emit_json({"count": len(entries), "quotients": entries})
-    else:
-        print("%d quotient algebras" % len(entries))
-        for i, e in enumerate(entries):
-            desc = _show(e["merged_classes"]) if e["merged_classes"] else "discrete"
-            print("  %d: %s" % (i + 1, desc))
-    return 0
+    lines = ["%d quotient algebras" % len(entries)]
+    lines += ["  %d: %s" % (i + 1, _show(e["merged_classes"]) if e["merged_classes"]
+                                   else "discrete")
+              for i, e in enumerate(entries)]
+    return 0, {"count": len(entries), "quotients": entries}, lines
 
 
-def cmd_audit(args, ws: Workspace) -> int:
+def cmd_audit(args, ws: Workspace):
     from . import birkhoff
     E = ws.extension(args.extension)
     catalog = ws.catalog(args.catalog)
@@ -324,31 +288,22 @@ def cmd_audit(args, ws: Workspace) -> int:
         E, algebras, sub_witnesses=subs, refl_data=refl, members=members,
         limit=args.limit,
     )
-    if args.as_json:
-        _emit_json(report.to_json())
-    else:
-        for line in report.lines():
-            print(line)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), report.to_json(), report.lines()
 
 
-def cmd_ortho_char(args, ws: Workspace) -> int:
+def cmd_ortho_char(args, ws: Workspace):
     from . import birkhoff
     E = ws.extension(args.extension)
     catalog = ws.catalog(args.catalog)
     res = birkhoff.verify_orthogonality_characterisation(
         E, [a for (_, a) in catalog], limit=args.limit
     )
-    if args.as_json:
-        _emit_json({"coincide": res.ok, "witness": res.witness})
-    elif res:
-        print("equational subclass == orthogonality class: yes  %s" % _show(res.witness))
-    else:
-        print("equational subclass == orthogonality class: NO  %s" % _show(res.witness))
-    return 0 if res else 1
+    line = "equational subclass == orthogonality class: %s  %s" % (
+        _yes(res), _show(res.witness))
+    return (0 if res else 1), {"coincide": res.ok, "witness": res.witness}, [line]
 
 
-def cmd_lemmas(args, ws: Workspace) -> int:
+def cmd_lemmas(args, ws: Workspace):
     from . import corpus
     from .kernel import (lemma_cancel_two_cells, lemma_coeq_refl,
                          lemma_immediate_convergence, lemma_so_faithful)
@@ -362,19 +317,14 @@ def cmd_lemmas(args, ws: Workspace) -> int:
         ("immediate-convergence", lambda: lemma_immediate_convergence(functors)),
     ]
     results = []
-    code = 0
     for name, run_suite in suites:
         res = run_suite()
         results.append({"suite": name, "ok": res.ok, "witness": res.witness})
-        if not res:
-            code = 1
-    if args.as_json:
-        _emit_json({"suites": results, "ok": code == 0})
-    else:
-        for r in results:
-            status = "pass" if r["ok"] else "FAIL"
-            print("%s: %s %s" % (r["suite"], status, _show(r["witness"])))
-    return code
+    ok = all(r["ok"] for r in results)
+    return (0 if ok else 1), {"suites": results, "ok": ok}, [
+        "%s: %s %s" % (r["suite"], "pass" if r["ok"] else "FAIL", _show(r["witness"]))
+        for r in results
+    ]
 
 
 # -- argument parsing and dispatch ------------------------------------
@@ -484,15 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ws = Workspace()
     try:
-        return args.func(args, ws)
+        code, report, lines = args.func(args, Workspace())
     except ValidationError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 2
     except (LabError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if args.as_json:
+        print(json.dumps(_plain(report), indent=1, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def main() -> None:

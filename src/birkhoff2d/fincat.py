@@ -473,9 +473,14 @@ class Functor:
         )
 
 
+def _stray_key(mapping, domain):
+    """The first key of ``mapping`` outside ``domain``, or None."""
+    return next((k for k in mapping if k not in domain), None)
+
+
 def functor_law_witness(source, target, on_objects, on_morphisms):
-    """First broken functor law, or None.  Shared by the constructor and
-    the enumerator so candidates are filtered exactly once."""
+    """First broken functor law, or stray entry in either map, or None.
+    The public constructor's check."""
     target_objects = target._objset
     for a in source.objects:
         b = on_objects.get(a)
@@ -483,6 +488,9 @@ def functor_law_witness(source, target, on_objects, on_morphisms):
             return ("object %s unmapped" % a, a)
         if b not in target_objects:
             return ("object %s mapped outside target" % a, a)
+    stray = _stray_key(on_objects, source._objset)
+    if stray is not None:
+        return ("on_objects maps %r, which is not a source object" % stray, stray)
     target_mor = target._mor
     for m in source.morphisms:
         v = on_morphisms.get(m.name)
@@ -493,6 +501,9 @@ def functor_law_witness(source, target, on_objects, on_morphisms):
             return ("morphism %s mapped outside target" % m.name, m.name)
         if vm.dom != on_objects[m.dom] or vm.cod != on_objects[m.cod]:
             return ("morphism %s: boundary not preserved" % m.name, m.name)
+    stray = _stray_key(on_morphisms, source._mor)
+    if stray is not None:
+        return ("on_morphisms maps %r, which is not a source morphism" % stray, stray)
     for a in source.objects:
         if on_morphisms[source.identities[a]] != target.identities[on_objects[a]]:
             return ("identity of %s not preserved" % a, a)
@@ -550,6 +561,10 @@ class NatTransformation:
                     % (a, cm.dom, cm.cod, source.obj(a), target.obj(a)),
                     witness=a,
                 )
+        stray = _stray_key(self.components, A._objset)
+        if stray is not None:
+            raise ValidationError("components map %r, which is not a source object" % stray,
+                                  witness=stray)
         witness = naturality_witness(source, target, self.components)
         if witness is not None:
             raise ValidationError("naturality fails at %s" % witness[0], witness=witness)
@@ -644,10 +659,7 @@ class PowerSpan:
     """A finite power (or more generally a finite product) of categories,
     together with tuple bookkeeping so nothing ever parses a name."""
 
-    factors: Tuple[FinCategory, ...]
     category: FinCategory
-    obj_tuple: Dict[str, Tuple[str, ...]]
-    mor_tuple: Dict[str, Tuple[str, ...]]
     obj_of: Dict[Tuple[str, ...], str]
     mor_of: Dict[Tuple[str, ...], str]
     projections: Tuple[Functor, ...]
@@ -687,15 +699,7 @@ def power_span(factors: Sequence[FinCategory], name: str = "") -> PowerSpan:
                 name="pr%d" % (i + 1),
             )
         )
-    return PowerSpan(
-        factors,
-        cat,
-        {v: k for k, v in obj_of.items()},
-        {v: k for k, v in mor_of.items()},
-        obj_of,
-        mor_of,
-        tuple(projections),
-    )
+    return PowerSpan(cat, obj_of, mor_of, tuple(projections))
 
 
 def coproduct_category(A: FinCategory, B: FinCategory, name: str = ""):

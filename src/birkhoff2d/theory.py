@@ -520,14 +520,13 @@ class Algebra:
             n = op.arity
             objs = self._op_obj[op.name]
             mors = self._op_mor[op.name]
-            want_obj = set(self.obj_tuples(n))
-            if set(objs) != want_obj:
+            # compare sizes first: a short table never enumerates the n-tuples
+            if len(objs) != len(C.objects) ** n or set(objs) != set(self.obj_tuples(n)):
                 raise ValidationError(
                     "operation %s: object table does not cover the %d-tuples"
                     % (op.name, n)
                 )
-            want_mor = set(self.mor_tuples(n))
-            if set(mors) != want_mor:
+            if len(mors) != len(C.morphisms) ** n or set(mors) != set(self.mor_tuples(n)):
                 raise ValidationError(
                     "operation %s: morphism table does not cover the %d-tuples"
                     % (op.name, n)
@@ -562,7 +561,8 @@ class Algebra:
                         )
         for g in self.presentation.generators:
             comps = self._gen[g.name]
-            if set(comps) != set(self.obj_tuples(g.arity)):
+            if (len(comps) != len(C.objects) ** g.arity
+                    or set(comps) != set(self.obj_tuples(g.arity))):
                 raise ValidationError(
                     "generator %s: components do not cover the %d-tuples"
                     % (g.name, g.arity)

@@ -117,14 +117,19 @@ def _one_sided_equation(data):
     ("--algebra", "monoidal/xor_strict.json", _set("operations", ["tensor"]), "operations"),
     ("--algebra", "monoidal/xor_strict.json", _set("generators", "assoc", 5), "assoc"),
     ("--algebra", "monoidal/xor_strict.json", _set("presentation", ["x"]), "presentation"),
+    ("--functor", "collapse.json", _set("on_objects", "zzz", "0"), "zzz"),
+    ("--functor", "collapse.json", _set("on_morphisms", "junk", "id0"), "junk"),
+    ("--nat", "cell.json", _set("components", "zzz", "id0"), "zzz"),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
         "category-objects-string", "category-composition-number",
         "operation-without-name", "operation-arity-string", "generator-without-arity",
         "operations-string", "equation-one-sided", "extension-base-number",
-        "algebra-operations-list", "generator-table-number", "algebra-presentation-list"])
+        "algebra-operations-list", "generator-table-number", "algebra-presentation-list",
+        "functor-stray-object", "functor-stray-morphism", "nat-stray-component"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
-    wrong shape it is invalid input (exit 2) naming that field."""
+    wrong shape, or one map entry for nothing in the source, it is invalid
+    input (exit 2) naming that field or entry."""
     shutil.copytree(ROOT, tmp_path, dirs_exist_ok=True)
     cell = {"from": "collapse.json", "to": "collapse.json",
             "components": {"a": "id0", "b": "id1"}}
@@ -382,6 +387,87 @@ def test_ortho_char(capsys):
     assert code == 0
     assert "equational subclass == orthogonality class: yes" in out
     assert '"class_size": 4' in out
+
+
+# -- the text reports, pinned ------------------------------------------
+
+ONE = str(ROOT / "one.json")
+XOR = str(ROOT / "monoidal" / "xor_strict.json")
+
+TEXT_REPORTS = {
+    "orthogonal-yes": (
+        ["orthogonal", "--left", "{fact}/left.json", "--right", "{fact}/right.json"],
+        0, "orthogonal: yes\n"),
+    "orthogonal-no": (
+        ["orthogonal", "--left", COLLAPSE, "--right", COLLAPSE], 1,
+        'orthogonal: no  {"fillins": 0, "level": 1, '
+        '"square": [{"a": "a", "b": "b"}, {"0": "0", "1": "1"}]}\n'),
+    "orthogonal-object-yes": (
+        ["orthogonal-object", "--morphism", COLLAPSE, "--object", ONE], 0,
+        "orthogonal: yes\n"),
+    "orthogonal-object-no": (
+        ["orthogonal-object", "--morphism", COLLAPSE, "--object", str(ROOT / "p.json")], 1,
+        'orthogonal: no  {"level": 1, "missing": [{"a": "a", "b": "b"}, '
+        '{"a": "a", "b": "b"}], "reason": "not surjective on functors"}\n'),
+    "satisfies-yes": (
+        ["satisfies", "--algebra", XOR, "--extension", COHERENCE], 0, "satisfies: yes\n"),
+    "satisfies-no": (
+        ["satisfies", "--algebra", SIGMA, "--extension", COHERENCE], 1,
+        'satisfies: no  {"equation": 0, "kind": "two_cell", "lhs": "id0", "rhs": "s0", '
+        '"tuple": ["0", "0", "0", "0"]}\n'),
+    "converges": (
+        ["converges", "--functor", COLLAPSE], 0,
+        "converges immediately: yes\ncomparison functor faithful: yes\n"),
+    "kernel": (
+        ["kernel", "--functor", COLLAPSE], 0,
+        "kernel apex: 6 objects, 12 morphisms\ninput coequifies its kernel: yes\n"),
+    "coequify": (
+        ["coequify", "--phi", "{kern}/phi.json", "--psi", "{kern}/psi.json"], 0,
+        'quotient: 2 objects, 3 morphisms\nmerged classes: [["u", "v"]]\n'
+        "projection classifies b.o. full: yes\n"),
+    "reflect": (
+        ["reflect", "--algebra", SIGMA, "--extension", COHERENCE], 0,
+        'merged classes: [["id0", "s0"], ["id1", "s1"]]\n'
+        "unit classifies b.o. full: yes\n"
+        "reflected algebra satisfies the extension: yes\n"),
+    "quotients": (
+        ["quotients", "--algebra", str(ROOT / "plain_p.json")], 0,
+        '2 quotient algebras\n  1: [["u", "v"]]\n  2: discrete\n'),
+    "ortho-char": (
+        ["ortho-char", "--extension", COHERENCE, "--catalog", CATALOG_DIR], 0,
+        "equational subclass == orthogonality class: yes  "
+        '{"catalog": 6, "class_size": 4, "units": 6}\n'),
+    "audit-pinned": (
+        ["audit", "--extension", COHERENCE, "--catalog", CATALOG_DIR,
+         "--members", "sigma_assoc"], 1,
+        "closure audit for extension coherence\n"
+        "subclass members: sigma_assoc\n"
+        "  [FAIL] products: sigma_assoc x sigma_assoc  "
+        "<- {'not_isomorphic_to_any_member': '(sigma_assocxsigma_assoc)'}\n"
+        "  [FAIL] quotients: sigma_assoc / [['id0', 's0'], ['id1', 's1']]  "
+        "<- {'not_isomorphic_to_any_member': 'sigma_assoc/~'}\n"
+        "  [pass] quotients: sigma_assoc / discrete\n"
+        "result: FAIL (3 checks)\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The factor legs and the kernel data of collapse, written once."""
+    root = tmp_path_factory.mktemp("written")
+    dirs = {"fact": root / "fact", "kern": root / "kern"}
+    assert cli.run(["factor", "--system", "bof", "--functor", COLLAPSE,
+                    "--out", str(dirs["fact"])]) == 0
+    assert cli.run(["kernel", "--functor", COLLAPSE, "--out", str(dirs["kern"])]) == 0
+    return dirs
+
+
+@pytest.mark.parametrize("case", sorted(TEXT_REPORTS))
+def test_text_report_is_exact(capsys, written, case):
+    """Each subcommand's plain-text report and exit code, byte for byte."""
+    argv, want_code, want_out = TEXT_REPORTS[case]
+    code, out, err = go(capsys, [a.format(**written) for a in argv])
+    assert (code, out, err) == (want_code, want_out, "")
 
 
 # -- lemma suites and module entry -------------------------------------

@@ -476,6 +476,18 @@ def test_coproduct_injections(cats):
     assert {inl.obj("*"), inr.obj("0"), inr.obj("1")} == set(C.objects)
 
 
+def test_constructors_reject_a_stray_map_entry():
+    """A map entry for nothing in the source is refused, naming its key;
+    kept, it would make two equal functors or 2-cells compare unequal."""
+    f = corpus.collapse_functor()
+    with pytest.raises(ValidationError, match="on_objects maps 'zzz', which is not a source "):
+        Functor(f.source, f.target, dict(f.on_objects, zzz="0"), f.on_morphisms)
+    with pytest.raises(ValidationError, match="on_morphisms maps 'junk', which is not a source "):
+        Functor(f.source, f.target, f.on_objects, dict(f.on_morphisms, junk="id0"))
+    with pytest.raises(ValidationError, match="components map 'zzz', which is not a source "):
+        NatTransformation(f, f, {"a": "id0", "b": "id1", "zzz": "id0"})
+
+
 def test_vertical_composition_unit_and_associativity(cats):
     z2z2 = cats["z2z2"]
     idf = identity_functor(z2z2)

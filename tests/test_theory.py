@@ -487,6 +487,40 @@ def test_algebra_rejects_a_non_invertible_component(algebras):
         ("u", ("0", "1")))
 
 
+@pytest.mark.parametrize("carrier,table,message", [
+    ("p", "ops", "operation big: object table does not cover the 30-tuples"),
+    ("z2", "ops", "operation big: morphism table does not cover the 30-tuples"),
+    ("p", "gens", "generator g: components do not cover the 30-tuples"),
+], ids=["object-table", "morphism-table", "generator"])
+def test_a_short_table_is_refused_without_enumerating_the_tuples(
+        monkeypatch, carrier, table, message):
+    """An empty table at arity 30 is refused by its size: on two objects,
+    or two morphisms, the 30-tuples number 2^30 and cannot be listed."""
+    def at_most_a_thousand(tuples):
+        def guarded(self, n):
+            found = list(itertools.islice(tuples(self, n), 1001))
+            if len(found) > 1000:
+                raise AssertionError("enumerated the %d-tuples" % n)
+            return iter(found)
+        return guarded
+
+    for name in ("obj_tuples", "mor_tuples"):
+        monkeypatch.setattr(Algebra, name, at_most_a_thousand(getattr(Algebra, name)))
+    C = corpus.category(carrier)
+    if table == "ops":
+        pres = Presentation(Signature([Operation("big", 30)]))
+        # z2 has one object, so its object table is whole with one entry
+        whole = {("*",) * 30: "*"} if carrier == "z2" else {}
+        ops, gens = {"big": OpTable.from_maps(whole, {})}, {}
+    else:
+        pres = Presentation(Signature([]),
+                            generators=[TwoCellGenerator("g", 30, Var(1), Var(1), False)])
+        ops, gens = {}, {"g": {}}
+    with pytest.raises(ValidationError) as info:
+        Algebra(pres, C, ops, gens)
+    assert str(info.value) == message
+
+
 def _with_equations(A, coherence, term_equations):
     base = A.presentation
     return Presentation(base.signature, term_equations, base.generators,

@@ -1,7 +1,7 @@
 """Checks on the repository itself: the demos run, no correctness
 condition in the package relies on `assert`, which `python -O` removes,
 trusted builders stay behind the input boundary and under strict mode, and
-the benchmark's tracer names only evaluators that exist."""
+the benchmark's tracer names only functions and classes that exist."""
 import ast
 import importlib
 import os
@@ -103,15 +103,58 @@ def test_every_limit_parameter_is_read():
     assert found == []
 
 
+def _tracer_names(table):
+    """The qualified names a table of `perfbench/tracer.py` names, read
+    from its source so nothing under `perfbench/` is imported. The table
+    must be assigned exactly once, so no later assignment goes unread."""
+    values = [node.value for node in _tree(REPO / "perfbench" / "tracer.py").body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) == table]
+    assert len(values) == 1, "%s is assigned %d times" % (table, len(values))
+    value = values[0]
+    if table == "LEAVES":  # frozenset({...})
+        return sorted(ast.literal_eval(value.args[0]))
+    if table == "RESULTS":  # its values are lambdas; only the keys are names
+        return [ast.literal_eval(key) for key in value.keys]
+    data = ast.literal_eval(value)
+    if table == "GROUPS":
+        return [name for names in data.values() for name in names]
+    if table == "BUILT":
+        return list(data.values())
+    if table == "CONSTRUCTORS":
+        return ["%s.%s" % (module, cls) for module, classes in data.items() for cls in classes]
+    if table == "METHODS":
+        return ["%s.%s.%s" % (module, cls, attr)
+                for module, pairs in data.items() for cls, attr in pairs]
+    return list(data)
+
+
+def _undefined(names):
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        owner = importlib.import_module("birkhoff2d." + module)
+        for attr in attrs:
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(name)
+    return missing
+
+
 def test_the_evaluators_the_tracer_leaves_unwrapped_exist():
     """`perfbench/tracer.py` wraps every public function of a layer except
     those in LEAVES, the evaluators called once per tuple; a renamed one
     would be wrapped unnoticed, so every name there must still be defined."""
-    tree = _tree(REPO / "perfbench" / "tracer.py")
-    leaves = [ast.literal_eval(node.value.args[0]) for node in tree.body
-              if isinstance(node, ast.Assign)
-              and getattr(node.targets[0], "id", None) == "LEAVES"]
-    assert len(leaves) == 1 and "theory.eval_expr" in leaves[0]
-    missing = [name for name in sorted(leaves[0]) if not hasattr(
-        importlib.import_module("birkhoff2d." + name.split(".")[0]), name.split(".")[1])]
-    assert missing == []
+    leaves = _tracer_names("LEAVES")
+    assert "theory.eval_expr" in leaves
+    assert _undefined(leaves) == []
+
+
+@pytest.mark.parametrize("table", ["GROUPS", "BUILT", "DISTINCT", "RESULTS", "CONSTRUCTORS",
+                                   "METHODS"])
+def test_every_name_the_tracer_counts_exists(table):
+    """A per-layer metric of the benchmark sums the spans of the names in
+    these tables; a name renamed or deleted here would read 0 silently."""
+    names = _tracer_names(table)
+    assert names
+    assert _undefined(names) == []
