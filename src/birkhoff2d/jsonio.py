@@ -193,7 +193,14 @@ def nat_to_json(alpha: NatTransformation, from_ref: str, to_ref: str) -> dict:
 
 
 def _parse_table(data: dict, key: str, kind: str) -> Dict[Tuple[str, ...], str]:
-    return {tuple(args): value for args, value in _field(data, key, kind, "table", [])}
+    table: Dict[Tuple[str, ...], str] = {}
+    for args, value in _field(data, key, kind, "table", []):
+        row = tuple(args)
+        if row in table:
+            raise ValidationError("%s field %r repeats the row %r" % (kind, key, args),
+                                  witness=row)
+        table[row] = value
+    return table
 
 
 def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:

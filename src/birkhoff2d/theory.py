@@ -7,12 +7,16 @@ An :class:`Extension` enlarges a presentation by 2-cell equations only.
 
 An :class:`Algebra` interprets operations as finite tables (functorial by
 validation) and generators as natural families over all object tuples.
-Terms are evaluated on object and morphism tuples.  2-cell expressions
-get evaluation on morphism tuples; typing once, at construction: a
+Terms are evaluated on object and morphism tuples, and 2-cell
+expressions on morphism tuples; typing once, at construction: a
 presentation or extension types each of its 2-cell equations when it is
-built and keeps the arity, and :func:`eval_expr` returns the diagonal of
-an expression's naturality square at a morphism tuple, its component at
-an identity tuple.
+built and keeps the arity, and an expression evaluates to the diagonal of
+its naturality square at a morphism tuple, its component at an identity
+tuple.  Evaluation runs a column at a time: each node of a term or
+expression is one pass of table lookups over a column of tuples in
+carrier product order, read in slices of at most ``_SLICE`` tuples.
+:func:`eval_term_obj`, :func:`eval_term_mor` and :func:`eval_expr` are
+its one-tuple case.
 
 Satisfaction, homomorphisms, products, subalgebras, congruences and
 quotients, and reflexive coequifiers of algebras all live here.
@@ -516,6 +520,7 @@ class Algebra:
     def _validate(self) -> None:
         C = self.carrier
         obj_set = set(C.objects)
+        op_obj, op_mor, mor = self._op_obj, self._op_mor, C._mor
         for op in self.presentation.signature.operations:
             n = op.arity
             objs = self._op_obj[op.name]
@@ -567,27 +572,33 @@ class Algebra:
                     "generator %s: components do not cover the %d-tuples"
                     % (g.name, g.arity)
                 )
-            for t, v in comps.items():
-                if not C.has_morphism(v):
+
+            def boundaries(cols, size):
+                ends = [(mor[v].dom, mor[v].cod) if v in mor else None
+                        for v in map(comps.__getitem__, _keys(cols, size))]
+                return ends, list(zip(_term_column(op_obj, g.source, cols, size),
+                                      _term_column(op_obj, g.target, cols, size)))
+
+            for t, ends, wanted in _disagreements(comps, boundaries):
+                if ends is None:
                     raise ValidationError("generator %s maps %r outside the carrier" % (g.name, t))
-                sv = eval_term_obj(self, g.source, t)
-                tv = eval_term_obj(self, g.target, t)
-                if C.dom(v) != sv or C.cod(v) != tv:
-                    raise BoundaryMismatch(
-                        "generator %s at %r has boundary %s -> %s, wanted %s -> %s"
-                        % (g.name, t, C.dom(v), C.cod(v), sv, tv),
-                        witness=(g.name, t),
-                    )
-            for mt in self.mor_tuples(g.arity):
-                doms = tuple(C.dom(u) for u in mt)
-                cods = tuple(C.cod(u) for u in mt)
-                lhs = C.compose(eval_term_mor(self, g.target, mt), comps[doms])
-                rhs = C.compose(comps[cods], eval_term_mor(self, g.source, mt))
-                if lhs != rhs:
-                    raise ValidationError(
-                        "generator %s: naturality fails at %r" % (g.name, mt),
-                        witness=(g.name, mt),
-                    )
+                raise BoundaryMismatch(
+                    "generator %s at %r has boundary %s -> %s, wanted %s -> %s"
+                    % ((g.name, t) + ends + wanted),
+                    witness=(g.name, t),
+                )
+
+            def naturality(cols, size):
+                cods = [[mor[u].cod for u in col] for col in cols]
+                return (_expr_column(self, GenCell(g.name), cols, size),
+                        _composite(C, [comps[k] for k in _keys(cods, size)],
+                                   _term_column(op_mor, g.source, cols, size)))
+
+            for mt, _, _ in _disagreements(self.mor_tuples(g.arity), naturality):
+                raise ValidationError(
+                    "generator %s: naturality fails at %r" % (g.name, mt),
+                    witness=(g.name, mt),
+                )
             if g.invertible:
                 for t, v in comps.items():
                     if C.inverse(v) is None:
@@ -614,21 +625,107 @@ class Algebra:
 
 # -- evaluation --------------------------------------------------------
 
+# Tuples per column slice: bounds the memory of a column evaluation
+# whatever the number of tuples.
+_SLICE = 2048
+
+
+def _keys(cols, size: int):
+    """The tuples of a column slice, one value from each column."""
+    return zip(*cols) if cols else itertools.repeat((), size)
+
+
+def _disagreements(tuples: Iterable[Tuple[str, ...]], sides):
+    """(tuple, lhs, rhs) wherever the two columns ``sides(columns, size)``
+    returns differ, in the order of ``tuples``.
+
+    The tuples are read a slice at a time and never listed whole.  A slice
+    whose evaluation raises is evaluated again one tuple at a time, so a
+    disagreement at an earlier tuple still comes first and the error is
+    raised at its first tuple, as a walk tuple by tuple would.
+    """
+    tuples = iter(tuples)
+    while True:
+        chunk = list(itertools.islice(tuples, _SLICE))
+        if not chunk:
+            return
+        try:
+            pieces = [(chunk, sides(list(zip(*chunk)), len(chunk)))]
+        except (KeyError, BoundaryMismatch, NonInvertibleComponent):
+            pieces = (((t,), sides([(a,) for a in t], 1)) for t in chunk)
+        for ts, (lhs, rhs) in pieces:
+            for t, lv, rv in zip(ts, lhs, rhs):
+                if lv != rv:
+                    yield t, lv, rv
+
+
+def _composite(C: FinCategory, after, before):
+    """The column of composites after.before; the first pair that does not
+    compose raises BoundaryMismatch."""
+    comp = C.composition
+    try:
+        return [comp[p] for p in zip(after, before)]
+    except KeyError:
+        return [C.compose(g, f) for g, f in zip(after, before)]
+
+
+def _term_column(tables, t: Term, cols, size: int):
+    """The values of ``t`` at a slice of tuples: ``cols[i]`` holds the
+    values of variable i+1 and ``tables`` is an algebra's object tables
+    (``_op_obj``) or morphism tables (``_op_mor``)."""
+    if isinstance(t, Var):
+        return cols[t.index - 1]
+    table = tables[t.op]
+    return [table[k] for k in _keys([_term_column(tables, a, cols, size) for a in t.args],
+                                    size)]
+
+
+def _expr_column(alg: Algebra, e: TwoCellExpr, cols, size: int):
+    """The diagonals of ``e`` at a slice of morphism tuples, with the
+    columns of :func:`_term_column`; see :func:`eval_expr`."""
+    C = alg.carrier
+    if isinstance(e, IdCell):
+        return _term_column(alg._op_mor, e.term, cols, size)
+    if isinstance(e, SubstCell):
+        return _expr_column(alg, e.head, [
+            _term_column(alg._op_mor, a, cols, size) if isinstance(a, _TERM_TYPES)
+            else _expr_column(alg, a, cols, size) for a in e.args], size)
+    mor = C._mor
+    if isinstance(e, VCompCell):
+        identities = C.identities
+        ids = [[identities[mor[u].dom] for u in col] for col in cols]
+        return _composite(C, _expr_column(alg, e.after, cols, size),
+                          _expr_column(alg, e.before, ids, size))
+    if isinstance(e, (GenCell, InvCell)):
+        g = alg.presentation.generator[e.name]
+        objs = [[mor[u].dom for u in col] for col in cols]
+        table = alg._gen[e.name]
+        comps = [table[k] for k in _keys(objs, size)]
+        if isinstance(e, GenCell):
+            return _composite(C, _term_column(alg._op_mor, g.target, cols, size), comps)
+        inverses = C._inverses
+        try:
+            invs = [inverses[c] for c in comps]
+        except KeyError:
+            at = next(k for k, c in zip(_keys(objs, size), comps) if c not in inverses)
+            raise NonInvertibleComponent(
+                "component of %s at %r has no inverse" % (e.name, at), witness=(e.name, at)
+            ) from None
+        return _composite(C, _term_column(alg._op_mor, g.source, cols, size), invs)
+    raise TypeError(e)
+
 
 def eval_term_obj(alg: Algebra, t: Term, objs: Tuple[str, ...]) -> str:
-    if isinstance(t, Var):
-        return objs[t.index - 1]
-    return alg.op_obj(t.op, tuple(eval_term_obj(alg, a, objs) for a in t.args))
+    return _term_column(alg._op_obj, t, [(a,) for a in objs], 1)[0]
 
 
 def eval_term_mor(alg: Algebra, t: Term, mors: Tuple[str, ...]) -> str:
-    if isinstance(t, Var):
-        return mors[t.index - 1]
-    return alg.op_mor(t.op, tuple(eval_term_mor(alg, a, mors) for a in t.args))
+    return _term_column(alg._op_mor, t, [(u,) for u in mors], 1)[0]
 
 
 def eval_expr(alg: Algebra, e: TwoCellExpr, mors: Tuple[str, ...]) -> str:
-    """Evaluation on morphism tuples; typing once, at construction.
+    """Evaluation on morphism tuples, a column at a time; typing once, at
+    construction.
 
     The diagonal t(m).e_x = e_y.s(m) of the naturality square of
     ``e: s => t`` at ``m: x -> y``, so the component e_x is the diagonal at
@@ -636,31 +733,11 @@ def eval_expr(alg: Algebra, e: TwoCellExpr, mors: Tuple[str, ...]) -> str:
     built, and no arity or boundary term is needed here: an identity cell
     is its term's action, a vertical composite is after(m).before(1_x), and
     a substitution is its head at its arguments' diagonals (the
-    interchange law).
+    interchange law).  This is the one-tuple case of the column evaluation
+    that satisfaction and validation run: each node of ``e`` is one pass
+    of table lookups over a slice of up to ``_SLICE`` tuples.
     """
-    C = alg.carrier
-    if isinstance(e, IdCell):
-        return eval_term_mor(alg, e.term, mors)
-    if isinstance(e, SubstCell):
-        return eval_expr(alg, e.head, tuple(
-            eval_term_mor(alg, a, mors) if isinstance(a, _TERM_TYPES) else eval_expr(alg, a, mors)
-            for a in e.args))
-    if isinstance(e, VCompCell):
-        ids = tuple(C.identity(C.dom(u)) for u in mors)
-        return C.compose(eval_expr(alg, e.after, mors), eval_expr(alg, e.before, ids))
-    if isinstance(e, (GenCell, InvCell)):
-        g = alg.presentation.generator[e.name]
-        objs = tuple(C.dom(u) for u in mors)
-        comp = alg.gen_at(e.name, objs)
-        if isinstance(e, GenCell):
-            return C.compose(eval_term_mor(alg, g.target, mors), comp)
-        inv = C.inverse(comp)
-        if inv is None:
-            raise NonInvertibleComponent(
-                "component of %s at %r has no inverse" % (e.name, objs), witness=(e.name, objs)
-            )
-        return C.compose(eval_term_mor(alg, g.source, mors), inv)
-    raise TypeError(e)
+    return _expr_column(alg, e, [(u,) for u in mors], 1)[0]
 
 
 # -- satisfaction ------------------------------------------------------
@@ -685,19 +762,11 @@ def satisfies(alg: Algebra, E: Union[Extension, Presentation]) -> CheckResult:
     term_eqs = () if isinstance(E, Extension) else E.term_equations
     for i, (l, r) in enumerate(term_eqs):
         n = max(term_min_arity(l), term_min_arity(r))
-        for t in alg.obj_tuples(n):
-            lv, rv = eval_term_obj(alg, l, t), eval_term_obj(alg, r, t)
-            if lv != rv:
+        for tuples, tables in ((alg.obj_tuples(n), alg._op_obj), (alg.mor_tuples(n), alg._op_mor)):
+            for t, lv, rv in _disagreements(tuples, lambda cols, size: (
+                    _term_column(tables, l, cols, size), _term_column(tables, r, cols, size))):
                 return CheckResult(
-                    False,
-                    {"kind": "term", "equation": i, "tuple": t, "lhs": lv, "rhs": rv},
-                )
-        for mt in alg.mor_tuples(n):
-            lv, rv = eval_term_mor(alg, l, mt), eval_term_mor(alg, r, mt)
-            if lv != rv:
-                return CheckResult(
-                    False,
-                    {"kind": "term", "equation": i, "tuple": mt, "lhs": lv, "rhs": rv},
+                    False, {"kind": "term", "equation": i, "tuple": t, "lhs": lv, "rhs": rv}
                 )
     for i, t, lv, rv in _cell_disagreements(alg, E):
         return CheckResult(
@@ -710,13 +779,13 @@ def _cell_disagreements(alg: Algebra, E: Union[Extension, Presentation]):
     """(equation, object tuple, lhs, rhs) wherever the two sides of one of
     E's 2-cell equations have different components, equation by equation,
     tuples in carrier declaration order."""
-    identity = alg.carrier.identity
+    identities = alg.carrier.identities
     for i, (l, r, n) in enumerate(E._cell_equations):
-        for t in alg.obj_tuples(n):
-            ids = tuple(identity(a) for a in t)
-            lv, rv = eval_expr(alg, l, ids), eval_expr(alg, r, ids)
-            if lv != rv:
-                yield i, t, lv, rv
+        def sides(cols, size):
+            ids = [[identities[a] for a in col] for col in cols]
+            return _expr_column(alg, l, ids, size), _expr_column(alg, r, ids, size)
+        for t, lv, rv in _disagreements(alg.obj_tuples(n), sides):
+            yield i, t, lv, rv
 
 
 # -- homomorphisms -----------------------------------------------------

@@ -34,6 +34,7 @@ from birkhoff2d.fincat import (
 from birkhoff2d.theory import (
     Algebra,
     App,
+    Extension,
     GenCell,
     IdCell,
     SubstCell,
@@ -42,9 +43,6 @@ from birkhoff2d.theory import (
     algebra_two_cells,
     compose_algebra_homs,
     enumerate_algebra_homs,
-    eval_expr,
-    eval_term_mor,
-    eval_term_obj,
     quotient_algebra,
     subst_term,
     term_min_arity,
@@ -630,8 +628,8 @@ def validate_by_all_pairs(alg):
         for t, v in comps.items():
             if not C.has_morphism(v):
                 raise ValidationError("generator %s maps %r outside the carrier" % (g.name, t))
-            sv = eval_term_obj(alg, g.source, t)
-            tv = eval_term_obj(alg, g.target, t)
+            sv = walk_term_obj(alg, g.source, t)
+            tv = walk_term_obj(alg, g.target, t)
             if C.dom(v) != sv or C.cod(v) != tv:
                 raise BoundaryMismatch(
                     "generator %s at %r has boundary %s -> %s, wanted %s -> %s"
@@ -641,8 +639,8 @@ def validate_by_all_pairs(alg):
         for mt in alg.mor_tuples(g.arity):
             doms = tuple(C.dom(u) for u in mt)
             cods = tuple(C.cod(u) for u in mt)
-            lhs = C.compose(eval_term_mor(alg, g.target, mt), comps[doms])
-            rhs = C.compose(comps[cods], eval_term_mor(alg, g.source, mt))
+            lhs = C.compose(walk_term_mor(alg, g.target, mt), comps[doms])
+            rhs = C.compose(comps[cods], walk_term_mor(alg, g.source, mt))
             if lhs != rhs:
                 raise ValidationError(
                     "generator %s: naturality fails at %r" % (g.name, mt),
@@ -658,12 +656,12 @@ def validate_by_all_pairs(alg):
     for i, (l, r) in enumerate(alg.presentation.term_equations):
         n = max(term_min_arity(l), term_min_arity(r))
         for t in alg.obj_tuples(n):
-            if eval_term_obj(alg, l, t) != eval_term_obj(alg, r, t):
+            if walk_term_obj(alg, l, t) != walk_term_obj(alg, r, t):
                 raise ValidationError(
                     "term equation %d fails on objects at %r" % (i, t), witness=(i, t)
                 )
         for mt in alg.mor_tuples(n):
-            if eval_term_mor(alg, l, mt) != eval_term_mor(alg, r, mt):
+            if walk_term_mor(alg, l, mt) != walk_term_mor(alg, r, mt):
                 raise ValidationError(
                     "term equation %d fails on morphisms at %r" % (i, mt), witness=(i, mt)
                 )
@@ -673,6 +671,76 @@ def validate_by_all_pairs(alg):
                 raise ValidationError(
                     "2-cell equation %d fails at %r" % (i, t), witness=(i, t)
                 )
+
+
+# Terms and 2-cell expressions evaluated one tuple at a time by a recursive
+# walk, the way the package evaluated them before it evaluated a column of
+# tuples per expression node.
+
+
+def walk_term_obj(alg, t, objs):
+    if isinstance(t, Var):
+        return objs[t.index - 1]
+    return alg.op_obj(t.op, tuple(walk_term_obj(alg, a, objs) for a in t.args))
+
+
+def walk_term_mor(alg, t, mors):
+    if isinstance(t, Var):
+        return mors[t.index - 1]
+    return alg.op_mor(t.op, tuple(walk_term_mor(alg, a, mors) for a in t.args))
+
+
+def walk_expr(alg, e, mors):
+    """The diagonal of the naturality square of e at a morphism tuple."""
+    C = alg.carrier
+    if isinstance(e, IdCell):
+        return walk_term_mor(alg, e.term, mors)
+    if isinstance(e, SubstCell):
+        return walk_expr(alg, e.head, tuple(
+            walk_term_mor(alg, a, mors) if isinstance(a, (Var, App)) else walk_expr(alg, a, mors)
+            for a in e.args))
+    if isinstance(e, VCompCell):
+        ids = tuple(C.identity(C.dom(u)) for u in mors)
+        return C.compose(walk_expr(alg, e.after, mors), walk_expr(alg, e.before, ids))
+    g = alg.presentation.generator[e.name]
+    objs = tuple(C.dom(u) for u in mors)
+    comp = alg.gen_at(e.name, objs)
+    if isinstance(e, GenCell):
+        return C.compose(walk_term_mor(alg, g.target, mors), comp)
+    inv = C.inverse(comp)
+    if inv is None:
+        raise NonInvertibleComponent(
+            "component of %s at %r has no inverse" % (e.name, objs), witness=(e.name, objs))
+    return C.compose(walk_term_mor(alg, g.source, mors), inv)
+
+
+def cell_disagreements_by_walk(alg, E):
+    """(equation, object tuple, lhs, rhs) wherever the sides of one of E's
+    2-cell equations have different components, in the order satisfies
+    and reflect read them."""
+    for i, (l, r, n) in enumerate(E._cell_equations):
+        for t in alg.obj_tuples(n):
+            ids = tuple(alg.carrier.identity(a) for a in t)
+            lv, rv = walk_expr(alg, l, ids), walk_expr(alg, r, ids)
+            if lv != rv:
+                yield i, t, lv, rv
+
+
+def satisfaction_witness_by_walk(alg, E):
+    """The witness of satisfies(alg, E): the first failing equation and its
+    least tuple, or None when every equation holds."""
+    term_eqs = () if isinstance(E, Extension) else E.term_equations
+    for i, (l, r) in enumerate(term_eqs):
+        n = max(term_min_arity(l), term_min_arity(r))
+        for tuples, walk in ((alg.obj_tuples(n), walk_term_obj),
+                             (alg.mor_tuples(n), walk_term_mor)):
+            for t in tuples:
+                lv, rv = walk(alg, l, t), walk(alg, r, t)
+                if lv != rv:
+                    return {"kind": "term", "equation": i, "tuple": t, "lhs": lv, "rhs": rv}
+    for i, t, lv, rv in cell_disagreements_by_walk(alg, E):
+        return {"kind": "two_cell", "equation": i, "tuple": t, "lhs": lv, "rhs": rv}
+    return None
 
 
 # 2-cell expressions as the package evaluated them before evaluation moved to
@@ -698,7 +766,7 @@ def eval_expr_at_objects(alg, e, objs):
     """The component of the interpreted expression at an object tuple."""
     C = alg.carrier
     if isinstance(e, IdCell):
-        return C.identity(eval_term_obj(alg, e.term, objs))
+        return C.identity(walk_term_obj(alg, e.term, objs))
     if isinstance(e, GenCell):
         return alg.gen_at(e.name, objs)
     if isinstance(e, VCompCell):
@@ -708,14 +776,14 @@ def eval_expr_at_objects(alg, e, objs):
         src_vals, comp_mors = [], []
         for a in e.args:
             if isinstance(a, (Var, App)):
-                o = eval_term_obj(alg, a, objs)
+                o = walk_term_obj(alg, a, objs)
                 src_vals.append(o)
                 comp_mors.append(C.identity(o))
             else:
-                src_vals.append(eval_term_obj(alg, boundary(alg.presentation, a)[0], objs))
+                src_vals.append(walk_term_obj(alg, boundary(alg.presentation, a)[0], objs))
                 comp_mors.append(eval_expr_at_objects(alg, a, objs))
         head_comp = eval_expr_at_objects(alg, e.head, tuple(src_vals))
-        action = eval_term_mor(alg, boundary(alg.presentation, e.head)[1], tuple(comp_mors))
+        action = walk_term_mor(alg, boundary(alg.presentation, e.head)[1], tuple(comp_mors))
         return C.compose(action, head_comp)
     inv = C.inverse(alg.gen_at(e.name, objs))
     if inv is None:
@@ -736,23 +804,23 @@ def interpret_term(alg, t, n):
     return Functor(
         span.category,
         alg.carrier,
-        {span.obj_of[tup]: eval_term_obj(alg, t, tup) for tup in alg.obj_tuples(n)},
-        {span.mor_of[tup]: eval_term_mor(alg, t, tup) for tup in alg.mor_tuples(n)},
+        {span.obj_of[tup]: walk_term_obj(alg, t, tup) for tup in alg.obj_tuples(n)},
+        {span.mor_of[tup]: walk_term_mor(alg, t, tup) for tup in alg.mor_tuples(n)},
         name="[%s]" % (term_to_json(t),),
     )
 
 
 def interpret_two_cell(alg, e, n):
     """The interpretation of a 2-cell expression at arity n as a natural
-    transformation between its interpreted boundary terms, with the
-    package's components: its diagonals at identity tuples."""
+    transformation between its interpreted boundary terms, with its
+    diagonals at identity tuples as components."""
     src, tgt = boundary(alg.presentation, e)
     span = _power(alg.carrier, n)
     C = alg.carrier
     return NatTransformation(
         interpret_term(alg, src, n),
         interpret_term(alg, tgt, n),
-        {span.obj_of[tup]: eval_expr(alg, e, tuple(C.identity(a) for a in tup))
+        {span.obj_of[tup]: walk_expr(alg, e, tuple(C.identity(a) for a in tup))
          for tup in alg.obj_tuples(n)},
     )
 

@@ -97,6 +97,20 @@ def _set(*path_and_value):
     return go
 
 
+def _repeat_first_row(*path_and_value):
+    """List the first row of a table a second time, with another value, before
+    its lawful row."""
+    *path, value = path_and_value
+
+    def go(data):
+        node = data
+        for key in path:
+            node = node[key]
+        node.insert(0, [node[0][0], value])
+        return data
+    return go
+
+
 def _one_sided_equation(data):
     data["added_two_cell_equations"][0] = data["added_two_cell_equations"][0][:1]
     return data
@@ -120,16 +134,21 @@ def _one_sided_equation(data):
     ("--functor", "collapse.json", _set("on_objects", "zzz", "0"), "zzz"),
     ("--functor", "collapse.json", _set("on_morphisms", "junk", "id0"), "junk"),
     ("--nat", "cell.json", _set("components", "zzz", "id0"), "zzz"),
+    ("--algebra", "monoidal/xor_strict.json",
+     _repeat_first_row("operations", "tensor", "on_objects", "1"), "on_objects"),
+    ("--algebra", "monoidal/xor_strict.json",
+     _repeat_first_row("generators", "assoc", "s0"), "assoc"),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
         "category-objects-string", "category-composition-number",
         "operation-without-name", "operation-arity-string", "generator-without-arity",
         "operations-string", "equation-one-sided", "extension-base-number",
         "algebra-operations-list", "generator-table-number", "algebra-presentation-list",
-        "functor-stray-object", "functor-stray-morphism", "nat-stray-component"])
+        "functor-stray-object", "functor-stray-morphism", "nat-stray-component",
+        "operation-row-repeated", "generator-row-repeated"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
-    wrong shape, or one map entry for nothing in the source, it is invalid
-    input (exit 2) naming that field or entry."""
+    wrong shape, one map entry for nothing in the source, or one table row
+    listed twice, it is invalid input (exit 2) naming that field or entry."""
     shutil.copytree(ROOT, tmp_path, dirs_exist_ok=True)
     cell = {"from": "collapse.json", "to": "collapse.json",
             "components": {"a": "id0", "b": "id1"}}

@@ -92,3 +92,36 @@ def test_mutated_input_exits_cleanly(corpus_copy, kind, data, capsys, monkeypatc
         path.unlink()
     capsys.readouterr()
     assert code in (0, 1, 2)
+
+
+def _algebra_tables(doc):
+    """Every operation table and generator table of an algebra file, with
+    the field that holds it."""
+    for tables in doc["operations"].values():
+        yield from ((field, tables[field]) for field in ("on_objects", "on_morphisms"))
+    yield from doc["generators"].items()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_repeated_table_row_is_invalid_input(corpus_copy, data, capsys, monkeypatch):
+    """One row of an algebra table listed a second time, anywhere in the
+    table and with any value of the file, exits 2 naming the table, whether
+    or not the other copy is lawful."""
+    monkeypatch.chdir(corpus_copy)
+    name, argv = KINDS["algebra"]
+    original = corpus_copy / name
+    doc = json.loads(original.read_text())
+    field, table = data.draw(st.sampled_from(list(_algebra_tables(doc))))
+    args, _ = data.draw(st.sampled_from(table))
+    value = data.draw(st.sampled_from(sorted({v for _, v in table})))
+    table.insert(data.draw(st.integers(0, len(table))), [args, value])
+    path = original.with_name("fuzzed.json")
+    path.write_text(json.dumps(doc))
+    try:
+        code = cli.run(argv + [str(path)])
+    finally:
+        path.unlink()
+    err = capsys.readouterr().err
+    assert code == 2 and repr(field) in err and "repeats the row %r" % (args,) in err, err

@@ -341,6 +341,76 @@ def test_diagonals_match_the_components_of_the_reference(algebras, coherence):
     assert (len(found), checked) == (28, [20248, 51564])
 
 
+def _column(tuples):
+    """The columns of a list of tuples and their length."""
+    return [list(c) for c in zip(*tuples)], len(tuples)
+
+
+def _walk_cases(algebras, coherence):
+    """The catalog, its binary products (xor_strict^2 among them) and the
+    two apexes of refl.json; every generator, its inverse and every
+    subexpression of the coherence equations, with their arities."""
+    pairs = itertools.combinations_with_replacement(list(algebras.values()), 2)
+    apexes = [datum["u"].source for datum in corpus.refl_data()]
+    found = {}
+    for g in coherence.base.generators:
+        found[(GenCell(g.name), g.arity)] = found[(InvCell(g.name), g.arity)] = None
+    return (list(algebras.values()) + [product_algebra(*p)[0] for p in pairs] + apexes,
+            _typed_subexpressions(coherence, found))
+
+
+def test_columns_equal_the_per_tuple_walk(algebras, coherence):
+    """Each expression and its boundary terms, evaluated a column at a time,
+    equal the per-tuple walk of the oracles at every identity tuple, and
+    at every morphism tuple where an expression has at most 1296 (six
+    morphisms at arity 4)."""
+    bases, found = _walk_cases(algebras, coherence)
+    checked = [0, 0]
+    for A in bases:
+        C = A.carrier
+        for (e, n) in found:
+            s, t = oracles.boundary(A.presentation, e)
+            identities = [tuple(map(C.identity, x)) for x in A.obj_tuples(n)]
+            mors = list(A.mor_tuples(n)) if len(C.morphisms) ** n <= 1296 else []
+            for k, tuples in enumerate((identities, mors)):
+                if not tuples:
+                    continue
+                assert theory._expr_column(A, e, *_column(tuples)) == [
+                    oracles.walk_expr(A, e, m) for m in tuples], (A.name, e)
+                for term in (s, t):
+                    assert theory._term_column(A._op_mor, term, *_column(tuples)) == [
+                        oracles.walk_term_mor(A, term, m) for m in tuples], (A.name, term)
+                checked[k] += len(tuples)
+            objects = list(A.obj_tuples(n))
+            for term in (s, t):
+                assert theory._term_column(A._op_obj, term, *_column(objects)) == [
+                    oracles.walk_term_obj(A, term, x) for x in objects], (A.name, term)
+    assert (len(bases), len(found), checked) == (29, 23, [25279, 69494])
+
+
+@pytest.mark.parametrize("slice_size", [theory._SLICE, 7])
+def test_satisfaction_follows_the_per_tuple_walk(algebras, coherence, monkeypatch,
+                                                 slice_size):
+    """satisfies reports the walk's witness, and the 2-cell disagreements
+    that reflect identifies come in the walk's order, for the monoidal
+    presentation, the coherence extension and lunit = runit at the unit,
+    also when slices of 7 tuples split every equation's tuples."""
+    monkeypatch.setattr(theory, "_SLICE", slice_size)
+    base = coherence.base
+    theories = [base, coherence, theory.Extension(base, [
+        (SubstCell(LUNIT, (UNIT,)), SubstCell(GenCell("runit"), (UNIT,)))])]
+    failures, identified = 0, 0
+    for A in _walk_cases(algebras, coherence)[0]:
+        for E in theories:
+            witness = oracles.satisfaction_witness_by_walk(A, E)
+            assert satisfies(A, E).witness == witness, (A.name, E)
+            pairs = list(theory._cell_disagreements(A, E))
+            assert pairs == list(oracles.cell_disagreements_by_walk(A, E)), (A.name, E)
+            failures += witness is not None
+            identified += len(pairs)
+    assert (failures, identified) == (13, 944)
+
+
 def test_diagonals_tell_a_generator_source_from_its_target():
     """On the catalog every generator's two boundary terms agree on
     morphisms.  Here turn: x => flip(x) on the category 0 <-> 1 has
@@ -395,6 +465,49 @@ def test_satisfaction_of_bare_presentation():
 def test_satisfies_rejects_foreign_signature(coherence):
     with pytest.raises(SignatureMismatch):
         satisfies(corpus.plain_p(), coherence)
+
+
+# Trusted tables on two_max x z2_strict (objects (0,*) and (1,*)), tested
+# against lunit.lunit^-1 = 1: "twist" makes the unit tensor (id0,s) at
+# (0,*), so the equation fails there; "stuck" gives lunit the
+# non-invertible component (t,1) at (1,*), "loose" the component (id0,1),
+# which does not compose with (id1,1).  An error at (1,*) comes after the
+# disagreement at (0,*), and is raised when there is none.
+EVALUATION_ORDER = [
+    ("stuck", None, (NonInvertibleComponent, "component of lunit at ('(1,*)',) has no inverse",
+                     ("lunit", ("(1,*)",)))),
+    ("twist stuck", {"kind": "two_cell", "equation": 0, "tuple": ("(0,*)",),
+                     "lhs": "(id0,s)", "rhs": "(id0,1)"}, None),
+    ("loose", None, (BoundaryMismatch, "pair ((id1,1), (id0,1)) is not composable in (twoxz2)",
+                     ("(id1,1)", "(id0,1)"))),
+    ("twist loose", {"kind": "two_cell", "equation": 0, "tuple": ("(0,*)",),
+                     "lhs": "(id0,s)", "rhs": "(id0,1)"}, None),
+]
+
+
+@pytest.mark.parametrize("slice_size", [theory._SLICE, 1])
+@pytest.mark.parametrize("tables,witness,error", EVALUATION_ORDER,
+                         ids=[case[0] for case in EVALUATION_ORDER])
+def test_an_earlier_disagreement_comes_before_an_evaluation_error(
+        algebras, monkeypatch, tables, witness, error, slice_size):
+    """The same witness or error as the per-tuple walk, whether the two
+    tuples share a slice or not."""
+    monkeypatch.setattr(theory, "_SLICE", slice_size)
+    P = product_algebra(algebras["two_max"], algebras["z2_strict"])[0]
+    ops, gens = _tables(P)
+    if "twist" in tables:
+        ops["tensor"][1][("(id0,1)", "(id0,1)")] = "(id0,s)"
+    gens["lunit"][("(1,*)",)] = "(t,1)" if "stuck" in tables else "(id0,1)"
+    A = Algebra._trusted(P.presentation, P.carrier,
+                         {k: OpTable.from_maps(o, m) for k, (o, m) in ops.items()}, gens)
+    E = theory.Extension(P.presentation, [
+        (VCompCell(LUNIT, InvCell("lunit")), IdCell(Var(1)))])
+    if error is None:
+        assert satisfies(A, E).witness == witness
+        assert oracles.satisfaction_witness_by_walk(A, E) == witness
+    else:
+        assert _rejection(lambda: satisfies(A, E)) == error
+        assert _rejection(lambda: oracles.satisfaction_witness_by_walk(A, E)) == error
 
 
 # -- algebra validation ------------------------------------------------
@@ -577,6 +690,13 @@ def test_algebra_validation_matches_the_all_pairs_reference(algebras):
     assert seen["composition not preserved"] >= 20
     assert seen["naturality fails"] >= 3
     assert seen[None] >= 200
+
+
+def test_validation_in_slices_of_five_matches_the_all_pairs_reference(algebras, monkeypatch):
+    """The same mutations when slices of 5 tuples split the generator
+    boundary and naturality checks."""
+    monkeypatch.setattr(theory, "_SLICE", 5)
+    test_algebra_validation_matches_the_all_pairs_reference(algebras)
 
 
 # -- homomorphisms and 2-cells -----------------------------------------
