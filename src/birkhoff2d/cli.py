@@ -330,9 +330,20 @@ def cmd_lemmas(args, ws: Workspace):
 # -- argument parsing and dispatch ------------------------------------
 
 
+def _limit(text: str) -> int:
+    """A ``--limit`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer of at least 1, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--limit", type=int, default=DEFAULT_SEARCH_LIMIT,
+    common.add_argument("--limit", type=_limit, default=DEFAULT_SEARCH_LIMIT,
                         help="bound on enumeration search spaces")
     common.add_argument("--json", dest="as_json", action="store_true",
                         help="machine-readable report")

@@ -9,9 +9,13 @@ ending and starting at each object, inverses and the functor search's
 step plan) are made on first use, so the law checks, congruence closure
 and functor search visit only composable data, and a category that is
 only built and compared never pays for them.  Functors are searched by
-:func:`functor_maps` (enumeration, :func:`lifts`, kernel mediators),
-transformations by one search over component lists (enumeration,
-:func:`nat_lifts`) that decides naturality with :func:`naturality_witness`.
+:func:`functor_maps` (enumeration, :func:`lifts`, kernel mediators,
+algebra homomorphisms), transformations by one search over component
+lists (enumeration, :func:`nat_lifts`, algebra 2-cells) that decides
+naturality with :func:`naturality_witness`.  Both searches take optional
+laws, equations ``table[images of args] == image of result``: the functor
+search checks each at the step that assigns its last morphism, the
+transformation search with naturality on each choice.
 Values from outside, given to the public constructors (and so every
 value loaded from JSON), are validated.  Constructions from validated
 parts (search results, composites, whiskers, products, quotients,
@@ -193,6 +197,19 @@ class FinCategory:
             if k >= 0:
                 checks[k].append((g, f, h))
         return non_identity, checks
+
+    def _file_laws(self, laws):
+        """Laws ``(table, args, result)`` over these morphisms, filed as
+        :attr:`_search_plan` files composition triples: a list of those whose
+        members are all identities, and per step a list of those whose last
+        non-identity member that step assigns."""
+        step = {m.name: k for k, m in enumerate(self._search_plan[0])}
+        fixed: List[tuple] = []
+        filed: List[List[tuple]] = [[] for _ in step]
+        for law in laws:
+            k = max([step.get(u, -1) for u in law[1]] + [step.get(law[2], -1)])
+            (filed[k] if k >= 0 else fixed).append(law)
+        return fixed, filed
 
     # -- basic queries -------------------------------------------------
 
@@ -980,30 +997,44 @@ def _functor_limit_check(n_obj_maps: int, visited: int, limit: int) -> None:
         raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
 
 
+def _laws_hold(laws, image) -> bool:
+    """Does ``table[images of args] == image of result`` hold for every law
+    ``(table, args, result)``, with ``image`` mapping each member?"""
+    for table, args, result in laws:
+        if table[tuple([image[u] for u in args])] != image[result]:
+            return False
+    return True
+
+
 def functor_maps(
     A: FinCategory,
     B: FinCategory,
     limit: int = DEFAULT_SEARCH_LIMIT,
     objects: Optional[Dict[str, Sequence[str]]] = None,
     accept: Optional[Callable[[str, str], bool]] = None,
+    laws: Optional[Tuple[list, List[list]]] = None,
 ) -> Tuple[List[Tuple[Dict[str, str], Dict[str, str]]], int]:
     """The functor search: the (object map, morphism map) pair of every
     functor A -> B whose object images come from ``objects`` (per object of
-    A, a subsequence of B.objects; all of B.objects when omitted) and whose
-    non-identity morphism images pass ``accept(u, image)``, together with
-    the nodes visited.
+    A, a subsequence of B.objects; all of B.objects when omitted), whose
+    non-identity morphism images pass ``accept(u, image)`` and whose
+    morphism map satisfies ``laws``, together with the nodes visited.
 
     Backtracking over object maps then morphism maps, in declaration
     order, so a constrained search returns its results in the order the
     unconstrained one lists them.  Each composition triple is checked
     once per node, at the step that assigns its last non-identity
     morphism; identities are fixed by the object map, so a triple of
-    identities always holds.  Raises SizeLimitExceeded when the
+    identities always holds.  ``laws`` is ``A._file_laws`` of equations
+    ``table[images of args] == image of result`` over A's morphisms, and
+    each is checked the same way: at its step, or once per object map when
+    all its members are identities.  Raises SizeLimitExceeded when the
     object-map space or the nodes visited pass ``limit``.
     """
     slots = [B.objects if objects is None else objects[a] for a in A.objects]
     _functor_limit_check(math.prod(len(s) for s in slots), 0, limit)
     non_identity, checks = A._search_plan
+    fixed, step_laws = (None, None) if laws is None else laws
     B_comp, B_hom = B.composition, B._hom
     results: List[Tuple[Dict[str, str], Dict[str, str]]] = []
     visited = 0
@@ -1027,13 +1058,15 @@ def functor_maps(
                 if B_comp[(mmap[g], mmap[f])] != mmap[h]:
                     break
             else:
-                backtrack(k + 1)
+                if step_laws is None or _laws_hold(step_laws[k], mmap):
+                    backtrack(k + 1)
             del mmap[m.name]
 
     for combo in itertools.product(*slots):
         omap = dict(zip(A.objects, combo))
         mmap = {A.identity(a): B.identity(omap[a]) for a in A.objects}
-        backtrack(0)
+        if fixed is None or _laws_hold(fixed, mmap):
+            backtrack(0)
     return results, visited
 
 
@@ -1091,14 +1124,20 @@ def lifts(
     return tuple(Functor._trusted(B, C, o, m) for o, m in maps)
 
 
-def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], limit: int):
+def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], limit: int,
+                        laws=None):
     """Natural choices from ``slots`` (per object, a subsequence of its hom-set
-    F a -> G a) in product order, and the peak partial product of slot sizes."""
+    F a -> G a) in product order that also satisfy ``laws``, equations
+    ``table[components at args] == component at result`` over the source
+    objects, and the peak partial product of slot sizes."""
     peak = max(itertools.accumulate(map(len, slots), operator.mul, initial=1))
     if peak > limit:
         raise SizeLimitExceeded("component space exceeds limit %d" % limit)
     choices = (dict(zip(F.source.objects, c)) for c in itertools.product(*slots))
-    return [c for c in choices if naturality_witness(F, G, c) is None], peak
+    if laws is None:
+        return [c for c in choices if naturality_witness(F, G, c) is None], peak
+    return [c for c in choices
+            if _laws_hold(laws, c) and naturality_witness(F, G, c) is None], peak
 
 
 def enumerate_nat_transformations(

@@ -30,6 +30,13 @@ functions.  Subalgebras are validated like any other algebra; products
 and quotients by operation-closed congruences are lawful by construction
 and use the trusted ``Algebra._trusted``, and homomorphisms built from
 homomorphisms or found by the search use ``AlgebraHom._trusted``.
+
+Homomorphisms and algebra 2-cells are not filtered from the carrier's
+functors and transformations: :func:`enumerate_algebra_homs` is one run
+of the functor search with the homomorphism laws, filed once per source
+algebra, and :func:`algebra_two_cells` one run of the transformation
+search with the operation laws of a 2-cell.  :func:`is_algebra_hom` is
+the public ``AlgebraHom`` constructor's check.
 """
 from __future__ import annotations
 
@@ -55,11 +62,12 @@ from .fincat import (
     FinCategory,
     Functor,
     NatTransformation,
+    _made_on_first_use,
+    _natural_components,
     classify,
     compose_functors,
     congruence_closure,
-    enumerate_functors,
-    enumerate_nat_transformations,
+    functor_maps,
     power_span,
     quotient_by_congruence,
 )
@@ -613,6 +621,33 @@ class Algebra:
                 witness=check.witness,
             )
 
+    # -- the laws of homomorphisms, made on first use ----------------------
+
+    @_made_on_first_use
+    def _hom_laws(self):
+        """The laws of a homomorphism h out of this algebra, filed by the
+        carrier's functor-search steps (``FinCategory._file_laws``):
+        h(op(t)) = op(h(t)) at every morphism tuple t, which covers the
+        object tables since operations preserve identities, and
+        h(g_a) = g_(h a) at the identity tuple of every object tuple a.
+        Each law names its table in the target's :attr:`_law_tables`."""
+        ids = self.carrier.identities
+        laws = [(("op", op), t, v) for op, table in self._op_mor.items()
+                for t, v in table.items()]
+        laws += [(("gen", g), tuple(ids[a] for a in t), v) for g, comps in self._gen.items()
+                 for t, v in comps.items()]
+        return self.carrier._file_laws(laws)
+
+    @_made_on_first_use
+    def _law_tables(self):
+        """The tables that :attr:`_hom_laws` read in a target algebra: each
+        operation on morphism tuples, and each generator on identity tuples."""
+        ids = self.carrier.identities
+        tables = {("op", op): table for op, table in self._op_mor.items()}
+        tables.update({("gen", g): {tuple(ids[a] for a in t): v for t, v in comps.items()}
+                       for g, comps in self._gen.items()})
+        return tables
+
     def __eq__(self, other):
         return isinstance(other, Algebra) and self._key == other._key
 
@@ -838,8 +873,9 @@ class AlgebraHom:
     def _trusted(cls, source, target, functor, name=""):
         """The constructor without the homomorphism check, for functors that
         are homomorphisms by construction: composites of homomorphisms,
-        product and quotient projections, and search results that have
-        passed :func:`is_algebra_hom`."""
+        product and quotient projections, and the results of
+        :func:`enumerate_algebra_homs`, whose search checks every
+        homomorphism law."""
         self = cls.__new__(cls)
         self._fill(source, target, functor, name)
         return self
@@ -880,39 +916,39 @@ def compose_algebra_homs(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
 def enumerate_algebra_homs(
     A: Algebra, B: Algebra, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Tuple[AlgebraHom, ...]:
-    out = []
-    for F in enumerate_functors(A.carrier, B.carrier, limit=limit):
-        if is_algebra_hom(F, A, B):
-            out.append(AlgebraHom._trusted(A, B, F))
-    return tuple(out)
+    """Every strict homomorphism A -> B, in enumerate_functors order: one
+    functor search on the carriers, with A's homomorphism laws read
+    against B's tables, so each law is checked at the step that assigns
+    its last morphism.  ``limit`` bounds the nodes of that search."""
+    if A.presentation.signature != B.presentation.signature:
+        raise SignatureMismatch("algebras have different signatures")
+    fixed, filed = A._hom_laws
+    tables = B._law_tables
 
+    def read(laws):
+        return [(tables[key], args, result) for key, args, result in laws]
 
-def is_algebra_two_cell(
-    omega: NatTransformation, h: AlgebraHom, k: AlgebraHom
-) -> CheckResult:
-    """A 2-cell of algebras is a natural transformation compatible with
-    every operation at every object tuple (for a nullary operation the
-    component at its value must be the identity)."""
-    if omega.source != h.functor or omega.target != k.functor:
-        raise BoundaryMismatch("transformation does not run h => k")
-    A, B = h.source, h.target
-    for op in A.presentation.signature.operations:
-        for t in A.obj_tuples(op.arity):
-            lhs = omega.at(A.op_obj(op.name, t))
-            rhs = B.op_mor(op.name, tuple(omega.at(a) for a in t))
-            if lhs != rhs:
-                return CheckResult(False, {"op": op.name, "tuple": t, "lhs": lhs, "rhs": rhs})
-    return CheckResult(True)
+    maps, _ = functor_maps(A.carrier, B.carrier, limit, laws=(read(fixed), list(map(read, filed))))
+    return tuple(AlgebraHom._trusted(A, B, Functor._trusted(A.carrier, B.carrier, o, m))
+                 for o, m in maps)
 
 
 def algebra_two_cells(
     h: AlgebraHom, k: AlgebraHom, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Tuple[NatTransformation, ...]:
-    return tuple(
-        w
-        for w in enumerate_nat_transformations(h.functor, k.functor, limit=limit)
-        if is_algebra_two_cell(w, h, k)
-    )
+    """Every algebra 2-cell h => k, in enumerate_nat_transformations order: a
+    natural transformation w with w(op(t)) = op(w(t)) for every operation
+    and object tuple t (for a nullary operation, the identity at its
+    value), from one transformation search that checks those laws with
+    naturality.  ``limit`` bounds the component space, as there."""
+    F, G = h.functor, k.functor
+    if F.source != G.source or F.target != G.target:
+        raise BoundaryMismatch("need parallel functors")
+    A, B = h.source, h.target
+    laws = [(B._op_mor[op], t, v) for op, table in A._op_obj.items() for t, v in table.items()]
+    slots = [B.carrier.hom(F.obj(a), G.obj(a)) for a in A.carrier.objects]
+    found, _ = _natural_components(F, G, slots, limit, laws)
+    return tuple(NatTransformation._trusted(F, G, c) for c in found)
 
 
 # -- induced structure -------------------------------------------------

@@ -13,7 +13,7 @@ from birkhoff2d.birkhoff import (
     verify_unit_terminal,
 )
 from birkhoff2d.errors import SizeLimitExceeded, ValidationError
-from birkhoff2d.fincat import classify
+from birkhoff2d.fincat import classify, lifts
 from birkhoff2d.theory import enumerate_algebra_homs, product_algebra, satisfies
 
 import oracles
@@ -312,4 +312,25 @@ def test_unit_is_terminal_among_subclass_quotients(catalog, coherence):
         res = verify_unit_terminal(catalog[name], coherence)
         assert res, (name, res.witness)
         counts[name] = res.witness["quotients_in_subclass"]
+    assert counts == {"sigma_assoc": 1, "xor_strict": 2, "two_max": 1}
+
+
+def test_every_lift_along_the_unit_is_a_hom(catalog, coherence):
+    """verify_unit_terminal counts the lifts along the unit without testing
+    them: the unit is onto objects and morphisms, so each lift of a
+    homomorphism is one.  Here every lift of every quotient map passes the
+    homomorphism filter, and the quotients in the subclass each have one."""
+    counts = {}
+    for name in ("sigma_assoc", "xor_strict", "two_max"):
+        A = catalog[name]
+        R = reflect(A, coherence)
+        counts[name] = 0
+        for _, Q, h in enumerate_quotient_algebras(A):
+            got = lifts(R.unit.functor, h.functor)
+            assert list(got) == oracles.unit_lifts_by_filter(R, Q, h), name
+            if satisfies(Q, coherence):
+                assert len(got) == 1, name
+                counts[name] += 1
+        assert verify_unit_terminal(A, coherence).witness == {
+            "quotients_in_subclass": counts[name]}
     assert counts == {"sigma_assoc": 1, "xor_strict": 2, "two_max": 1}

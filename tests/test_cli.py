@@ -338,6 +338,18 @@ def test_quotients_listing_is_frozen(capsys):
     assert out == '2 quotient algebras\n  1: [["u", "v"]]\n  2: discrete\n'
 
 
+@pytest.mark.parametrize("value", ["-3", "0", "x"])
+def test_a_limit_below_one_is_a_usage_error(capsys, value):
+    """argparse refuses the value (exit 2) and names --limit; no search runs."""
+    with pytest.raises(SystemExit) as info:
+        cli.run(["quotients", "--algebra", str(ROOT / "plain_p.json"), "--limit", value])
+    assert info.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.endswith(
+        "error: argument --limit: must be an integer of at least 1, got %r\n" % value)
+
+
 # -- audit and characterisation ----------------------------------------
 
 AUDIT_ARGS = [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from birkhoff2d import corpus, theory
+from birkhoff2d.birkhoff import algebras_isomorphic
 from birkhoff2d.errors import (
     BoundaryMismatch,
     LabError,
@@ -16,6 +17,7 @@ from birkhoff2d.errors import (
     NotClosedUnderOperations,
     NotOperationClosed,
     SignatureMismatch,
+    SizeLimitExceeded,
     ValidationError,
 )
 from birkhoff2d.fincat import (
@@ -25,6 +27,7 @@ from birkhoff2d.fincat import (
     Morphism,
     classify,
     congruence_closure,
+    enumerate_functors,
     identity_functor,
 )
 from birkhoff2d.theory import (
@@ -44,6 +47,7 @@ from birkhoff2d.theory import (
     Var,
     algebra_congruence_closure,
     algebra_two_cells,
+    compose_algebra_homs,
     congruence_operation_witness,
     enumerate_algebra_homs,
     eval_expr,
@@ -729,6 +733,82 @@ def test_algebra_two_cells_between_identity(xor):
         (("0", "id0"), ("1", "id1")),
         (("0", "id0"), ("1", "s1")),
     ]
+
+
+def test_two_cells_need_parallel_homs(algebras):
+    xor, term = algebras["xor_strict"], algebras["terminal_alg"]
+    idh = AlgebraHom(xor, xor, identity_functor(xor.carrier), name="id")
+    (unit,) = enumerate_algebra_homs(term, xor)
+    for h, k in ((idh, unit), (unit, idh)):
+        with pytest.raises(BoundaryMismatch, match="^need parallel functors$"):
+            algebra_two_cells(h, k)
+
+
+def test_hom_and_two_cell_searches_match_the_filters(algebras):
+    """The searches that check their laws as they go return what filtering
+    every carrier functor and every transformation keeps, in the same
+    order: on every ordered pair of catalog algebras and plain_p, and from
+    and to each binary product of catalog algebras."""
+    members = list(algebras.values())
+    pairs = list(itertools.product(members + [corpus.plain_p()], repeat=2))
+    for A, B in itertools.combinations_with_replacement(members, 2):
+        P = product_algebra(A, B)[0]
+        pairs += [(P, C) for C in members] + [(C, P) for C in members]
+    homs = cells = mismatched = 0
+    for A, B in pairs:
+        if A.presentation.signature != B.presentation.signature:
+            for search in (enumerate_algebra_homs, oracles.algebra_homs_by_filter):
+                with pytest.raises(SignatureMismatch):
+                    search(A, B)
+            mismatched += 1
+            continue
+        found = enumerate_algebra_homs(A, B)
+        assert found == oracles.algebra_homs_by_filter(A, B), (A.name, B.name)
+        for h, k in itertools.product(found, repeat=2):
+            got = algebra_two_cells(h, k)
+            assert got == oracles.algebra_two_cells_by_filter(h, k), (A.name, B.name)
+            cells += len(got)
+        homs += len(found)
+    assert (len(pairs), mismatched, homs, cells) == (301, 12, 422, 888)
+
+
+def test_hom_searches_on_powers_of_xor_finish_under_the_default_limit(xor):
+    """Each of these searches exceeds the default limit when every carrier
+    functor is enumerated and then filtered."""
+    x2, pr1, pr2 = product_algebra(xor, xor)
+    x3 = product_algebra(x2, xor)[0]
+    homs = enumerate_algebra_homs(x2, x2)
+    into_xor = enumerate_algebra_homs(x2, xor)
+    # a homomorphism into a product is the pair of its legs
+    assert len(homs) == len(into_xor) ** 2 == 256
+    assert ({(compose_algebra_homs(pr1, h), compose_algebra_homs(pr2, h)) for h in homs}
+            == set(itertools.product(into_xor, repeat=2)))
+    iso = algebras_isomorphic(x2, x2)
+    assert iso is not None
+    flags = classify(iso.functor)
+    assert flags.bo and flags.ff
+    cube = enumerate_algebra_homs(x3, xor)
+    assert len(cube) == 64
+    assert all(is_algebra_hom(h.functor, x3, xor) for h in cube)
+
+
+def test_hom_search_stays_under_a_limit_the_carrier_search_passes(xor):
+    """The laws prune the functor search: xor_strict^2 -> xor_strict visits
+    328 nodes against 21,216 for every carrier functor, so under a limit
+    between the two the homomorphisms still come out, in the order of
+    enumerating and filtering, while the carrier enumeration raises, cold
+    and warm."""
+    x2 = product_algebra(xor, xor)[0]
+    limit = 1000
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_functors(x2.carrier, xor.carrier, limit=limit)
+    homs = enumerate_algebra_homs(x2, xor, limit=limit)
+    assert homs == oracles.algebra_homs_by_filter(x2, xor)
+    assert len(homs) == 16
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_functors(x2.carrier, xor.carrier, limit=limit)
+    with pytest.raises(SizeLimitExceeded):
+        enumerate_algebra_homs(x2, xor, limit=327)
 
 
 # -- products ----------------------------------------------------------

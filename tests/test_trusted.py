@@ -154,6 +154,23 @@ def test_strict_mode_catches_a_component_that_is_not_natural(cats, monkeypatch, 
     assert _error(lambda: enumerate_nat_transformations(F, G)) == public
 
 
+def test_strict_mode_catches_a_hom_search_without_its_laws(catalog, monkeypatch, request):
+    search = theory.functor_maps
+
+    def lawless(A, B, *args, laws=None, **kwargs):
+        return search(A, B, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "functor_maps", lawless)
+    xor = catalog["xor_strict"]
+    found = enumerate_algebra_homs(xor, xor)
+    bad = next(h for h in found if not theory.is_algebra_hom(h.functor, xor, xor))
+    public = _error(lambda: _public(bad))
+    assert public[:2] == (ValidationError, "functor ? is not a homomorphism: "
+                          "{'kind': 'operation-morphisms', 'op': 'tensor', 'tuple': ('s0', 'id1')}")
+    request.getfixturevalue("strict")
+    assert _error(lambda: enumerate_algebra_homs(xor, xor)) == public
+
+
 def test_strict_mode_catches_a_broken_operation_table(catalog, request):
     A = catalog["xor_strict"]
     operations, generators = _tables(A)
