@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from birkhoff2d.fincat import Functor, power_span, validate_category
+from birkhoff2d.fincat import Functor, power_span
 from birkhoff2d.jsonio import (
     algebra_to_json,
     category_to_json,
@@ -23,6 +23,7 @@ from birkhoff2d.jsonio import (
     extension_to_json,
     functor_to_json,
     presentation_to_json,
+    validate_category,
 )
 from birkhoff2d.theory import (
     Algebra,

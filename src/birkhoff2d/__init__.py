@@ -21,8 +21,9 @@ _EXPORTS = {
     "fincat": (
         "Congruence", "FinCategory", "Functor", "NatTransformation", "classify",
         "congruence_closure", "enumerate_functors", "enumerate_nat_transformations",
-        "quotient_by_congruence", "validate_category",
+        "quotient_by_congruence",
     ),
+    "jsonio": ("validate_category",),
     "factor": (
         "Factorisation", "check_orthogonal_morphisms", "check_orthogonal_object",
         "factor_bo_ff", "factor_bof", "factor_so_ioff",

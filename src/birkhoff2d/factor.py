@@ -210,7 +210,7 @@ def check_orthogonal_morphisms(
     """
     squares = [(x, y) for x in enumerate_functors(f.source, g.source, limit=limit)
                for y in lifts(f, compose_functors(g, x), limit=limit)]
-    diag: Dict[Tuple[Functor, Functor], Functor] = {}
+    filled = []
     for (x, y) in squares:
         ds = diagonal_fillins(f, g, x, y, limit=limit)
         if len(ds) != 1:
@@ -219,9 +219,8 @@ def check_orthogonal_morphisms(
                 {"level": 1, "square": (x.on_objects, y.on_objects),
                  "fillins": len(ds)},
             )
-        diag[(x, y)] = ds[0]
-    for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
-        d, d2 = diag[(x, y)], diag[(x2, y2)]
+        filled.append((x, y, ds[0]))
+    for (x, y, d), (x2, y2, d2) in itertools.product(filled, repeat=2):
         for alpha in enumerate_nat_transformations(x, x2, limit=limit):
             for beta in nat_lifts(f, whisker(g, alpha, "left"), y, y2, limit=limit):
                 deltas = nat_lifts(f, alpha.components, d, d2, g, beta, limit=limit)

@@ -91,8 +91,8 @@ class FinCategory:
 
     ``composition`` must contain an entry for every composable pair (g, f)
     with cod(f) == dom(g), keyed ``(g, f)`` and valued with the name of
-    ``g after f``.  Use :func:`validate_category` to build one from loose
-    data with identity-forced entries filled in.
+    ``g after f``.  :func:`birkhoff2d.jsonio.validate_category` builds one
+    from its on-disk description, filling in identity-forced entries.
     """
 
     def __init__(
@@ -373,53 +373,6 @@ class FinCategory:
             len(self.objects),
             len(self.morphisms),
         )
-
-
-def validate_category(raw: dict, name: str = "") -> FinCategory:
-    """Build a category from an untyped description, checking all laws.
-
-    ``raw`` uses the on-disk shape: ``objects`` (list of names),
-    ``morphisms`` (list of {"id", "dom", "cod"}), ``identities``
-    (object -> morphism) and ``composition`` (list of [g, f, result]
-    triples).  Entries forced by the identity laws may be omitted; explicit
-    entries always win and are then checked.
-    """
-    if not isinstance(raw, dict):
-        raise ValidationError("category description must be a mapping")
-    for key, shape in (("objects", list), ("morphisms", list), ("identities", dict),
-                       ("composition", list)):
-        if key not in raw and key != "composition":
-            raise ValidationError("category description lacks %r" % key)
-        if not isinstance(raw.get(key, []), shape):
-            raise ValidationError("category field %r must be %s" % (
-                key, "a list" if shape is list else "a mapping"), witness=key)
-    try:
-        morphisms = tuple(
-            Morphism(str(m["id"]), str(m["dom"]), str(m["cod"])) for m in raw["morphisms"]
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValidationError("bad morphism entry: %s" % exc)
-    objects = tuple(str(o) for o in raw["objects"])
-    identities = {str(k): str(v) for k, v in dict(raw["identities"]).items()}
-    composition: Dict[Tuple[str, str], str] = {}
-    for entry in raw.get("composition", ()):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValidationError("composition entries must be [g, f, result] triples",
-                                  witness=entry)
-        g, f, h = (str(x) for x in entry)
-        if (g, f) in composition:
-            raise ValidationError("duplicate composition entry", witness=(g, f))
-        composition[(g, f)] = h
-    # fill identity-forced entries that were left implicit
-    mor_by_name = {m.name: m for m in morphisms}
-    for m in morphisms:
-        ic = identities.get(m.cod)
-        idm = identities.get(m.dom)
-        if ic is not None and ic in mor_by_name:
-            composition.setdefault((ic, m.name), m.name)
-        if idm is not None and idm in mor_by_name:
-            composition.setdefault((m.name, idm), m.name)
-    return FinCategory(objects, morphisms, identities, composition, name=name)
 
 
 class Functor:

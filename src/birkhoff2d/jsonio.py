@@ -5,6 +5,10 @@ source and target category files, an algebra names its presentation and
 carrier).  :class:`Workspace` resolves those references against the
 directory of the referring file and caches parsed entities per path.
 
+Every field of a parsed file is read through one checker, ``_field``,
+which names the field when it is missing or of the wrong shape; nothing
+past this module checks the shape of input again.
+
 Serialization is deterministic: tables are emitted in sorted order and
 composition tables list only entries that are not forced by the identity
 laws.
@@ -16,7 +20,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import UsageError, ValidationError
-from .fincat import FinCategory, Functor, NatTransformation, validate_category
+from .fincat import FinCategory, Functor, Morphism, NatTransformation
 
 # ``theory`` is imported only where a presentation, extension or algebra is
 # read or written, so loading categories, functors and 2-cells never
@@ -53,16 +57,28 @@ def _is_table(value) -> bool:
     )
 
 
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(e, str) for e in value)
+
+
+def _is_object_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(e, dict) for e in value)
+
+
 # shape -> (description for the error message, test)
 _SHAPES = {
     str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     list: ("a list", lambda v: isinstance(v, list)),
     dict: ("a mapping of names to names",
            lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values())),
     "object": ("an object", lambda v: isinstance(v, dict)),
-    "objects": ("a list of objects",
-                lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)),
+    "functor": ("a file name or an object", lambda v: isinstance(v, (str, dict))),
+    "objects": ("a list of objects", _is_object_list),
+    "names": ("a list of names", _is_names),
+    "triples": ("a list of [g, f, result] name triples",
+                lambda v: isinstance(v, list) and all(_is_names(e) and len(e) == 3 for e in v)),
     "pairs": ("a list of [lhs, rhs] pairs",
               lambda v: isinstance(v, list) and all(
                   isinstance(e, list) and len(e) == 2 for e in v)),
@@ -77,6 +93,8 @@ def _field(data: dict, key: str, kind: str, shape, default=_REQUIRED):
     for a name or file reference, ``dict`` for a mapping of names to
     names, ...); ``default`` when the key is absent and a default is given.
     A ValidationError naming the field otherwise."""
+    if not isinstance(data, dict):
+        raise ValidationError("%s must be an object" % kind, witness=data)
     if key not in data:
         if default is _REQUIRED:
             raise ValidationError("%s lacks %r" % (kind, key), witness=key)
@@ -87,8 +105,37 @@ def _field(data: dict, key: str, kind: str, shape, default=_REQUIRED):
     return data[key]
 
 
-def parse_category(data, name: str = "") -> FinCategory:
-    return validate_category(data, name=name or data.get("name", ""))
+def validate_category(raw: dict, name: str = "") -> FinCategory:
+    """Build a category from its on-disk description, checking all laws.
+
+    ``raw`` has ``objects`` (list of names), ``morphisms`` (list of {"id",
+    "dom", "cod"}), ``identities`` (object -> morphism), optionally
+    ``composition`` (list of [g, f, result] triples).  Entries forced by the
+    identity laws may be omitted; explicit entries always win and are then
+    checked.
+    """
+    kind, mor_kind = "category", "category morphism"
+    objects = _field(raw, "objects", kind, "names")
+    morphisms = [
+        Morphism(_field(m, "id", mor_kind, str), _field(m, "dom", mor_kind, str),
+                 _field(m, "cod", mor_kind, str))
+        for m in _field(raw, "morphisms", kind, "objects")
+    ]
+    identities = _field(raw, "identities", kind, dict)
+    composition: Dict[Tuple[str, str], str] = {}
+    for g, f, h in _field(raw, "composition", kind, "triples", []):
+        if (g, f) in composition:
+            raise ValidationError("duplicate composition entry", witness=(g, f))
+        composition[(g, f)] = h
+    # fill identity-forced entries that were left implicit
+    names = {m.name for m in morphisms}
+    for m in morphisms:
+        ic, idm = identities.get(m.cod), identities.get(m.dom)
+        if ic in names:
+            composition.setdefault((ic, m.name), m.name)
+        if idm in names:
+            composition.setdefault((m.name, idm), m.name)
+    return FinCategory(objects, morphisms, identities, composition, name=name)
 
 
 def category_to_json(C: FinCategory) -> dict:
@@ -109,7 +156,7 @@ def category_to_json(C: FinCategory) -> dict:
     return out
 
 
-def parse_presentation(data, name: str = "") -> Presentation:
+def parse_presentation(data, name: str) -> Presentation:
     from .theory import (Operation, Presentation, Signature, TwoCellGenerator,
                          expr_from_json, term_from_json)
     kind = "presentation"
@@ -128,7 +175,7 @@ def parse_presentation(data, name: str = "") -> Presentation:
             _field(g, "arity", gen_kind, int),
             term_from_json(_field(g, "source", gen_kind, list)),
             term_from_json(_field(g, "target", gen_kind, list)),
-            bool(g.get("invertible", False)),
+            _field(g, "invertible", gen_kind, bool, False),
         )
         for g in _field(data, "generators", kind, "objects", [])
     ]
@@ -136,7 +183,7 @@ def parse_presentation(data, name: str = "") -> Presentation:
         (expr_from_json(l), expr_from_json(r))
         for l, r in _field(data, "two_cell_equations", kind, "pairs", [])
     ]
-    return Presentation(sig, term_eqs, gens, cell_eqs, name=name or data.get("name", ""))
+    return Presentation(sig, term_eqs, gens, cell_eqs, name=name)
 
 
 def presentation_to_json(P: Presentation) -> dict:
@@ -208,7 +255,7 @@ def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:
 
 
 def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
-                  name: str = "") -> Algebra:
+                  name: str) -> Algebra:
     from .theory import Algebra, OpTable
     ops = _field(data, "operations", "algebra", "object", {})
     gens = _field(data, "generators", "algebra", "object", {})
@@ -219,8 +266,7 @@ def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
         operations[op_name] = OpTable.from_maps(_parse_table(tables, "on_objects", where),
                                                 _parse_table(tables, "on_morphisms", where))
     generators = {g_name: _parse_table(gens, g_name, "algebra generators") for g_name in gens}
-    return Algebra(presentation, carrier, operations, generators,
-                   name=name or data.get("name", ""))
+    return Algebra(presentation, carrier, operations, generators, name=name)
 
 
 def algebra_to_json(A: Algebra, presentation_ref: str, carrier_ref: str) -> dict:
@@ -305,9 +351,9 @@ class Workspace:
         data = self._data(path)
         kind = entity_kind(data)
         here = path.parent
-        name = data.get("name", path.stem)
+        name = _field(data, "name", kind, str, path.stem)
         if kind == "category":
-            return parse_category(data, name=name)
+            return validate_category(data, name=name)
         elif kind == "functor":
             return self._functor_from(data, here, name)
         elif kind == "nat":
@@ -399,23 +445,21 @@ def _entries(ws: Workspace, ref: Union[str, Path], kind: str) -> Tuple[list, Pat
     of JSON objects, and the directory its references resolve against."""
     path = ws._resolve(ref, None)
     data = ws._data(path)
-    if not _SHAPES["objects"][1](data):
+    if not _is_object_list(data):
         raise ValidationError("%s file must be a list of objects" % kind, witness=kind)
     return data, path.parent
 
 
-def _functor_maps(data: dict, key: str, kind: str):
-    """The object and morphism maps of the inline functor ``data[key]``."""
-    value = _field(data, key, kind, "object")
-    where = "%s field %r" % (kind, key)
+def _functor_maps(value: dict, where: str):
+    """The object and morphism maps of an inline functor."""
     return _field(value, "on_objects", where, dict), _field(value, "on_morphisms", where, dict)
 
 
-def _member(entry: dict, kind: str, members: Mapping[str, Algebra]) -> Algebra:
+def _member(entry: dict, kind: str, members: Mapping[str, Algebra]) -> Tuple[str, Algebra]:
     name = _field(entry, "member", kind, str)
     if name not in members:
         raise UsageError("unknown catalog member %r" % name)
-    return members[name]
+    return name, members[name]
 
 
 def parse_sub_witnesses(ws: Workspace, ref: Union[str, Path],
@@ -426,14 +470,15 @@ def parse_sub_witnesses(ws: Workspace, ref: Union[str, Path],
     entries, here = _entries(ws, ref, kind)
     out = []
     for entry in entries:
-        member = _member(entry, kind, members)
-        w = entry.get("witness")
+        _, member = _member(entry, kind, members)
+        w = _field(entry, "witness", kind, "functor")
         if isinstance(w, str):
             F = ws.functor(w, base=here)
         else:
-            on_objects, on_morphisms = _functor_maps(entry, "witness", kind)
-            src = ws.category(_field(w, "source", "%s field 'witness'" % kind, str), base=here)
-            F = Functor(src, member.carrier, on_objects, on_morphisms, name=w.get("name", ""))
+            where = "%s field 'witness'" % kind
+            src = ws.category(_field(w, "source", where, str), base=here)
+            F = Functor(src, member.carrier, *_functor_maps(w, where),
+                        name=_field(w, "name", where, str, ""))
         out.append((F, member))
     return out
 
@@ -448,15 +493,16 @@ def parse_refl_data(ws: Workspace, ref: Union[str, Path],
     entries, here = _entries(ws, ref, kind)
     out = []
     for entry in entries:
-        member = _member(entry, kind, members)
+        member_name, member = _member(entry, kind, members)
         apex = ws.algebra(_field(entry, "apex", kind, str), base=here)
-        datum = {"name": entry.get("name", entry["member"]), "member": entry["member"]}
-        for key, src, tgt in (("u", apex, member), ("v", apex, member),
-                              ("section", member, apex)):
-            datum[key] = AlgebraHom(src, tgt, Functor(
-                src.carrier, tgt.carrier, *_functor_maps(entry, key, kind), name=key))
-        for key in ("phi", "psi"):
-            datum[key] = NatTransformation(datum["u"].functor, datum["v"].functor,
-                                           _field(entry, key, kind, dict))
-        out.append(datum)
+        name = _field(entry, "name", kind, str, member_name)
+        u, v, section = (
+            AlgebraHom(src, tgt, Functor(src.carrier, tgt.carrier, *_functor_maps(
+                _field(entry, key, kind, "object"), "%s field %r" % (kind, key)), name=key))
+            for key, src, tgt in (("u", apex, member), ("v", apex, member),
+                                  ("section", member, apex)))
+        phi, psi = (NatTransformation(u.functor, v.functor, _field(entry, key, kind, dict))
+                    for key in ("phi", "psi"))
+        out.append({"name": name, "member": member_name, "u": u, "v": v,
+                    "section": section, "phi": phi, "psi": psi})
     return out

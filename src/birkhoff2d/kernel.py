@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BoundaryMismatch, LabError, SizeLimitExceeded
 from .factor import CheckResult
@@ -446,15 +446,6 @@ def lemma_so_faithful(
     return CheckResult(True, {"pairs": checked, "cells": cells})
 
 
-def induced_between_quotients(
-    q1: Functor, q2: Functor, limit: int = DEFAULT_SEARCH_LIMIT
-) -> Optional[Functor]:
-    """The functor u with u . q1 == q2, when q1's identifications are
-    also made by q2; None otherwise.  Requires q1 surjective."""
-    found = lifts(q1, q2, limit=limit)
-    return found[0] if found else None
-
-
 def lemma_coeq_refl(
     data: Sequence[Tuple[NatTransformation, NatTransformation]],
     limit: int = DEFAULT_SEARCH_LIMIT,
@@ -467,12 +458,13 @@ def lemma_coeq_refl(
         q1, C1 = coequify(phi, psi)
         rd = make_reflexive(phi, psi)
         q2, C2 = coequify(rd.phi, rd.psi)
-        u = induced_between_quotients(q1, q2, limit)
-        v = induced_between_quotients(q2, q1, limit)
-        if u is None or v is None:
+        # both quotients are onto, so each lift is unique when it exists
+        us, vs = lifts(q1, q2, limit=limit), lifts(q2, q1, limit=limit)
+        if not us or not vs:
             return CheckResult(
                 False, {"datum": i, "reason": "quotients identify different morphisms"}
             )
+        u, v = us[0], vs[0]
         if (
             compose_functors(v, u) != identity_functor(C1)
             or compose_functors(u, v) != identity_functor(C2)

@@ -117,12 +117,12 @@ def term_from_json(data) -> Term:
         raise ValidationError("term must be a non-empty array", witness=data)
     head = data[0]
     if head == "var":
-        if len(data) != 2 or not isinstance(data[1], int) or data[1] < 1:
-            raise ValidationError("bad variable term", witness=data)
+        if len(data) != 2 or type(data[1]) is not int or data[1] < 1:  # bool is no index
+            raise ValidationError("bad variable term %r" % (data,), witness=data)
         return Var(data[1])
     if head == "op":
         if len(data) < 2 or not isinstance(data[1], str):
-            raise ValidationError("bad operation term", witness=data)
+            raise ValidationError("bad operation term %r" % (data,), witness=data)
         return App(data[1], tuple(term_from_json(a) for a in data[2:]))
     raise ValidationError("unknown term head %r" % (head,), witness=data)
 
@@ -193,10 +193,10 @@ def expr_from_json(data) -> TwoCellExpr:
     head = data[0]
     if head == "id" and len(data) == 2:
         return IdCell(term_from_json(data[1]))
-    if head == "gen" and len(data) == 2:
-        return GenCell(str(data[1]))
-    if head == "inv" and len(data) == 2:
-        return InvCell(str(data[1]))
+    if head in ("gen", "inv") and len(data) == 2:
+        if not isinstance(data[1], str):
+            raise ValidationError("bad generator name in %r" % (data,), witness=data)
+        return (GenCell if head == "gen" else InvCell)(data[1])
     if head == "vcomp" and len(data) == 3:
         return VCompCell(expr_from_json(data[1]), expr_from_json(data[2]))
     if head == "subst" and len(data) == 3 and isinstance(data[2], list):
@@ -1050,11 +1050,10 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
             )
         return min(lifts)
 
-    sub = _induced_algebra(Algebra, A.presentation, S, "sub(%s)" % (A.name or "?"),
-                           lift_obj, lift_mor, lift_gen)
-    # the witness is now a homomorphism from the induced algebra
-    AlgebraHom(sub, A, m, name="m")
-    return sub
+    # lift_* pick preimages of exactly the values m must reach, so m is a
+    # homomorphism from the induced algebra by construction
+    return _induced_algebra(Algebra, A.presentation, S, "sub(%s)" % (A.name or "?"),
+                            lift_obj, lift_mor, lift_gen)
 
 
 # -- congruences and quotients ----------------------------------------

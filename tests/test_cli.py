@@ -138,17 +138,33 @@ def _one_sided_equation(data):
      _repeat_first_row("operations", "tensor", "on_objects", "1"), "on_objects"),
     ("--algebra", "monoidal/xor_strict.json",
      _repeat_first_row("generators", "assoc", "s0"), "assoc"),
+    ("--category", "p.json", _set("objects", [1, {"a": 1}]), "objects"),
+    ("--category", "p.json", _set("morphisms", 2, "id", 5), "id"),
+    ("--category", "p.json", _set("morphisms", 0, ["ida", "a", "a"]), "morphisms"),
+    ("--category", "p.json", _set("identities", "a", ["ida"]), "identities"),
+    ("--category", "p.json", _set("name", ["x"]), "name"),
+    ("--functor", "collapse.json", _set("name", 5), "name"),
+    ("--presentation", "monoidal.json", _set("generators", 0, "invertible", "no"),
+     "invertible"),
+    ("--presentation", "monoidal.json", _set("generators", 1, "target", ["var", True]),
+     ["var", True]),
+    ("--extension", "coherence.json",
+     _set("added_two_cell_equations", 0, 0, ["gen", ["assoc"]]), ["gen", ["assoc"]]),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
         "category-objects-string", "category-composition-number",
         "operation-without-name", "operation-arity-string", "generator-without-arity",
         "operations-string", "equation-one-sided", "extension-base-number",
         "algebra-operations-list", "generator-table-number", "algebra-presentation-list",
         "functor-stray-object", "functor-stray-morphism", "nat-stray-component",
-        "operation-row-repeated", "generator-row-repeated"])
+        "operation-row-repeated", "generator-row-repeated", "category-objects-not-names",
+        "morphism-id-number", "morphism-entry-list", "identity-value-list",
+        "category-name-list", "functor-name-number", "generator-invertible-string",
+        "variable-index-boolean", "generator-name-list"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
-    wrong shape, one map entry for nothing in the source, or one table row
-    listed twice, it is invalid input (exit 2) naming that field or entry."""
+    wrong shape, one map entry for nothing in the source, one table row
+    listed twice, or one malformed term, it is invalid input (exit 2) naming
+    that field or entry or showing that term."""
     shutil.copytree(ROOT, tmp_path, dirs_exist_ok=True)
     cell = {"from": "collapse.json", "to": "collapse.json",
             "components": {"a": "id0", "b": "id1"}}

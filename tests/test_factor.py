@@ -26,9 +26,9 @@ from birkhoff2d.fincat import (
     nat_lifts,
     product_category,
     quotient_by_congruence,
-    validate_category,
 )
-from birkhoff2d.kernel import bof_kernel, coequify, induced_between_quotients
+from birkhoff2d.jsonio import validate_category
+from birkhoff2d.kernel import bof_kernel, coequify
 
 
 def _discrete_with_pipes():
@@ -126,9 +126,7 @@ def test_factorisations_agree_up_to_comparison_isomorphism(all_functors):
         fact = factor_bof(f)
         kd = bof_kernel(f)
         q, _ = coequify(kd.phi, kd.psi)
-        u = induced_between_quotients(fact.left, q)
-        v = induced_between_quotients(q, fact.left)
-        assert u is not None and v is not None
+        (u,), (v,) = lifts(fact.left, q), lifts(q, fact.left)
         uf, vf = classify(u), classify(v)
         assert uf.bo and uf.ff and vf.bo and vf.ff
 
@@ -171,7 +169,9 @@ def test_left_and_right_classes_are_orthogonal_sample(all_functors):
 def test_fillins_match_enumerate_then_filter(all_functors):
     """Every commuting square of every quotient/mono pair (one fill-in
     each), and of every functor against every quotient (none, one, two or
-    four), gets the fill-ins of the old filter, as the same tuple."""
+    four), gets the fill-ins of the old filter, as the same tuple.  The
+    squares on x are exactly those whose y lifts g.x along f, so the
+    squares check_orthogonal_morphisms lists all commute."""
     quotients = [f for f in all_functors if classify(f).bo_full]
     monos = [g for g in all_functors if classify(g).faithful]
     pairs = [(f, g) for f in quotients for g in monos]
@@ -180,11 +180,13 @@ def test_fillins_match_enumerate_then_filter(all_functors):
     for f, g in pairs:
         for x in enumerate_functors(f.source, g.source):
             gx = compose_functors(g, x)
-            for y in enumerate_functors(f.target, g.target):
-                if compose_functors(y, f) == gx:
-                    ds = diagonal_fillins(f, g, x, y)
-                    assert ds == oracles.fillins_by_filter(f, g, x, y)
-                    counts[len(ds)] = counts.get(len(ds), 0) + 1
+            ys = [y for y in enumerate_functors(f.target, g.target)
+                  if compose_functors(y, f) == gx]
+            assert ys == list(lifts(f, gx))
+            for y in ys:
+                ds = diagonal_fillins(f, g, x, y)
+                assert ds == oracles.fillins_by_filter(f, g, x, y)
+                counts[len(ds)] = counts.get(len(ds), 0) + 1
     assert counts == {0: 1080, 1: 7488, 2: 534, 4: 240}
 
 

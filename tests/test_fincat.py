@@ -33,10 +33,9 @@ from birkhoff2d.fincat import (
     nat_lifts,
     product_category,
     quotient_by_congruence,
-    validate_category,
     whisker,
 )
-from birkhoff2d.jsonio import category_to_json
+from birkhoff2d.jsonio import category_to_json, validate_category
 from birkhoff2d.kernel import coequify
 
 import oracles
@@ -128,6 +127,12 @@ def test_first_identity_law_witness_is_pinned():
 def test_missing_composite_rejected():
     raw = _raw(["x"], [("1", "x", "x"), ("a", "x", "x")], {"x": "1"}, [])
     with pytest.raises(IllTypedComposition):
+        validate_category(raw)
+
+
+@pytest.mark.parametrize("raw", [None, [], "objects", ["objects"], 5])
+def test_a_description_that_is_not_an_object_is_rejected(raw):
+    with pytest.raises(ValidationError, match="^category must be an object$"):
         validate_category(raw)
 
 

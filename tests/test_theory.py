@@ -846,6 +846,26 @@ def test_subalgebra_away_from_unit_is_rejected(xor, cats):
     assert exc.value.witness == ("unit", (), "0")
 
 
+def test_accepted_witnesses_are_homomorphisms_from_the_induced_algebra(cats, catalog):
+    """subalgebra_check lifts each operation value and generator component to
+    a preimage of the value the witness must reach, so the witness is a
+    homomorphism from the induced algebra by construction. Checked on the
+    corpus witnesses and on every faithful functor from a corpus category
+    into a catalog carrier that subalgebra_check accepts."""
+    cases = list(corpus.sub_witnesses()) + [
+        (m, A) for A in catalog.values() for C in cats.values()
+        for m in enumerate_functors(C, A.carrier) if classify(m).faithful]
+    accepted = 0
+    for m, A in cases:
+        try:
+            sub = subalgebra_check(m, A)
+        except LabError:
+            continue
+        assert is_algebra_hom(m, sub, A)
+        accepted += 1
+    assert (len(cases), accepted) == (71, 20)
+
+
 # -- congruences and quotients -----------------------------------------
 
 

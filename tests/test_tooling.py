@@ -1,7 +1,8 @@
 """Checks on the repository itself: the demos run, no correctness
 condition in the package relies on `assert`, which `python -O` removes,
-trusted builders stay behind the input boundary and under strict mode, and
-the benchmark's tracer names only functions and classes that exist."""
+trusted builders stay behind the input boundary and under strict mode, every
+JSON field is read by one checker, and the benchmark's tracer names only
+functions and classes that exist."""
 import ast
 import importlib
 import os
@@ -61,6 +62,32 @@ def test_the_input_boundary_uses_no_trusted_builder(module):
     names = [getattr(node, attr) for node in ast.walk(_tree(path))
              for attr in ("attr", "id", "name") if isinstance(getattr(node, attr, None), str)]
     assert [n for n in names if n.startswith("_trusted")] == []
+
+
+def test_every_json_field_is_read_by_the_one_checker():
+    """In jsonio, every string-keyed read (``x["key"]``, ``x.get("key", ...)``)
+    is made inside ``_field``, which names a missing or malformed field; and
+    fincat parses no JSON."""
+    tree = _tree(SRC / "birkhoff2d" / "jsonio.py")
+    checker = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_field")
+    inside = {id(node) for node in ast.walk(checker)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if (id(node) not in inside and isinstance(key, ast.Constant)
+                and isinstance(key.value, str)):
+            found.append("jsonio.py:%d" % node.lineno)
+    assert found == []
+    fincat = _tree(SRC / "birkhoff2d" / "fincat.py")
+    assert "validate_category" not in [node.name for node in fincat.body
+                                       if isinstance(node, ast.FunctionDef)]
 
 
 def test_strict_mode_patches_every_trusted_builder():
