@@ -27,6 +27,7 @@ from .fincat import (
     FinCategory,
     Functor,
     Morphism,
+    _differ,
     compose_functors,
     enumerate_functors,
     enumerate_nat_transformations,
@@ -77,19 +78,32 @@ def factor_bof(f: Functor) -> Factorisation:
     because f is a functor, so its classes are read off directly and need
     no congruence closure.  Classes are named by their least member, so the
     left leg is the evident quotient projection.
+
+    The middle is built once per kernel partition of A: its fields and the
+    projection's maps are kept on A (``A._bof_middles``) and every functor
+    out of A with that kernel reuses them.  Each call still returns a new
+    middle category and new legs, so no caller shares an object another
+    caller holds.
     """
     A, B = f.source, f.target
+    fm = f.on_morphisms
     kernel: Dict[Tuple[str, str, str], List[str]] = {}
     for u in A.morphisms:
-        kernel.setdefault((u.dom, u.cod, f.mor(u.name)), []).append(u.name)
-    M, e = quotient_by_congruence(A, Congruence._trusted(A, list(kernel.values())))
-    m = Functor._trusted(
-        M,
-        B,
-        {a: f.obj(a) for a in M.objects},
-        {mm.name: f.mor(mm.name) for mm in M.morphisms},
-        name="m",
-    )
+        kernel.setdefault((u.dom, u.cod, fm[u.name]), []).append(u.name)
+    # canonical: each class in A's order, the classes by their first member
+    partition = tuple(map(tuple, kernel.values()))
+    middles = A._bof_middles
+    kept = middles.get(partition)
+    if kept is None:
+        M, e = quotient_by_congruence(A, Congruence._trusted(A, partition))
+        kept = middles[partition] = (M.morphisms, M.identities, M.composition, M.name,
+                                     e.on_objects, e.on_morphisms)
+    morphisms, identities, composition, name, q_objects, q_morphisms = kept
+    M = FinCategory._trusted(A.objects, morphisms, identities, composition, name=name)
+    e = Functor._trusted(A, M, q_objects, q_morphisms, name="q")
+    fo = f.on_objects
+    m = Functor._trusted(M, B, {a: fo[a] for a in A.objects},
+                         {mm.name: fm[mm.name] for mm in morphisms}, name="m")
     return _check_split(f, e, m)
 
 
@@ -189,8 +203,8 @@ def diagonal_fillins(
     The square is compared pointwise, on every object and morphism of A,
     without building either composite.
     """
-    if (f.source != x.source or f.target != y.source or x.target != g.source
-            or y.target != g.target
+    if (_differ(f.source, x.source) or _differ(f.target, y.source)
+            or _differ(x.target, g.source) or _differ(y.target, g.target)
             or any(y.obj(f.obj(a)) != g.obj(x.obj(a)) for a in f.source.objects)
             or any(y.mor(f.mor(u.name)) != g.mor(x.mor(u.name)) for u in f.source.morphisms)):
         raise BoundaryMismatch("square does not commute")

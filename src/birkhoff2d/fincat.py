@@ -5,10 +5,11 @@ identities and full composition table, so all laws are decided by direct
 inspection and every construction in the package stays finite and
 deterministic.  The tables derived from those fields (morphisms by name,
 hom-sets, the composable triples ``(g, f, g after f)``, the morphisms
-ending and starting at each object, inverses and the functor search's
-step plan) are made on first use, so the law checks, congruence closure
-and functor search visit only composable data, and a category that is
-only built and compared never pays for them.  Functors are searched by
+ending and starting at each object, inverses, the functor search's step
+plan and the bof factorisation middles met so far) are made on first
+use, so the law checks, congruence closure and functor search visit only
+composable data, and a category that is only built and compared never
+pays for them.  Functors are searched by
 :func:`functor_maps` (enumeration, :func:`lifts`, kernel mediators,
 algebra homomorphisms), transformations by one search over component
 lists (enumeration, :func:`nat_lifts`, algebra 2-cells) that decides
@@ -37,7 +38,6 @@ byte-identical results.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -183,6 +183,14 @@ class FinCategory:
                     inv[m.name] = w
                     break
         return inv
+
+    @_made_on_first_use
+    def _bof_middles(self) -> Dict[Tuple[Tuple[str, ...], ...], tuple]:
+        """The fields of the bof factorisation middle (quotient category
+        and projection) of each kernel partition of this category that
+        :func:`birkhoff2d.factor.factor_bof` has met, keyed by the
+        partition; it lives as long as the category does."""
+        return {}
 
     @_made_on_first_use
     def _search_plan(self):
@@ -424,8 +432,10 @@ class Functor:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return (isinstance(other, Functor) and self.source == other.source
-                and self.target == other.target and self.on_objects == other.on_objects
+        return (isinstance(other, Functor)
+                and (self.source is other.source or self.source == other.source)
+                and (self.target is other.target or self.target == other.target)
+                and self.on_objects == other.on_objects
                 and self.on_morphisms == other.on_morphisms)
 
     @_made_on_first_use
@@ -441,6 +451,13 @@ class Functor:
             self.source.name or "?",
             self.target.name or "?",
         )
+
+
+def _differ(x, y) -> bool:
+    """``x != y``, deciding by identity first: ``!=`` alone goes through
+    ``object.__ne__`` into the Python-level ``__eq__`` even when both sides
+    are one object, as they are at most boundary checks."""
+    return x is not y and x != y
 
 
 def _stray_key(mapping, domain):
@@ -497,7 +514,7 @@ def identity_functor(A: FinCategory) -> Functor:
 
 def compose_functors(g: Functor, f: Functor) -> Functor:
     """g after f, computed pointwise."""
-    if f.target != g.source:
+    if _differ(f.target, g.source):
         raise BoundaryMismatch(
             "cannot compose %r after %r: middle categories differ" % (g, f)
         )
@@ -599,12 +616,12 @@ def whisker(h: Functor, alpha: NatTransformation, side: str) -> Dict[str, str]:
     of h with alpha's source and target.
     """
     if side == "left":
-        if alpha.source.target != h.source:
+        if _differ(alpha.source.target, h.source):
             raise BoundaryMismatch("left whisker: functor must start at alpha's target category")
         hm, comps = h.on_morphisms, alpha.components
         return {a: hm[comps[a]] for a in alpha.source.source.objects}
     if side == "right":
-        if h.target != alpha.source.source:
+        if _differ(h.target, alpha.source.source):
             raise BoundaryMismatch("right whisker: functor must land in alpha's source category")
         ho, comps = h.on_objects, alpha.components
         return {c: comps[ho[c]] for c in h.source.objects}
@@ -734,8 +751,9 @@ class Congruence:
         """Canonical classes (each sorted, ordered by least member) and
         each morphism's representative, its class's least member."""
         self.base = base
+        # the classes are disjoint, so as tuples they sort by least member
         self.classes: Tuple[Tuple[str, ...], ...] = tuple(
-            sorted((tuple(sorted(cl)) for cl in classes), key=lambda c: c[:1]))
+            sorted(tuple(sorted(cl)) for cl in classes))
         self.rep_of: Dict[str, str] = {u: cl[0] for cl in self.classes for u in cl}
 
     def related(self, u: str, v: str) -> bool:
@@ -861,16 +879,12 @@ def quotient_by_congruence(A: FinCategory, cong: Congruence):
     Objects are reused from A; each morphism class is named by its
     lexicographically least member.
     """
-    if cong.base != A:
+    if _differ(cong.base, A):
         raise BoundaryMismatch("congruence lives on a different category")
-    rep = cong.rep_of
-    morphisms = []
-    done = set()
-    for m in A.morphisms:
-        r = rep[m.name]
-        if r not in done:
-            done.add(r)
-            morphisms.append(Morphism(r, m.dom, m.cod))
+    rep, mor = cong.rep_of, A._mor
+    # a class is placed by its first member in A's order and named by its
+    # least member, whose own Morphism is parallel to that first member
+    morphisms = [mor[r] for r in dict.fromkeys(rep[m.name] for m in A.morphisms)]
     identities = {a: rep[A.identity(a)] for a in A.objects}
     composition = {(g, f): rep[h] for (g, f, h) in A._triples
                    if rep[g] == g and rep[f] == f}
@@ -902,23 +916,24 @@ class FunctorFlags:
 
 
 def classify(F: Functor) -> FunctorFlags:
-    """Decide the factorisation-relevant classes of a functor."""
+    """Decide the factorisation-relevant classes of a functor, in one pass
+    over each category's fields and no table."""
     A, B = F.source, F.target
-    image_objects = {F.obj(a) for a in A.objects}
-    so = image_objects == set(B.objects)
-    injective_on_objects = len(image_objects) == len(A.objects)
+    fo, fm = F.on_objects, F.on_morphisms
+    n_image_objects = len(set(fo.values()))
+    so = n_image_objects == len(B.objects)
+    injective_on_objects = n_image_objects == len(A.objects)
     bo = so and injective_on_objects
-    # images bucketed by source hom-set; each is a subset of its target
-    # hom-set, so F is full exactly when the image sizes add up to the sum
-    # of |hom(Fa, Fb)| over all pairs (a, b), which counts every morphism
-    # x -> y of B once per pair of objects sent to x and y
-    image: Dict[Tuple[str, str], set] = {}
-    for m in A.morphisms:
-        image.setdefault((m.dom, m.cod), set()).add(F.on_morphisms[m.name])
-    image_size = sum(map(len, image.values()))
+    # the distinct images per source hom-set; each hom-set's images are a
+    # subset of its target hom-set, so F is full exactly when their number
+    # is the sum of |hom(Fa, Fb)| over all pairs (a, b), which counts every
+    # morphism x -> y of B once per pair of objects sent to x and y
+    image_size = len({(m.dom, m.cod, fm[m.name]) for m in A.morphisms})
     faithful = image_size == len(A.morphisms)
-    sent_to = collections.Counter(F.on_objects[a] for a in A.objects)
-    full = image_size == sum(sent_to[m.dom] * sent_to[m.cod] for m in B.morphisms)
+    sent_to = dict.fromkeys(B.objects, 0)
+    for b in fo.values():
+        sent_to[b] += 1
+    full = image_size == sum([sent_to[m.dom] * sent_to[m.cod] for m in B.morphisms])
     return FunctorFlags(
         bo=bo,
         full=full,
@@ -1054,7 +1069,8 @@ def lifts(
     enumerating every functor and filtering would have passed.
     """
     B, C = f.target, x.target
-    if f.source != x.source or (g is not None and (g.source != C or y.source != B)):
+    if _differ(f.source, x.source) or (
+            g is not None and (_differ(g.source, C) or _differ(y.source, B))):
         raise BoundaryMismatch("lift problem does not fit together")
     obj_pin: Dict[str, str] = {}
     for a, b in f.on_objects.items():
@@ -1097,7 +1113,7 @@ def enumerate_nat_transformations(
     F: Functor, G: Functor, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Tuple[NatTransformation, ...]:
     """All natural transformations F => G, deterministic order."""
-    if F.source != G.source or F.target != G.target:
+    if _differ(F.source, G.source) or _differ(F.target, G.target):
         raise BoundaryMismatch("need parallel functors")
     cached = _NAT_CACHE.get((F, G))
     if cached is None:

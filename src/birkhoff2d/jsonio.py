@@ -105,6 +105,28 @@ def _field(data: dict, key: str, kind: str, shape, default=_REQUIRED):
     return data[key]
 
 
+def _only(data, kind: str, keys: Tuple[str, ...]) -> dict:
+    """``data``, checked to be an object with no key outside ``keys``: a
+    misspelt optional field would otherwise be read as absent.  A
+    ValidationError naming the first other key otherwise."""
+    if not isinstance(data, dict):
+        raise ValidationError("%s must be an object" % kind, witness=data)
+    stray = next((k for k in data if k not in keys), None)
+    if stray is not None:
+        raise ValidationError("%s has unknown field %r" % (kind, stray), witness=stray)
+    return data
+
+
+def _object_list(data: dict, key: str, kind: str, item_kind: str, keys: Tuple[str, ...],
+                 default=_REQUIRED) -> list:
+    """``data[key]``, a list of objects, each checked by :func:`_only`."""
+    return [_only(item, item_kind, keys)
+            for item in _field(data, key, kind, "objects", default)]
+
+
+_MAPS = ("on_objects", "on_morphisms")
+
+
 def validate_category(raw: dict, name: str = "") -> FinCategory:
     """Build a category from its on-disk description, checking all laws.
 
@@ -115,11 +137,12 @@ def validate_category(raw: dict, name: str = "") -> FinCategory:
     checked.
     """
     kind, mor_kind = "category", "category morphism"
+    _only(raw, kind, ("objects", "morphisms", "identities", "composition", "name"))
     objects = _field(raw, "objects", kind, "names")
     morphisms = [
         Morphism(_field(m, "id", mor_kind, str), _field(m, "dom", mor_kind, str),
                  _field(m, "cod", mor_kind, str))
-        for m in _field(raw, "morphisms", kind, "objects")
+        for m in _object_list(raw, "morphisms", kind, mor_kind, ("id", "dom", "cod"))
     ]
     identities = _field(raw, "identities", kind, dict)
     composition: Dict[Tuple[str, str], str] = {}
@@ -161,9 +184,11 @@ def parse_presentation(data, name: str) -> Presentation:
                          expr_from_json, term_from_json)
     kind = "presentation"
     op_kind, gen_kind = "presentation operation", "presentation generator"
+    _only(data, kind, ("operations", "term_equations", "generators", "two_cell_equations",
+                       "name"))
     sig = Signature([
         Operation(_field(o, "name", op_kind, str), _field(o, "arity", op_kind, int))
-        for o in _field(data, "operations", kind, "objects", [])
+        for o in _object_list(data, "operations", kind, op_kind, ("name", "arity"), [])
     ])
     term_eqs = [
         (term_from_json(l), term_from_json(r))
@@ -177,7 +202,8 @@ def parse_presentation(data, name: str) -> Presentation:
             term_from_json(_field(g, "target", gen_kind, list)),
             _field(g, "invertible", gen_kind, bool, False),
         )
-        for g in _field(data, "generators", kind, "objects", [])
+        for g in _object_list(data, "generators", kind, gen_kind,
+                              ("name", "arity", "source", "target", "invertible"), [])
     ]
     cell_eqs = [
         (expr_from_json(l), expr_from_json(r))
@@ -257,12 +283,13 @@ def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:
 def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
                   name: str) -> Algebra:
     from .theory import Algebra, OpTable
+    _only(data, "algebra", ("presentation", "carrier", "operations", "generators", "name"))
     ops = _field(data, "operations", "algebra", "object", {})
     gens = _field(data, "generators", "algebra", "object", {})
     operations = {}
     for op_name in ops:
         where = "algebra operation %r" % op_name
-        tables = _field(ops, op_name, "algebra operations", "object")
+        tables = _only(_field(ops, op_name, "algebra operations", "object"), where, _MAPS)
         operations[op_name] = OpTable.from_maps(_parse_table(tables, "on_objects", where),
                                                 _parse_table(tables, "on_morphisms", where))
     generators = {g_name: _parse_table(gens, g_name, "algebra generators") for g_name in gens}
@@ -362,6 +389,7 @@ class Workspace:
             return parse_presentation(data, name=name)
         elif kind == "extension":
             from .theory import Extension, expr_from_json
+            _only(data, kind, ("base", "added_two_cell_equations", "name"))
             base_pres = self.presentation(_field(data, "base", "extension", str), base=here)
             return Extension(
                 base_pres,
@@ -384,12 +412,14 @@ class Workspace:
         return self._paths[id(entity)]
 
     def _functor_from(self, data, here: Path, name: str) -> Functor:
+        _only(data, "functor", ("source", "target") + _MAPS + ("name",))
         src = self.category(_field(data, "source", "functor", str), base=here)
         tgt = self.category(_field(data, "target", "functor", str), base=here)
         return Functor(src, tgt, _field(data, "on_objects", "functor", dict),
                        _field(data, "on_morphisms", "functor", dict), name=name)
 
     def _nat_from(self, data, here: Path) -> NatTransformation:
+        _only(data, "nat", ("from", "to", "components", "name"))
         F = self.functor(_field(data, "from", "nat", str), base=here)
         G = self.functor(_field(data, "to", "nat", str), base=here)
         return NatTransformation(F, G, _field(data, "components", "nat", dict))
@@ -450,8 +480,10 @@ def _entries(ws: Workspace, ref: Union[str, Path], kind: str) -> Tuple[list, Pat
     return data, path.parent
 
 
-def _functor_maps(value: dict, where: str):
-    """The object and morphism maps of an inline functor."""
+def _functor_maps(value: dict, where: str, others: Tuple[str, ...] = ()):
+    """The object and morphism maps of an inline functor, whose only other
+    keys are ``others``."""
+    _only(value, where, _MAPS + others)
     return _field(value, "on_objects", where, dict), _field(value, "on_morphisms", where, dict)
 
 
@@ -470,15 +502,16 @@ def parse_sub_witnesses(ws: Workspace, ref: Union[str, Path],
     entries, here = _entries(ws, ref, kind)
     out = []
     for entry in entries:
+        _only(entry, kind, ("member", "witness"))
         _, member = _member(entry, kind, members)
         w = _field(entry, "witness", kind, "functor")
         if isinstance(w, str):
             F = ws.functor(w, base=here)
         else:
             where = "%s field 'witness'" % kind
+            maps = _functor_maps(w, where, ("source", "name"))
             src = ws.category(_field(w, "source", where, str), base=here)
-            F = Functor(src, member.carrier, *_functor_maps(w, where),
-                        name=_field(w, "name", where, str, ""))
+            F = Functor(src, member.carrier, *maps, name=_field(w, "name", where, str, ""))
         out.append((F, member))
     return out
 
@@ -493,6 +526,7 @@ def parse_refl_data(ws: Workspace, ref: Union[str, Path],
     entries, here = _entries(ws, ref, kind)
     out = []
     for entry in entries:
+        _only(entry, kind, ("member", "apex", "name", "u", "v", "section", "phi", "psi"))
         member_name, member = _member(entry, kind, members)
         apex = ws.algebra(_field(entry, "apex", kind, str), base=here)
         name = _field(entry, "name", kind, str, member_name)

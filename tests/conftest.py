@@ -89,8 +89,12 @@ def strict_patches():
 @pytest.fixture
 def strict(monkeypatch):
     """Every trusted builder validates, and the search caches start empty
-    so no result built before the test is returned unchecked."""
+    so no result built before the test is returned unchecked.  The bof
+    middles a category keeps are hidden behind an empty table read afresh
+    each time, so every factorisation builds, and so checks, its kernel
+    congruence."""
     for owner, attr, replacement in strict_patches():
         monkeypatch.setattr(owner, attr, replacement)
     monkeypatch.setattr(fincat, "_FUNCTOR_CACHE", {})
     monkeypatch.setattr(fincat, "_NAT_CACHE", {})
+    monkeypatch.setattr(fincat.FinCategory, "_bof_middles", property(lambda self: {}))

@@ -5,6 +5,7 @@ union-find, recursive partition generation, product-and-filter counting
 straight from the definitions.  Slow, but transparently correct on
 corpus-sized inputs, which is the point.
 """
+import collections
 import functools
 import itertools
 
@@ -15,12 +16,14 @@ from birkhoff2d.errors import (
     NotOperationClosed,
     ValidationError,
 )
-from birkhoff2d.factor import FACTOR_SYSTEMS, CheckResult, diagonal_fillins
+from birkhoff2d.factor import FACTOR_SYSTEMS, CheckResult, Factorisation, diagonal_fillins
 from birkhoff2d.fincat import (
     DEFAULT_SEARCH_LIMIT,
     Congruence,
+    FinCategory,
     Functor,
     FunctorFlags,
+    Morphism,
     NatTransformation,
     classify,
     compose_functors,
@@ -562,6 +565,62 @@ def algebra_orthogonal_by_whiskers(eta, B):
                      "missing": len(down_cells - set(whiskered))},
                 )
     return CheckResult(True, {"homs": len(upper)})
+
+
+def factor_bof_uncached(f):
+    """The bof factorisation built afresh for each functor, with no middle
+    kept between calls: the kernel classes, their canonical order (each
+    sorted, ordered by least member), and the quotient of the source by them
+    with a new Morphism per class, as factor_bof built it per call before."""
+    A, B = f.source, f.target
+    kernel = {}
+    for u in A.morphisms:
+        kernel.setdefault((u.dom, u.cod, f.mor(u.name)), []).append(u.name)
+    classes = sorted((tuple(sorted(cl)) for cl in kernel.values()), key=lambda c: c[:1])
+    rep = {u: cl[0] for cl in classes for u in cl}
+    morphisms, done = [], set()
+    for m in A.morphisms:
+        r = rep[m.name]
+        if r not in done:
+            done.add(r)
+            morphisms.append(Morphism(r, m.dom, m.cod))
+    composition = {(g, h): rep[A.compose(g, h)] for (g, h) in A.composable_pairs()
+                   if rep[g] == g and rep[h] == h}
+    M = FinCategory._trusted(A.objects, morphisms,
+                             {a: rep[A.identity(a)] for a in A.objects}, composition,
+                             name="%s/~" % (A.name or "?"))
+    e = Functor._trusted(A, M, {a: a for a in A.objects},
+                         {m.name: rep[m.name] for m in A.morphisms}, name="q")
+    m = Functor._trusted(M, B, {a: f.obj(a) for a in M.objects},
+                         {mm.name: f.mor(mm.name) for mm in M.morphisms}, name="m")
+    return Factorisation(f, e, m)
+
+
+def classify_by_buckets(F):
+    """Functor classes from the image of each source hom-set, bucketed as
+    sets, and a Counter of the objects sent to each target object."""
+    A, B = F.source, F.target
+    image_objects = {F.obj(a) for a in A.objects}
+    so = image_objects == set(B.objects)
+    injective_on_objects = len(image_objects) == len(A.objects)
+    bo = so and injective_on_objects
+    image = {}
+    for m in A.morphisms:
+        image.setdefault((m.dom, m.cod), set()).add(F.on_morphisms[m.name])
+    image_size = sum(map(len, image.values()))
+    faithful = image_size == len(A.morphisms)
+    sent_to = collections.Counter(F.on_objects[a] for a in A.objects)
+    full = image_size == sum(sent_to[m.dom] * sent_to[m.cod] for m in B.morphisms)
+    return FunctorFlags(
+        bo=bo,
+        full=full,
+        faithful=faithful,
+        so=so,
+        injective_on_objects=injective_on_objects,
+        ff=full and faithful,
+        bo_full=bo and full,
+        ioff=injective_on_objects and full and faithful,
+    )
 
 
 def classify_by_pairs(F):

@@ -150,6 +150,19 @@ def _one_sided_equation(data):
      ["var", True]),
     ("--extension", "coherence.json",
      _set("added_two_cell_equations", 0, 0, ["gen", ["assoc"]]), ["gen", ["assoc"]]),
+    ("--presentation", "monoidal.json", _set("generators", 0, "invertable", True),
+     "invertable"),
+    ("--category", "p.json", _set("morphism", []), "morphism"),
+    ("--category", "p.json", _set("morphisms", 0, "name", "ida"), "name"),
+    ("--functor", "collapse.json", _set("onobjects", {}), "onobjects"),
+    ("--nat", "cell.json", _set("component", {}), "component"),
+    ("--presentation", "monoidal.json", _set("term_equation", []), "term_equation"),
+    ("--presentation", "monoidal.json", _set("operations", 0, "arty", 2), "arty"),
+    ("--extension", "coherence.json", _set("added_two_cell_equation", []),
+     "added_two_cell_equation"),
+    ("--algebra", "monoidal/xor_strict.json", _set("generator", {}), "generator"),
+    ("--algebra", "monoidal/xor_strict.json", _set("operations", "tensor", "on_object", []),
+     "on_object"),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
         "category-objects-string", "category-composition-number",
         "operation-without-name", "operation-arity-string", "generator-without-arity",
@@ -159,12 +172,16 @@ def _one_sided_equation(data):
         "operation-row-repeated", "generator-row-repeated", "category-objects-not-names",
         "morphism-id-number", "morphism-entry-list", "identity-value-list",
         "category-name-list", "functor-name-number", "generator-invertible-string",
-        "variable-index-boolean", "generator-name-list"])
+        "variable-index-boolean", "generator-name-list", "generator-invertable",
+        "category-stray-morphism", "morphism-stray-name", "functor-stray-field",
+        "nat-stray-field", "presentation-stray-field", "operation-stray-field",
+        "extension-stray-field", "algebra-stray-field", "operation-table-stray-field"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
-    wrong shape, one map entry for nothing in the source, one table row
-    listed twice, or one malformed term, it is invalid input (exit 2) naming
-    that field or entry or showing that term."""
+    wrong shape, one field the format does not have, one map entry for
+    nothing in the source, one table row listed twice, or one malformed
+    term, it is invalid input (exit 2) naming that field or entry or showing
+    that term."""
     shutil.copytree(ROOT, tmp_path, dirs_exist_ok=True)
     cell = {"from": "collapse.json", "to": "collapse.json",
             "components": {"a": "id0", "b": "id1"}}
@@ -398,10 +415,16 @@ def test_audit_rejects_unknown_member_names(capsys):
     ("--subs", lambda data: data[0], ("list of objects",)),
     ("--refl", _pop(0, "u", "on_objects"), ("'u'", "'on_objects'")),
     ("--refl", _pop(1, "section"), ("'section'",)),
+    ("--subs", _set(0, "witness", "target", "two.json"), ("'witness'", "'target'")),
+    ("--subs", _set(1, "members", "xor_strict"), ("'members'",)),
+    ("--refl", _set(0, "u", "name", "u"), ("'u'", "'name'")),
+    ("--refl", _set(1, "sections", {}), ("'sections'",)),
 ], ids=["witness-without-on_objects", "entry-without-member", "object-not-list",
-        "u-without-on_objects", "entry-without-section"])
+        "u-without-on_objects", "entry-without-section", "witness-stray-field",
+        "entry-stray-field", "u-stray-field", "datum-stray-field"])
 def test_audit_names_the_malformed_field(capsys, tmp_path, flag, break_it, needles):
-    """A malformed audit input file is invalid input (exit 2) naming the field."""
+    """A malformed audit input file, or one with a field the format does not
+    have, is invalid input (exit 2) naming the field."""
     shutil.copytree(ROOT, tmp_path / "corpus")
     path = tmp_path / "corpus" / ("subs.json" if flag == "--subs" else "refl.json")
     path.write_text(json.dumps(break_it(json.loads(path.read_text()))))

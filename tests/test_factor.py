@@ -90,6 +90,30 @@ def test_bof_kernel_classes_match_the_closure_oracle(cats, all_functors, mode, r
         assert (fact.middle.name, fact.left.name, fact.right.name) == (M.name, e.name, m.name)
 
 
+@pytest.fixture(scope="module")
+def ladder(cats):
+    """Every functor of the three rungs of the benchmark's scale ladder:
+    d2xz2z2 to z2z2 and to itself, and z2z2xz2z2 to z2z2."""
+    D, Z = (product_category(cats[a], cats["z2z2"])[0] for a in ("d2", "z2z2"))
+    rungs = [enumerate_functors(A, B) for A, B in ((D, cats["z2z2"]), (D, D), (Z, cats["z2z2"]))]
+    assert [len(r) for r in rungs] == [256, 4096, 4096]
+    return tuple(f for r in rungs for f in r)
+
+
+def test_bof_and_classify_match_their_uncached_oracles(all_functors, ladder):
+    """factor_bof, which keeps one middle per kernel partition of the
+    source, gives the factorisation built afresh per functor, in value and
+    in every name; the one-pass classify gives the bucketed flags on each
+    functor and on both legs."""
+    for f in all_functors + ladder:
+        fact, want = factor_bof(f), oracles.factor_bof_uncached(f)
+        for got, ref in ((fact.middle, want.middle), (fact.left, want.left),
+                         (fact.right, want.right)):
+            assert got == ref and got.name == ref.name, f
+        for F in (f, fact.left, fact.right):
+            assert classify(F) == oracles.classify_by_buckets(F), F
+
+
 def test_bof_of_collapse_merges_the_parallel_pair():
     fact = factor_bof(corpus.collapse_functor())
     assert len(fact.middle.objects) == 2

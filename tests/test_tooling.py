@@ -90,6 +90,31 @@ def test_every_json_field_is_read_by_the_one_checker():
                                        if isinstance(node, ast.FunctionDef)]
 
 
+def _module_dicts(path):
+    """Names a module binds at its top level to a dict display, a dict
+    comprehension or a call of ``dict``."""
+    found = set()
+    for node in _tree(path).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) and node.value
+                   else [])
+        value = getattr(node, "value", None)
+        if (isinstance(value, (ast.Dict, ast.DictComp))
+                or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id == "dict")):
+            found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_fincat_and_factor_keep_no_other_module_level_dict():
+    """The search caches and the factorisation systems are the only
+    module-level dicts; what a construction keeps for later calls hangs on
+    the category it is made from and lives as long as it does."""
+    package = SRC / "birkhoff2d"
+    assert _module_dicts(package / "fincat.py") == {"_FUNCTOR_CACHE", "_NAT_CACHE"}
+    assert _module_dicts(package / "factor.py") == {"FACTOR_SYSTEMS"}
+
+
 def test_strict_mode_patches_every_trusted_builder():
     patched = {(owner.__module__, owner.__name__, attr) if isinstance(owner, type)
                else (owner.__name__, None, attr)

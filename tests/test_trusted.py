@@ -258,6 +258,31 @@ def test_a_trusted_category_holds_only_its_fields_until_a_table_is_read(cats, al
         assert set(vars(fact.middle)) == CATEGORY_FIELDS, f
 
 
+def test_functors_with_one_kernel_get_equal_middles_that_are_not_shared(cats):
+    """The middle of a kernel partition is built once, yet each call gets a
+    new middle and new legs with fields of their own: reading a table of one
+    middle makes nothing on another."""
+    z2z2 = cats["z2z2"]
+    P = product_category(z2z2, z2z2)[0]
+    by_kernel = {}
+    for f in enumerate_functors(P, z2z2):
+        projection = oracles.factor_bof_uncached(f).left.on_morphisms
+        by_kernel.setdefault(tuple(sorted(projection.items())), []).append(f)
+    f, g = next(fs for fs in by_kernel.values() if len(fs) > 1)[:2]
+    facts = (factor_bof(f), factor_bof(g), factor_bof(f))
+    assert facts[0].right != facts[1].right
+    for x, y in itertools.combinations(facts, 2):
+        assert x.middle == y.middle and x.left == y.left
+        assert x.middle is not y.middle and x.left is not y.left and x.right is not y.right
+        assert x.middle.composition is not y.middle.composition
+        assert x.left.on_morphisms is not y.left.on_morphisms
+    M = facts[0].middle
+    a = M.objects[0]
+    assert M.identity(a) in M.hom(a, a)
+    assert set(vars(M)) == CATEGORY_FIELDS | {"_hom"}
+    assert all(set(vars(x.middle)) == CATEGORY_FIELDS for x in facts[1:])
+
+
 def _assert_equality_follows_the_key(values):
     for x, y in itertools.product(values, repeat=2):
         assert (x == y) == (y == x) == (x._key == y._key), (x, y)
