@@ -32,7 +32,6 @@ from birkhoff2d.theory import (
     GenCell,
     IdCell,
     Operation,
-    OpTable,
     Presentation,
     Signature,
     SubstCell,
@@ -173,8 +172,8 @@ def z2z2_algebra(pres, assoc_sigma, name):
         (a1, x1), (a2, x2) = zparts(m1), zparts(m2)
         t_mor[(m1, m2)] = zname(a1 + a2, (x1 + x2) % 2)
     ops = {
-        "unit": OpTable.from_maps({(): "0"}, {(): "id0"}),
-        "tensor": OpTable.from_maps(t_obj, t_mor),
+        "unit": ({(): "0"}, {(): "id0"}),
+        "tensor": (t_obj, t_mor),
     }
     sigma_bit = 1 if assoc_sigma else 0
     gens = {
@@ -201,8 +200,8 @@ def two_max_algebra(pres):
     for m1, m2 in itertools.product(bnd, repeat=2):
         t_mor[(m1, m2)] = names[(omax(bnd[m1][0], bnd[m2][0]), omax(bnd[m1][1], bnd[m2][1]))]
     ops = {
-        "unit": OpTable.from_maps({(): "0"}, {(): "id0"}),
-        "tensor": OpTable.from_maps(t_obj, t_mor),
+        "unit": ({(): "0"}, {(): "id0"}),
+        "tensor": (t_obj, t_mor),
     }
     gens = {
         "assoc": {
@@ -221,8 +220,8 @@ def z2_algebra(pres, assoc_sigma, name):
         return "1" if m1 == m2 else "s"
 
     ops = {
-        "unit": OpTable.from_maps({(): "*"}, {(): "1"}),
-        "tensor": OpTable.from_maps(
+        "unit": ({(): "*"}, {(): "1"}),
+        "tensor": (
             {("*", "*"): "*"},
             {(m1, m2): mul(m1, m2) for m1 in "1s" for m2 in "1s"},
         ),
@@ -239,8 +238,8 @@ def z2_algebra(pres, assoc_sigma, name):
 def terminal_algebra(pres):
     carrier = CATS["one"]
     ops = {
-        "unit": OpTable.from_maps({(): "*"}, {(): "id"}),
-        "tensor": OpTable.from_maps({("*", "*"): "*"}, {(("id", "id")): "id"}),
+        "unit": ({(): "*"}, {(): "id"}),
+        "tensor": ({("*", "*"): "*"}, {(("id", "id")): "id"}),
     }
     gens = {
         "assoc": {("*", "*", "*"): "id"},

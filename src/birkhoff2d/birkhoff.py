@@ -18,6 +18,7 @@ from .factor import CheckResult
 from .fincat import (
     DEFAULT_SEARCH_LIMIT,
     Congruence,
+    _differ,
     classify,
     lifts,
 )
@@ -55,7 +56,7 @@ def reflect(A: Algebra, E: Extension) -> Reflection:
     """Quotient A by the congruence generated by all instantiations of
     the added equations; the result satisfies the extension and the
     projection is bijective on objects and full."""
-    if E.base != A.presentation:
+    if _differ(E.base, A.presentation):
         raise ValidationError("extension does not extend the algebra's presentation")
     pairs = [(lv, rv) for _, _, lv, rv in _cell_disagreements(A, E)]
     cong = algebra_congruence_closure(A, pairs)
@@ -209,7 +210,7 @@ def algebras_isomorphic(
     A: Algebra, B: Algebra, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Optional[AlgebraHom]:
     """An invertible homomorphism A -> B if one exists, else None."""
-    if A.presentation != B.presentation:
+    if _differ(A.presentation, B.presentation):
         return None
     if len(A.carrier.objects) != len(B.carrier.objects):
         return None
@@ -289,7 +290,7 @@ def audit_closure(
     other LabError, and every SizeLimitExceeded, propagates.
     """
     for A in catalog:
-        if A.presentation != E.base:
+        if _differ(A.presentation, E.base):
             raise ValidationError(
                 "catalog algebra %s is not an algebra of the base presentation"
                 % (A.name or "?")

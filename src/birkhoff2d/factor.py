@@ -28,6 +28,7 @@ from .fincat import (
     Functor,
     Morphism,
     _differ,
+    _kernel_classes,
     compose_functors,
     enumerate_functors,
     enumerate_nat_transformations,
@@ -87,11 +88,7 @@ def factor_bof(f: Functor) -> Factorisation:
     """
     A, B = f.source, f.target
     fm = f.on_morphisms
-    kernel: Dict[Tuple[str, str, str], List[str]] = {}
-    for u in A.morphisms:
-        kernel.setdefault((u.dom, u.cod, fm[u.name]), []).append(u.name)
-    # canonical: each class in A's order, the classes by their first member
-    partition = tuple(map(tuple, kernel.values()))
+    partition = _kernel_classes(f)
     middles = A._bof_middles
     kept = middles.get(partition)
     if kept is None:

@@ -6,14 +6,14 @@ inspection and every construction in the package stays finite and
 deterministic.  The tables derived from those fields (morphisms by name,
 hom-sets, the composable triples ``(g, f, g after f)``, the morphisms
 ending and starting at each object, inverses, the functor search's step
-plan and the bof factorisation middles met so far) are made on first
-use, so the law checks, congruence closure and functor search visit only
-composable data, and a category that is only built and compared never
-pays for them.  Functors are searched by
-:func:`functor_maps` (enumeration, :func:`lifts`, kernel mediators,
-algebra homomorphisms), transformations by one search over component
-lists (enumeration, :func:`nat_lifts`, algebra 2-cells) that decides
-naturality with :func:`naturality_witness`.  Both searches take optional
+plan, and the search results and bof middles kept on it) are made on
+first use, so the law checks, congruence closure and functor search visit
+only composable data, and a category that is only built and compared
+never pays for them.  Functors are searched by :func:`functor_maps`
+(enumeration, :func:`lifts`, kernel mediators, algebra homomorphisms),
+transformations by one search over component lists (enumeration,
+:func:`nat_lifts`, algebra 2-cells) that decides naturality with
+:func:`naturality_witness`.  Both searches take optional
 laws, equations ``table[images of args] == image of result``: the functor
 search checks each at the step that assigns its last morphism, the
 transformation search with naturality on each choice.
@@ -183,6 +183,21 @@ class FinCategory:
                     inv[m.name] = w
                     break
         return inv
+
+    @_made_on_first_use
+    def _functors_to(self) -> Dict["FinCategory", tuple]:
+        """The results of :func:`enumerate_functors` out of this category
+        by target, and (:attr:`_nats_between`) of
+        :func:`enumerate_nat_transformations` by pair of functors out of it.
+        They live as long as the category does.  Each entry keeps the size
+        of the search that filled it (nodes visited; the peak partial
+        product of the component space), so a kept result raises exactly
+        where a cold search would."""
+        return {}
+
+    @_made_on_first_use
+    def _nats_between(self) -> Dict[tuple, tuple]:
+        return {}
 
     @_made_on_first_use
     def _bof_middles(self) -> Dict[Tuple[Tuple[str, ...], ...], tuple]:
@@ -946,23 +961,29 @@ def classify(F: Functor) -> FunctorFlags:
     )
 
 
-# -- enumeration -------------------------------------------------------
+def _kernel_classes(F: Functor) -> Tuple[Tuple[str, ...], ...]:
+    """The kernel of F: its source's morphisms grouped by domain, codomain
+    and F-image, each class in source order, the classes by first member."""
+    fm = F.on_morphisms
+    classes: Dict[Tuple[str, str, str], List[str]] = {}
+    for u in F.source.morphisms:
+        classes.setdefault((u.dom, u.cod, fm[u.name]), []).append(u.name)
+    return tuple(map(tuple, classes.values()))
 
-# Each entry keeps the size of the search that filled it: functors with the
-# nodes visited, transformations with the largest partial product of the
-# component space.  A hit raises exactly when the cold search would have, so a
-# result never depends on what the cache already holds.
-_FUNCTOR_CACHE: Dict[Tuple[FinCategory, FinCategory], Tuple[Tuple[Functor, ...], int]] = {}
-_NAT_CACHE: Dict[Tuple[Functor, Functor], Tuple[Tuple[NatTransformation, ...], int]] = {}
+
+# -- enumeration -------------------------------------------------------
 
 
 def _functor_limit_check(n_obj_maps: int, visited: int, limit: int) -> None:
     if n_obj_maps > limit:
-        raise SizeLimitExceeded(
-            "object-map space %d exceeds limit %d" % (n_obj_maps, limit)
-        )
+        raise SizeLimitExceeded("object-map space %d exceeds limit %d" % (n_obj_maps, limit))
     if visited > limit:
         raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
+
+
+def _component_limit_check(peak: int, limit: int) -> None:
+    if peak > limit:
+        raise SizeLimitExceeded("component space exceeds limit %d" % limit)
 
 
 def _laws_hold(laws, image) -> bool:
@@ -1018,7 +1039,7 @@ def functor_maps(
         for cand in B_hom.get((omap[m.dom], omap[m.cod]), ()):
             visited += 1
             if visited > limit:
-                raise SizeLimitExceeded("functor search exceeded limit %d" % limit)
+                _functor_limit_check(0, visited, limit)
             if accept is not None and not accept(m.name, cand):
                 continue
             mmap[m.name] = cand
@@ -1041,16 +1062,13 @@ def functor_maps(
 def enumerate_functors(
     A: FinCategory, B: FinCategory, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Tuple[Functor, ...]:
-    """All functors A -> B, in a fixed deterministic order (cached)."""
-    cached = _FUNCTOR_CACHE.get((A, B))
-    if cached is not None:
-        out, visited = cached
-        _functor_limit_check(len(B.objects) ** len(A.objects), visited, limit)
-        return out
-    maps, visited = functor_maps(A, B, limit)
-    out = tuple(Functor._trusted(A, B, o, m) for o, m in maps)
-    _FUNCTOR_CACHE[(A, B)] = (out, visited)
-    return out
+    """All functors A -> B, in a fixed deterministic order, kept on A."""
+    kept = A._functors_to.get(B)
+    if kept is None:
+        maps, visited = functor_maps(A, B, limit)
+        kept = A._functors_to[B] = (tuple(Functor._trusted(A, B, o, m) for o, m in maps), visited)
+    _functor_limit_check(len(B.objects) ** len(A.objects), kept[1], limit)
+    return kept[0]
 
 
 def lifts(
@@ -1100,8 +1118,7 @@ def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], 
     ``table[components at args] == component at result`` over the source
     objects, and the peak partial product of slot sizes."""
     peak = max(itertools.accumulate(map(len, slots), operator.mul, initial=1))
-    if peak > limit:
-        raise SizeLimitExceeded("component space exceeds limit %d" % limit)
+    _component_limit_check(peak, limit)
     choices = (dict(zip(F.source.objects, c)) for c in itertools.product(*slots))
     if laws is None:
         return [c for c in choices if naturality_witness(F, G, c) is None], peak
@@ -1112,19 +1129,17 @@ def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], 
 def enumerate_nat_transformations(
     F: Functor, G: Functor, limit: int = DEFAULT_SEARCH_LIMIT
 ) -> Tuple[NatTransformation, ...]:
-    """All natural transformations F => G, deterministic order."""
+    """All natural transformations F => G, deterministic order, kept on F.source."""
     if _differ(F.source, G.source) or _differ(F.target, G.target):
         raise BoundaryMismatch("need parallel functors")
-    cached = _NAT_CACHE.get((F, G))
-    if cached is None:
+    kept = F.source._nats_between.get((F, G))
+    if kept is None:
         slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
         found, peak = _natural_components(F, G, slots, limit)
-        cached = _NAT_CACHE[(F, G)] = (
+        kept = F.source._nats_between[(F, G)] = (
             tuple(NatTransformation._trusted(F, G, c) for c in found), peak)
-    out, peak = cached
-    if peak > limit:  # a cold search has already raised here
-        raise SizeLimitExceeded("component space exceeds limit %d" % limit)
-    return out
+    _component_limit_check(kept[1], limit)  # a cold search has already raised here
+    return kept[0]
 
 
 def nat_lifts(f: Functor, alpha: Dict[str, str], d: Functor, d2: Functor,

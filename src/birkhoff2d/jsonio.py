@@ -282,7 +282,7 @@ def _table_json(table: Mapping[Tuple[str, ...], str]) -> list:
 
 def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
                   name: str) -> Algebra:
-    from .theory import Algebra, OpTable
+    from .theory import Algebra
     _only(data, "algebra", ("presentation", "carrier", "operations", "generators", "name"))
     ops = _field(data, "operations", "algebra", "object", {})
     gens = _field(data, "generators", "algebra", "object", {})
@@ -290,8 +290,8 @@ def parse_algebra(data, presentation: Presentation, carrier: FinCategory,
     for op_name in ops:
         where = "algebra operation %r" % op_name
         tables = _only(_field(ops, op_name, "algebra operations", "object"), where, _MAPS)
-        operations[op_name] = OpTable.from_maps(_parse_table(tables, "on_objects", where),
-                                                _parse_table(tables, "on_morphisms", where))
+        operations[op_name] = (_parse_table(tables, "on_objects", where),
+                               _parse_table(tables, "on_morphisms", where))
     generators = {g_name: _parse_table(gens, g_name, "algebra generators") for g_name in gens}
     return Algebra(presentation, carrier, operations, generators, name=name)
 

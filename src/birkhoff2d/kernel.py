@@ -28,6 +28,8 @@ from .fincat import (
     Functor,
     Morphism,
     NatTransformation,
+    _differ,
+    _kernel_classes,
     classify,
     compose_functors,
     congruence_closure,
@@ -55,12 +57,12 @@ class KernelData:
     psi: NatTransformation
 
     def __post_init__(self):
-        if self.s.source != self.apex or self.t.source != self.apex:
+        if _differ(self.s.source, self.apex) or _differ(self.t.source, self.apex):
             raise BoundaryMismatch("legs must start at the apex")
-        if self.s.target != self.t.target:
+        if _differ(self.s.target, self.t.target):
             raise BoundaryMismatch("legs must share a target")
         for cell in (self.phi, self.psi):
-            if cell.source != self.s or cell.target != self.t:
+            if _differ(cell.source, self.s) or _differ(cell.target, self.t):
                 raise BoundaryMismatch("2-cells must run s => t")
 
     @property
@@ -78,11 +80,8 @@ def bof_kernel(f: Functor) -> KernelData:
     DEFAULT_APEX_CAP objects and morphisms.
     """
     A = f.source
-    pairs: List[Tuple[str, str]] = []
-    for u in A.morphisms:
-        for v in A.morphisms:
-            if u.dom == v.dom and u.cod == v.cod and f.mor(u.name) == f.mor(v.name):
-                pairs.append((u.name, v.name))
+    class_of = {u: cl for cl in _kernel_classes(f) for u in cl}
+    pairs = [(u.name, v) for u in A.morphisms for v in class_of[u.name]]
     if len(pairs) > DEFAULT_APEX_CAP:
         raise SizeLimitExceeded("kernel apex would have %d objects" % len(pairs))
 
@@ -153,7 +152,7 @@ def coequify(phi: NatTransformation, psi: NatTransformation):
 
     Returns (q, C) with q * phi == q * psi.
     """
-    if phi.source != psi.source or phi.target != psi.target:
+    if _differ(phi.source, psi.source) or _differ(phi.target, psi.target):
         raise BoundaryMismatch("coequifier needs 2-cells with the same boundary")
     A = phi.source.target
     K = phi.source.source
@@ -167,7 +166,7 @@ def coequify(phi: NatTransformation, psi: NatTransformation):
 
 def coequifies(h: Functor, phi: NatTransformation, psi: NatTransformation) -> bool:
     """Parallel phi, psi with h * phi == h * psi, decided on components."""
-    if phi.source.target != h.source:
+    if _differ(phi.source.target, h.source):
         raise BoundaryMismatch("coequifies: h must start where the 2-cells land")
     hm = h.on_morphisms
     return phi.source == psi.source and phi.target == psi.target and all(
@@ -231,7 +230,7 @@ def verify_kernel_universal(
     morphism from every candidate datum into kd.
     """
     A = f.source
-    if kd.target != A:
+    if _differ(kd.target, A):
         return CheckResult(False, {"reason": "kernel data does not target f's source"})
     if not coequifies(f, kd.phi, kd.psi):
         return CheckResult(False, {"reason": "f does not coequify the data"})
@@ -287,7 +286,7 @@ class ReflexiveData:
 
     def __post_init__(self):
         A = self.s.target
-        if self.section.source != A or self.section.target != self.s.source:
+        if _differ(self.section.source, A) or _differ(self.section.target, self.s.source):
             raise BoundaryMismatch("section must run from the target back to the apex")
         ident = identity_functor(A)
         if compose_functors(self.s, self.section) != ident:
@@ -298,7 +297,7 @@ class ReflexiveData:
         # runs s.section => t.section, the identity functor, so it is the
         # identity 2-cell exactly when its components are identities
         for cell in (self.phi, self.psi):
-            if cell.source != self.s or cell.target != self.t:
+            if _differ(cell.source, self.s) or _differ(cell.target, self.t):
                 raise BoundaryMismatch("2-cells must run s => t")
         units = [A.identity(a) for a in A.objects]
         images = [self.section.on_objects[a] for a in A.objects]
@@ -316,7 +315,7 @@ def make_reflexive(phi: NatTransformation, psi: NatTransformation) -> ReflexiveD
     components and the right injection is the section.  The coequifier is
     unchanged because the new generating pairs are all degenerate.
     """
-    if phi.source != psi.source or phi.target != psi.target:
+    if _differ(phi.source, psi.source) or _differ(phi.target, psi.target):
         raise BoundaryMismatch("need 2-cells with a common boundary")
     s, t = phi.source, phi.target
     K, A = s.source, s.target

@@ -62,6 +62,7 @@ from .fincat import (
     FinCategory,
     Functor,
     NatTransformation,
+    _differ,
     _made_on_first_use,
     _natural_components,
     classify,
@@ -428,36 +429,22 @@ class Extension:
 # -- algebras ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpTable:
-    """Graph of an operation's action on object and morphism tuples."""
-
-    on_objects: Tuple[Tuple[Tuple[str, ...], str], ...]
-    on_morphisms: Tuple[Tuple[Tuple[str, ...], str], ...]
-
-    @staticmethod
-    def from_maps(on_objects: Mapping, on_morphisms: Mapping) -> "OpTable":
-        return OpTable(
-            tuple(sorted((tuple(k), v) for k, v in on_objects.items())),
-            tuple(sorted((tuple(k), v) for k, v in on_morphisms.items())),
-        )
-
-
 class Algebra:
     """A finite algebra for a presentation.
 
-    ``operations`` maps each operation name to an :class:`OpTable`;
-    ``generators`` maps each generator name to components indexed by
-    object tuples at the generator's arity.  All laws (functoriality,
-    naturality, invertibility where declared, and every equation of the
-    presentation) are checked by the constructor.
+    ``operations`` maps each operation name to its ``(on_objects,
+    on_morphisms)`` pair of maps from object and morphism tuples, kept
+    sorted by tuple; ``generators`` maps each generator name to
+    components indexed by object tuples at the generator's arity.  All
+    laws (functoriality, naturality, invertibility where declared, and
+    every equation of the presentation) are checked by the constructor.
     """
 
     def __init__(
         self,
         presentation: Presentation,
         carrier: FinCategory,
-        operations: Mapping[str, OpTable],
+        operations: Mapping[str, Tuple[Mapping, Mapping]],
         generators: Mapping[str, Mapping[Tuple[str, ...], str]],
         name: str = "",
     ):
@@ -481,11 +468,11 @@ class Algebra:
         self._op_mor: Dict[str, Dict[Tuple[str, ...], str]] = {}
         self._gen: Dict[str, Dict[Tuple[str, ...], str]] = {}
         for op in presentation.signature.operations:
-            table = operations.get(op.name)
-            if table is None:
+            maps = operations.get(op.name)
+            if maps is None:
                 raise SignatureMismatch("no interpretation for operation %s" % op.name)
-            self._op_obj[op.name] = dict(table.on_objects)
-            self._op_mor[op.name] = dict(table.on_morphisms)
+            self._op_obj[op.name], self._op_mor[op.name] = (
+                dict(sorted((tuple(k), v) for k, v in table.items())) for table in maps)
         if set(operations) - {op.name for op in presentation.signature.operations}:
             raise SignatureMismatch("interpretation for unknown operation")
         for g in presentation.generators:
@@ -499,7 +486,7 @@ class Algebra:
             presentation._key,
             carrier._key,
             tuple(
-                (op, tuple(sorted(self._op_obj[op].items())), tuple(sorted(self._op_mor[op].items())))
+                (op, tuple(self._op_obj[op].items()), tuple(self._op_mor[op].items()))
                 for op in sorted(self._op_obj)
             ),
             tuple((g, tuple(sorted(self._gen[g].items()))) for g in sorted(self._gen)),
@@ -780,9 +767,9 @@ def eval_expr(alg: Algebra, e: TwoCellExpr, mors: Tuple[str, ...]) -> str:
 
 def _check_compatible(alg: Algebra, E: Union[Extension, Presentation]) -> None:
     base = E.base if isinstance(E, Extension) else E
-    if base.signature != alg.presentation.signature:
+    if _differ(base.signature, alg.presentation.signature):
         raise SignatureMismatch("algebra and equations use different signatures")
-    if base.generators != alg.presentation.generators:
+    if _differ(base.generators, alg.presentation.generators):
         raise SignatureMismatch("algebra and equations use different 2-cell generators")
 
 
@@ -830,9 +817,9 @@ def is_algebra_hom(h: Functor, A: Algebra, B: Algebra) -> CheckResult:
     """Strict homomorphism check: h commutes with every operation on
     objects and morphisms and carries generator components to generator
     components at image tuples."""
-    if h.source != A.carrier or h.target != B.carrier:
+    if _differ(h.source, A.carrier) or _differ(h.target, B.carrier):
         raise BoundaryMismatch("functor does not run between the carriers")
-    if A.presentation.signature != B.presentation.signature:
+    if _differ(A.presentation.signature, B.presentation.signature):
         raise SignatureMismatch("algebras have different signatures")
     for op in A.presentation.signature.operations:
         n = op.arity
@@ -920,7 +907,7 @@ def enumerate_algebra_homs(
     functor search on the carriers, with A's homomorphism laws read
     against B's tables, so each law is checked at the step that assigns
     its last morphism.  ``limit`` bounds the nodes of that search."""
-    if A.presentation.signature != B.presentation.signature:
+    if _differ(A.presentation.signature, B.presentation.signature):
         raise SignatureMismatch("algebras have different signatures")
     fixed, filed = A._hom_laws
     tables = B._law_tables
@@ -942,7 +929,7 @@ def algebra_two_cells(
     value), from one transformation search that checks those laws with
     naturality.  ``limit`` bounds the component space, as there."""
     F, G = h.functor, k.functor
-    if F.source != G.source or F.target != G.target:
+    if _differ(F.source, G.source) or _differ(F.target, G.target):
         raise BoundaryMismatch("need parallel functors")
     A, B = h.source, h.target
     laws = [(B._op_mor[op], t, v) for op, table in A._op_obj.items() for t, v in table.items()]
@@ -968,7 +955,7 @@ def _induced_algebra(build, presentation: Presentation, carrier: FinCategory, na
     """
     mors = [m.name for m in carrier.morphisms]
     operations = {
-        op.name: OpTable.from_maps(
+        op.name: (
             {t: op_obj(op.name, t) for t in itertools.product(carrier.objects, repeat=op.arity)},
             {t: op_mor(op.name, t) for t in itertools.product(mors, repeat=op.arity)},
         )
@@ -986,7 +973,7 @@ def _induced_algebra(build, presentation: Presentation, carrier: FinCategory, na
 
 def product_algebra(A: Algebra, B: Algebra):
     """Binary product with componentwise structure and its projections."""
-    if A.presentation != B.presentation:
+    if _differ(A.presentation, B.presentation):
         raise SignatureMismatch("product needs algebras of the same presentation")
     span = power_span((A.carrier, B.carrier),
                       name="(%sx%s)" % (A.carrier.name or "?", B.carrier.name or "?"))
@@ -1016,7 +1003,7 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
     object (unique when m is injective on objects, as all bundled
     witnesses are); the lifted structure is then fully validated.
     """
-    if m.target != A.carrier:
+    if _differ(m.target, A.carrier):
         raise BoundaryMismatch("witness functor must land in the algebra's carrier")
     if not classify(m).faithful:
         raise NotFaithful("witness functor is not faithful")
@@ -1109,7 +1096,7 @@ def quotient_algebra(A: Algebra, cong: Congruence):
 
 def _require_operation_closed(A: Algebra, cong: Congruence) -> None:
     """The precondition of :func:`quotient_algebra`."""
-    if cong.base != A.carrier:
+    if _differ(cong.base, A.carrier):
         raise BoundaryMismatch("congruence lives on a different carrier")
     bad = congruence_operation_witness(A, cong)
     if bad is not None:
@@ -1147,7 +1134,7 @@ def reflexive_coequifier_algebra(
     data, surfaced as LiftFailure otherwise).  Returns (quotient algebra,
     projection homomorphism).
     """
-    if u.source != v.source or u.target != v.target:
+    if _differ(u.source, v.source) or _differ(u.target, v.target):
         raise BoundaryMismatch("parallel homomorphisms required")
     # validates boundaries, the splitting laws and that the section kills both cells
     ReflexiveData(u.functor, v.functor, phi, psi, section.functor)

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import birkhoff2d
-from birkhoff2d import corpus, fincat, theory
+from birkhoff2d import corpus, theory
 from birkhoff2d.fincat import Congruence, FinCategory, Functor, NatTransformation
 from birkhoff2d.theory import Algebra, AlgebraHom
 
@@ -88,13 +88,11 @@ def strict_patches():
 
 @pytest.fixture
 def strict(monkeypatch):
-    """Every trusted builder validates, and the search caches start empty
-    so no result built before the test is returned unchecked.  The bof
-    middles a category keeps are hidden behind an empty table read afresh
-    each time, so every factorisation builds, and so checks, its kernel
-    congruence."""
+    """Every trusted builder validates, and every table of search results
+    a category keeps is hidden behind an empty one read afresh each time,
+    so no result built before the test is returned unchecked and every
+    factorisation builds, and so checks, its kernel congruence."""
     for owner, attr, replacement in strict_patches():
         monkeypatch.setattr(owner, attr, replacement)
-    monkeypatch.setattr(fincat, "_FUNCTOR_CACHE", {})
-    monkeypatch.setattr(fincat, "_NAT_CACHE", {})
-    monkeypatch.setattr(fincat.FinCategory, "_bof_middles", property(lambda self: {}))
+    for table in ("_functors_to", "_nats_between", "_bof_middles"):
+        monkeypatch.setattr(FinCategory, table, property(lambda self: {}))

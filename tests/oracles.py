@@ -659,12 +659,13 @@ def classify_by_pairs(F):
 
 
 def unvalidated_algebra(presentation, carrier, operations, generators):
-    """An Algebra holding the given OpTables and generator components,
-    with no law checked."""
+    """An Algebra holding the given (on_objects, on_morphisms) operation
+    maps, each sorted by tuple, and generator components, with no law
+    checked."""
     alg = Algebra.__new__(Algebra)
     alg.presentation, alg.carrier, alg.name = presentation, carrier, ""
-    alg._op_obj = {k: dict(t.on_objects) for k, t in operations.items()}
-    alg._op_mor = {k: dict(t.on_morphisms) for k, t in operations.items()}
+    alg._op_obj = {k: dict(sorted(o.items())) for k, (o, m) in operations.items()}
+    alg._op_mor = {k: dict(sorted(m.items())) for k, (o, m) in operations.items()}
     alg._gen = {k: dict(comps) for k, comps in generators.items()}
     return alg
 

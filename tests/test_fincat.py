@@ -1,5 +1,7 @@
 """Category layer: validation, closure, quotients, enumeration."""
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from birkhoff2d.fincat import (
     quotient_by_congruence,
     whisker,
 )
+from birkhoff2d.factor import factor_bof
 from birkhoff2d.jsonio import category_to_json, validate_category
 from birkhoff2d.kernel import coequify
 
@@ -275,20 +278,48 @@ def test_enumeration_order_matches_product_then_filter(cats):
 
 
 def test_search_limits_ignore_cache_history(cats):
+    """A kept result raises where a cold search does.  An equal but
+    distinct copy of z2z2 keeps its own results, and they list equal to
+    z2z2's, in the same order."""
     z2z2 = cats["z2z2"]
-    fincat._FUNCTOR_CACHE.pop((z2z2, z2z2), None)
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_functors(z2z2, z2z2, limit=3)
-    assert len(enumerate_functors(z2z2, z2z2)) == 16
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_functors(z2z2, z2z2, limit=3)
-    idf = identity_functor(z2z2)
-    fincat._NAT_CACHE.pop((idf, idf), None)
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_nat_transformations(idf, idf, limit=3)
-    assert len(enumerate_nat_transformations(idf, idf)) == 4
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_nat_transformations(idf, idf, limit=3)
+    copy = FinCategory(z2z2.objects, z2z2.morphisms, z2z2.identities, z2z2.composition,
+                       name=z2z2.name)
+    found = []
+    for C in (z2z2, copy):
+        C._functors_to.pop(C, None)
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_functors(C, C, limit=3)
+        functors = enumerate_functors(C, C)
+        assert C._functors_to[C][0] is functors and functors[0].source is C
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_functors(C, C, limit=3)
+        idf = identity_functor(C)
+        C._nats_between.pop((idf, idf), None)
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_nat_transformations(idf, idf, limit=3)
+        cells = enumerate_nat_transformations(idf, idf)
+        assert C._nats_between[(idf, idf)][0] is cells
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_nat_transformations(idf, idf, limit=3)
+        found.append((functors, cells))
+    assert (len(found[0][0]), len(found[0][1])) == (16, 4)
+    assert found[1] == found[0]
+
+
+def test_search_results_are_released_with_their_source_category(cats):
+    """Every result a search keeps hangs on its source category, so a
+    category dropped after its searches is freed."""
+    def searched():
+        P = product_category(cats["z2"], cats["two"])[0]
+        functors = enumerate_functors(P, cats["z2"])
+        assert enumerate_nat_transformations(functors[-1], functors[-1])
+        factor_bof(functors[-1])
+        assert P._functors_to and P._nats_between and P._bof_middles
+        return weakref.ref(P)
+
+    released = searched()
+    gc.collect()
+    assert released() is None
 
 
 def test_pinned_search_stays_under_a_limit_the_full_search_passes(cats):
@@ -324,7 +355,7 @@ def test_pinned_two_cell_search_stays_under_a_limit_the_full_search_passes(cats)
     found = 0
     for d in ds:
         for d2 in ds:
-            fincat._NAT_CACHE.pop((d, d2), None)
+            Q._nats_between.pop((d, d2), None)
             with pytest.raises(SizeLimitExceeded):
                 enumerate_nat_transformations(d, d2, limit=limit)
             for alpha in enumerate_nat_transformations(

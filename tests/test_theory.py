@@ -38,7 +38,6 @@ from birkhoff2d.theory import (
     IdCell,
     InvCell,
     Operation,
-    OpTable,
     Presentation,
     Signature,
     SubstCell,
@@ -286,8 +285,8 @@ def _cyclic_algebra(presentation):
     C = FinCategory(["*"], [Morphism(u, "*", "*") for u in names], {"*": "e"},
                     {(u, v): names[(i + j) % 3] for i, u in enumerate(names)
                      for j, v in enumerate(names)}, name="z3")
-    ops = {"unit": OpTable.from_maps({(): "*"}, {(): "e"}),
-           "tensor": OpTable.from_maps({("*", "*"): "*"}, C.composition)}
+    ops = {"unit": ({(): "*"}, {(): "e"}),
+           "tensor": ({("*", "*"): "*"}, C.composition)}
     gens = {g.name: {("*",) * g.arity: "a"} for g in presentation.generators}
     return Algebra(presentation, C, ops, gens, name="z3_twisted")
 
@@ -428,8 +427,8 @@ def test_diagonals_tell_a_generator_source_from_its_target():
                     {("id0", "id0"): "id0", ("id1", "id1"): "id1", ("u", "id0"): "u",
                      ("id1", "u"): "u", ("v", "id1"): "v", ("id0", "v"): "v",
                      ("u", "v"): "id1", ("v", "u"): "id0"}, name="iso")
-    flip = OpTable.from_maps({("0",): "1", ("1",): "0"},
-                             {("id0",): "id1", ("id1",): "id0", ("u",): "v", ("v",): "u"})
+    flip = ({("0",): "1", ("1",): "0"},
+            {("id0",): "id1", ("id1",): "id0", ("u",): "v", ("v",): "u"})
     A = Algebra(pres, C, {"flip": flip}, {"turn": {("0",): "u", ("1",): "v"}}, name="turn")
     g, inv = GenCell("turn"), InvCell("turn")
     cells = theory.Extension(pres, [(e, e) for e in (
@@ -502,8 +501,7 @@ def test_an_earlier_disagreement_comes_before_an_evaluation_error(
     if "twist" in tables:
         ops["tensor"][1][("(id0,1)", "(id0,1)")] = "(id0,s)"
     gens["lunit"][("(1,*)",)] = "(t,1)" if "stuck" in tables else "(id0,1)"
-    A = Algebra._trusted(P.presentation, P.carrier,
-                         {k: OpTable.from_maps(o, m) for k, (o, m) in ops.items()}, gens)
+    A = Algebra._trusted(P.presentation, P.carrier, ops, gens)
     E = theory.Extension(P.presentation, [
         (VCompCell(LUNIT, InvCell("lunit")), IdCell(Var(1)))])
     if error is None:
@@ -524,8 +522,7 @@ def _tables(A):
 
 
 def _build(A, ops, gens, presentation=None):
-    tables = {k: OpTable.from_maps(o, m) for k, (o, m) in ops.items()}
-    return Algebra(presentation or A.presentation, A.carrier, tables, gens)
+    return Algebra(presentation or A.presentation, A.carrier, ops, gens)
 
 
 def _rejection(build):
@@ -628,7 +625,7 @@ def test_a_short_table_is_refused_without_enumerating_the_tuples(
         pres = Presentation(Signature([Operation("big", 30)]))
         # z2 has one object, so its object table is whole with one entry
         whole = {("*",) * 30: "*"} if carrier == "z2" else {}
-        ops, gens = {"big": OpTable.from_maps(whole, {})}, {}
+        ops, gens = {"big": (whole, {})}, {}
     else:
         pres = Presentation(Signature([]),
                             generators=[TwoCellGenerator("g", 30, Var(1), Var(1), False)])
@@ -684,10 +681,9 @@ def test_algebra_validation_matches_the_all_pairs_reference(algebras):
             if table:
                 value = None if rng.random() < 0.1 else rng.choice(list(pool) + ["zz"])
                 _with_entry(ops, gens, slot, key, rng.choice(sorted(table)), value)
-        tables = {k: OpTable.from_maps(o, m) for k, (o, m) in ops.items()}
-        new = _rejection(lambda: Algebra(A.presentation, A.carrier, tables, gens))
+        new = _rejection(lambda: Algebra(A.presentation, A.carrier, ops, gens))
         old = _rejection(lambda: oracles.validate_by_all_pairs(oracles.unvalidated_algebra(
-            A.presentation, A.carrier, tables, gens)))
+            A.presentation, A.carrier, ops, gens)))
         assert new == old
         branch = new and new[1].split(":")[-1].split(" at ")[0].strip()
         seen[branch] = seen.get(branch, 0) + 1

@@ -107,11 +107,12 @@ def _module_dicts(path):
 
 
 def test_fincat_and_factor_keep_no_other_module_level_dict():
-    """The search caches and the factorisation systems are the only
-    module-level dicts; what a construction keeps for later calls hangs on
-    the category it is made from and lives as long as it does."""
+    """The factorisation systems are the only module-level dict of the
+    search layers; what a search keeps for later calls hangs on the
+    category it is made from and lives as long as it does."""
     package = SRC / "birkhoff2d"
-    assert _module_dicts(package / "fincat.py") == {"_FUNCTOR_CACHE", "_NAT_CACHE"}
+    for module in ("fincat", "kernel", "theory", "birkhoff"):
+        assert _module_dicts(package / (module + ".py")) == set(), module
     assert _module_dicts(package / "factor.py") == {"FACTOR_SYSTEMS"}
 
 

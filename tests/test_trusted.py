@@ -39,7 +39,6 @@ from birkhoff2d.fincat import (
 from birkhoff2d.theory import (
     Algebra,
     AlgebraHom,
-    OpTable,
     compose_algebra_homs,
     enumerate_algebra_homs,
     product_algebra,
@@ -53,7 +52,7 @@ def _error(build):
 
 
 def _tables(A):
-    operations = {op: OpTable.from_maps(A._op_obj[op], A._op_mor[op]) for op in A._op_obj}
+    operations = {op: (A._op_obj[op], A._op_mor[op]) for op in A._op_obj}
     return operations, A._gen
 
 
@@ -113,8 +112,8 @@ def test_strict_mode_catches_a_broken_morphism_map(cats, monkeypatch, request):
         return maps, visited
 
     monkeypatch.setattr(fincat, "functor_maps", corrupted)
-    monkeypatch.setattr(fincat, "_FUNCTOR_CACHE", {})
     two = cats["two"]
+    monkeypatch.setattr(two, "_functors_to", {})
     public = _error(lambda: _public(enumerate_functors(two, two)[0]))
     assert public[1] == "functor ?: morphism t: boundary not preserved"
     request.getfixturevalue("strict")
@@ -143,8 +142,8 @@ def test_strict_mode_catches_a_component_that_is_not_natural(cats, monkeypatch, 
         return [dict(zip(F.source.objects, c)) for c in itertools.product(*slots)], 1
 
     monkeypatch.setattr(fincat, "_natural_components", unfiltered)
-    monkeypatch.setattr(fincat, "_NAT_CACHE", {})
     two, P = cats["two"], cats["p"]
+    monkeypatch.setattr(two, "_nats_between", {})
     objects = {"0": "a", "1": "b"}
     F = Functor(two, P, objects, {"id0": "ida", "id1": "idb", "t": "u"})
     G = Functor(two, P, objects, {"id0": "ida", "id1": "idb", "t": "v"})
@@ -176,7 +175,7 @@ def test_strict_mode_catches_a_broken_operation_table(catalog, request):
     operations, generators = _tables(A)
     tensor = dict(A._op_mor["tensor"])
     tensor[("id0", "s0")] = "id0"
-    operations["tensor"] = OpTable.from_maps(A._op_obj["tensor"], tensor)
+    operations["tensor"] = (A._op_obj["tensor"], tensor)
     bad = Algebra._trusted(A.presentation, A.carrier, operations, generators, name="bad")
     P, _, _ = product_algebra(bad, bad)
     public = _error(lambda: _public(P))
