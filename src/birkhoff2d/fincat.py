@@ -6,10 +6,10 @@ inspection and every construction in the package stays finite and
 deterministic.  The tables derived from those fields (morphisms by name,
 hom-sets, the composable triples ``(g, f, g after f)``, the morphisms
 ending and starting at each object, inverses, the functor search's step
-plan, and the search results and bof middles kept on it) are made on
-first use, so the law checks, congruence closure and functor search visit
-only composable data, and a category that is only built and compared
-never pays for them.  Functors are searched by :func:`functor_maps`
+plan, and the search results, bof middles and kernel data kept on it)
+are made on first use, so the law checks, congruence closure and functor
+search visit only composable data, and a category that is only built and
+compared never pays for them.  Functors are searched by :func:`functor_maps`
 (enumeration, :func:`lifts`, kernel mediators, algebra homomorphisms),
 transformations by one search over component lists (enumeration,
 :func:`nat_lifts`, algebra 2-cells) that decides naturality with
@@ -205,6 +205,13 @@ class FinCategory:
         and projection) of each kernel partition of this category that
         :func:`birkhoff2d.factor.factor_bof` has met, keyed by the
         partition; it lives as long as the category does."""
+        return {}
+
+    @_made_on_first_use
+    def _bof_kernels(self) -> Dict[Tuple[Tuple[str, ...], ...], tuple]:
+        """The fields of the kernel data of each kernel partition of this
+        category that :func:`birkhoff2d.kernel.bof_kernel` has met, keyed
+        and kept as :attr:`_bof_middles` is."""
         return {}
 
     @_made_on_first_use

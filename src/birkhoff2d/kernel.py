@@ -12,7 +12,12 @@ always faithful.
 
 The kernel, its reflexivization and the comparison are built trusted;
 ``KernelData`` and ``ReflexiveData`` still check their boundaries, and
-the comparison is checked to give back the functor it came from.
+the comparison is checked to give back the functor it came from.  The
+kernel's fields are built once per kernel partition of the source and
+kept there, as the bof middle is.  Universality is decided with one
+mediator search per apex category: each functor into the kernel apex is
+counted under the datum it serves, and each candidate datum looks up its
+count.
 """
 from __future__ import annotations
 
@@ -78,9 +83,33 @@ def bof_kernel(f: Functor) -> KernelData:
 
     The apex squares the morphism count, so its size is capped at
     DEFAULT_APEX_CAP objects and morphisms.
+
+    The data depend only on f's source and kernel partition, so their
+    fields are built once per partition and kept on the source
+    (``A._bof_kernels``).  Each call still returns a new apex, new legs and
+    new cells, so no caller shares an object another caller holds.
     """
     A = f.source
-    class_of = {u: cl for cl in _kernel_classes(f) for u in cl}
+    partition = _kernel_classes(f)
+    kernels = A._bof_kernels
+    kept = kernels.get(partition)
+    if kept is None:
+        kept = kernels[partition] = _kernel_fields(A, partition)
+    objects, morphisms, identities, composition, s_maps, t_maps, phi_at, psi_at = kept
+    K = FinCategory._trusted(objects, morphisms, identities, composition,
+                             name="ker(%s)" % (f.name or "?"))
+    s = Functor._trusted(K, A, *s_maps, name="s")
+    t = Functor._trusted(K, A, *t_maps, name="t")
+    phi = NatTransformation._trusted(s, t, phi_at, name="phi")
+    psi = NatTransformation._trusted(s, t, psi_at, name="psi")
+    return KernelData(K, s, t, phi, psi)
+
+
+def _kernel_fields(A: FinCategory, partition):
+    """The fields of :func:`bof_kernel`'s apex (objects, morphisms,
+    identities, composition), the maps of its legs s and t, and the
+    components of phi and psi, for a kernel partition of A."""
+    class_of = {u: cl for cl in partition for u in cl}
     pairs = [(u.name, v) for u in A.morphisms for v in class_of[u.name]]
     if len(pairs) > DEFAULT_APEX_CAP:
         raise SizeLimitExceeded("kernel apex would have %d objects" % len(pairs))
@@ -94,6 +123,8 @@ def bof_kernel(f: Functor) -> KernelData:
     objects = [oname(uv) for uv in pairs]
     morphisms: List[Morphism] = []
     mor_index: Dict[Tuple[Tuple[str, str], Tuple[str, str], Tuple[str, str]], str] = {}
+    # per source pair, (pq, dst, name) of the morphisms out of it, in mor_index order
+    leaving: Dict[Tuple[str, str], list] = {uv: [] for uv in pairs}
     for src in pairs:
         for dst in pairs:
             su, sv = src
@@ -107,6 +138,7 @@ def bof_kernel(f: Functor) -> KernelData:
                         name = mname((p, q), src, dst)
                         morphisms.append(Morphism(name, oname(src), oname(dst)))
                         mor_index[((p, q), src, dst)] = name
+                        leaving[src].append(((p, q), dst, name))
                         if len(morphisms) > DEFAULT_APEX_CAP:
                             raise SizeLimitExceeded(
                                 "kernel apex would have more than %d morphisms"
@@ -120,30 +152,15 @@ def bof_kernel(f: Functor) -> KernelData:
         ]
     composition = {}
     for ((pq1, src1, dst1), n1) in mor_index.items():
-        for ((pq2, src2, dst2), n2) in mor_index.items():
-            if dst1 != src2:
-                continue
+        for (pq2, dst2, n2) in leaving[dst1]:
             comp = (A.compose(pq2[0], pq1[0]), A.compose(pq2[1], pq1[1]))
             composition[(n2, n1)] = mor_index[(comp, src1, dst2)]
-    K = FinCategory._trusted(objects, morphisms, identities, composition,
-                             name="ker(%s)" % (f.name or "?"))
-    s = Functor._trusted(
-        K,
-        A,
-        {oname(uv): A.dom(uv[0]) for uv in pairs},
-        {name: pq[0] for ((pq, _s, _d), name) in mor_index.items()},
-        name="s",
-    )
-    t = Functor._trusted(
-        K,
-        A,
-        {oname(uv): A.cod(uv[0]) for uv in pairs},
-        {name: pq[1] for ((pq, _s, _d), name) in mor_index.items()},
-        name="t",
-    )
-    phi = NatTransformation._trusted(s, t, {oname(uv): uv[0] for uv in pairs}, name="phi")
-    psi = NatTransformation._trusted(s, t, {oname(uv): uv[1] for uv in pairs}, name="psi")
-    return KernelData(K, s, t, phi, psi)
+    s_maps = ({oname(uv): A.dom(uv[0]) for uv in pairs},
+              {name: pq[0] for ((pq, _s, _d), name) in mor_index.items()})
+    t_maps = ({oname(uv): A.cod(uv[0]) for uv in pairs},
+              {name: pq[1] for ((pq, _s, _d), name) in mor_index.items()})
+    return (objects, morphisms, identities, composition, s_maps, t_maps,
+            {oname(uv): uv[0] for uv in pairs}, {oname(uv): uv[1] for uv in pairs})
 
 
 def coequify(phi: NatTransformation, psi: NatTransformation):
@@ -227,26 +244,39 @@ def verify_kernel_universal(
 
     A morphism of kernel data is a functor between apexes commuting with
     both legs and both 2-cells; terminality asks for exactly one such
-    morphism from every candidate datum into kd.
+    morphism from every candidate datum into kd.  The mediators are
+    counted by key: per apex category KP, one search lists every functor
+    KP -> kd.apex and files it under the datum it serves
+    (:func:`_mediator_counts`).  That search's object-map space is
+    ``len(kd.apex.objects) ** len(KP.objects)``, and it must stay under
+    ``limit`` like every other search here.  The data are then walked in
+    enumeration order (s2, t2, phi2, psi2), and the first whose count is
+    not 1 is the witness.
     """
     A = f.source
     if _differ(kd.target, A):
         return CheckResult(False, {"reason": "kernel data does not target f's source"})
     if not coequifies(f, kd.phi, kd.psi):
         return CheckResult(False, {"reason": "f does not coequify the data"})
-    # matching phi components fixes the s and t object images as well
-    apex_by_cells: Dict[Tuple[str, str], List[str]] = {}
-    for o in kd.apex.objects:
-        apex_by_cells.setdefault((kd.phi.at(o), kd.psi.at(o)), []).append(o)
+    fm = f.on_morphisms
     for KP in apexes:
+        counts = _mediator_counts(kd, KP, limit)
+        objects, mors = KP.objects, [u.name for u in KP.morphisms]
         for s2 in enumerate_functors(KP, A, limit=limit):
+            s_key = tuple([s2.on_morphisms[u] for u in mors])
             for t2 in enumerate_functors(KP, A, limit=limit):
+                t_key = tuple([t2.on_morphisms[u] for u in mors])
                 nats = enumerate_nat_transformations(s2, t2, limit=limit)
-                for phi2 in nats:
-                    for psi2 in nats:
-                        if not coequifies(f, phi2, psi2):
-                            continue
-                        n = _count_mediators(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit)
+                cells = [tuple([alpha.components[k] for k in objects]) for alpha in nats]
+                # f coequifies phi2 and psi2 when their components have equal
+                # f-images, so each phi2 is paired with its bucket, in order
+                buckets: Dict[Tuple[str, ...], list] = {}
+                for psi2, psi_key in zip(nats, cells):
+                    buckets.setdefault(tuple([fm[c] for c in psi_key]), []).append(
+                        (psi2, psi_key))
+                for phi2, phi_key in zip(nats, cells):
+                    for psi2, psi_key in buckets[tuple([fm[c] for c in phi_key])]:
+                        n = counts.get((s_key, t_key, phi_key, psi_key), 0)
                         if n != 1:
                             return CheckResult(
                                 False,
@@ -258,15 +288,22 @@ def verify_kernel_universal(
     return CheckResult(True)
 
 
-def _count_mediators(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit) -> int:
-    """Number of functors m: KP -> apex with s.m == s2, t.m == t2,
-    phi * m == phi2 and psi * m == psi2."""
-    objects = {k: apex_by_cells.get((phi2.at(k), psi2.at(k)), ()) for k in KP.objects}
-
-    def accept(u: str, cand: str) -> bool:
-        return kd.s.mor(cand) == s2.mor(u) and kd.t.mor(cand) == t2.mor(u)
-
-    return len(functor_maps(KP, kd.apex, limit, objects, accept)[0])
+def _mediator_counts(kd: KernelData, KP: FinCategory, limit: int) -> Dict[tuple, int]:
+    """How many functors m: KP -> kd.apex serve each datum (s2, t2, phi2,
+    psi2) with s.m == s2, t.m == t2, phi * m == phi2 and psi * m == psi2,
+    keyed by the images of s2 and t2 on KP.morphisms and the components of
+    phi2 and psi2 on KP.objects, each in declaration order.  A functor's
+    morphism map fixes its object map, since identities are distinct."""
+    sm, tm = kd.s.on_morphisms, kd.t.on_morphisms
+    phi_at, psi_at = kd.phi.components, kd.psi.components
+    objects, mors = KP.objects, [u.name for u in KP.morphisms]
+    counts: Dict[tuple, int] = {}
+    for omap, mmap in functor_maps(KP, kd.apex, limit)[0]:
+        key = (tuple([sm[mmap[u]] for u in mors]), tuple([tm[mmap[u]] for u in mors]),
+               tuple([phi_at[omap[k]] for k in objects]),
+               tuple([psi_at[omap[k]] for k in objects]))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 @dataclass(frozen=True)

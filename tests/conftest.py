@@ -23,6 +23,10 @@ from birkhoff2d.theory import Algebra, AlgebraHom
 
 acceptance_lines = []
 
+# the tables in which a category keeps search results for later calls;
+# the strict fixture hides each of them
+KEPT_TABLES = ("_functors_to", "_nats_between", "_bof_middles", "_bof_kernels")
+
 
 def record_acceptance(num, ok, text):
     line = "criterion %2d %s  %s" % (num, "PASS" if ok else "FAIL", text)
@@ -91,8 +95,9 @@ def strict(monkeypatch):
     """Every trusted builder validates, and every table of search results
     a category keeps is hidden behind an empty one read afresh each time,
     so no result built before the test is returned unchecked and every
-    factorisation builds, and so checks, its kernel congruence."""
+    factorisation builds, and so checks, its kernel congruence, and every
+    kernel its apex."""
     for owner, attr, replacement in strict_patches():
         monkeypatch.setattr(owner, attr, replacement)
-    for table in ("_functors_to", "_nats_between", "_bof_middles"):
+    for table in KEPT_TABLES:
         monkeypatch.setattr(FinCategory, table, property(lambda self: {}))

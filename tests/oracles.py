@@ -30,6 +30,7 @@ from birkhoff2d.fincat import (
     congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
+    functor_maps,
     lifts,
     nat_lifts,
     power_span,
@@ -321,6 +322,24 @@ def fillins_by_filter(f, g, x, y):
         d for d in enumerate_functors(f.target, g.source)
         if compose_functors(d, f) == x and compose_functors(g, d) == y
     )
+
+
+def count_mediators(kd, KP, s2, t2, phi2, psi2):
+    """Number of functors m: KP -> apex with s.m == s2, t.m == t2,
+    phi * m == phi2 and psi * m == psi2, by one constrained search per
+    datum, as the package counted them before it searched once per apex
+    category: each object of KP is pinned to the apex objects with its
+    phi2 and psi2 components, and each morphism image must have the s2 and
+    t2 images."""
+    apex_by_cells = {}
+    for o in kd.apex.objects:
+        apex_by_cells.setdefault((kd.phi.at(o), kd.psi.at(o)), []).append(o)
+    objects = {k: apex_by_cells.get((phi2.at(k), psi2.at(k)), ()) for k in KP.objects}
+
+    def accept(u, cand):
+        return kd.s.mor(cand) == s2.mor(u) and kd.t.mor(cand) == t2.mor(u)
+
+    return len(functor_maps(KP, kd.apex, DEFAULT_SEARCH_LIMIT, objects, accept)[0])
 
 
 def mediator_signatures(kd, KP):

@@ -39,7 +39,7 @@ from birkhoff2d.fincat import (
 )
 from birkhoff2d.factor import factor_bof
 from birkhoff2d.jsonio import category_to_json, validate_category
-from birkhoff2d.kernel import coequify
+from birkhoff2d.kernel import bof_kernel, coequify
 
 import oracles
 
@@ -314,7 +314,8 @@ def test_search_results_are_released_with_their_source_category(cats):
         functors = enumerate_functors(P, cats["z2"])
         assert enumerate_nat_transformations(functors[-1], functors[-1])
         factor_bof(functors[-1])
-        assert P._functors_to and P._nats_between and P._bof_middles
+        bof_kernel(functors[-1])
+        assert P._functors_to and P._nats_between and P._bof_middles and P._bof_kernels
         return weakref.ref(P)
 
     released = searched()

@@ -8,6 +8,7 @@ from birkhoff2d import corpus, kernel
 from birkhoff2d.errors import BoundaryMismatch, SizeLimitExceeded
 from birkhoff2d.factor import factor_bof
 from birkhoff2d.fincat import (
+    FinCategory,
     Functor,
     NatTransformation,
     classify,
@@ -119,6 +120,16 @@ def test_kernel_quotient_equals_bof_left_leg(all_functors):
         assert C == fact.middle
 
 
+def test_kernel_composition_lists_composable_pairs_in_order(all_functors):
+    """The apex composition of every corpus kernel lists each composable
+    pair (g, f) once, by f and then g in declaration order, so the kernel
+    a command writes out keeps its bytes."""
+    for f in all_functors:
+        K = bof_kernel(f).apex
+        assert list(K.composition) == [(g, u.name) for u in K.morphisms
+                                       for g in K._starting_at[u.cod]]
+
+
 # -- universality ------------------------------------------------------
 
 
@@ -144,6 +155,24 @@ def test_undersized_datum_fails_universality(cats):
     assert res.witness["mediators"] == 0
 
 
+def test_mediator_search_raises_above_the_limit(cats):
+    """The one mediator search per apex category lists every functor into
+    the kernel apex, so a limit below its object-map space raises, on a
+    cold call and again after a warm one."""
+    f = corpus.collapse_functor()
+    kd = bof_kernel(f)
+    two = cats["two"]
+    KP = FinCategory(two.objects, two.morphisms, two.identities, two.composition, name="two")
+    space = len(kd.apex.objects) ** len(KP.objects)
+    message = "object-map space %d exceeds limit %d" % (space, space - 1)
+    with pytest.raises(SizeLimitExceeded, match=message):
+        verify_kernel_universal(kd, f, [KP], limit=space - 1)
+    assert verify_kernel_universal(kd, f, [KP], limit=space)
+    assert KP._functors_to
+    with pytest.raises(SizeLimitExceeded, match=message):
+        verify_kernel_universal(kd, f, [KP], limit=space - 1)
+
+
 def _doubled(kd):
     """kd with its apex replaced by two copies of itself, so every
     mediator into kd comes in two."""
@@ -165,37 +194,66 @@ def _doubled(kd):
 
 
 def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeypatch):
-    """Every mediator count taken while checking the kernels of all corpus
-    functors over one, two and p (and two data that fail with zero and two
-    mediators) equals the number of functors into the apex that the old
-    filter keeps."""
-    seen = []
-    count = kernel._count_mediators
+    """Checking the kernels of all corpus functors over one, two and p, and
+    two data that fail with zero and two mediators: the mediator counts are
+    looked up for the data an enumerate-then-filter walk reaches, in its
+    order and up to its first count other than 1, and each equals the count
+    of one constrained search for that datum and the number of functors
+    into the apex that the old signature filter keeps."""
+    looked_up = []
+    counts_of = kernel._mediator_counts
 
-    def recording(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit):
-        n = count(kd, apex_by_cells, KP, s2, t2, phi2, psi2, limit)
-        seen.append((kd, KP, (s2, t2, phi2, psi2), n))
-        return n
+    class Recording(dict):
+        def get(self, key, default=None):
+            looked_up.append((key, dict.get(self, key, default)))
+            return looked_up[-1][1]
 
-    monkeypatch.setattr(kernel, "_count_mediators", recording)
+    monkeypatch.setattr(kernel, "_mediator_counts",
+                        lambda kd, KP, limit: Recording(counts_of(kd, KP, limit)))
     apexes = [cats["one"], cats["two"], cats["p"]]
+
+    def walked(kd, f):
+        for KP in apexes:
+            signatures = oracles.mediator_signatures(kd, KP)
+            mors = [u.name for u in KP.morphisms]
+            for s2, t2 in itertools.product(enumerate_functors(KP, f.source), repeat=2):
+                nats = enumerate_nat_transformations(s2, t2)
+                for phi2, psi2 in itertools.product(nats, repeat=2):
+                    if not oracles.coequifies_by_whiskers(f, phi2, psi2):
+                        continue
+                    n = oracles.count_mediators(kd, KP, s2, t2, phi2, psi2)
+                    assert n == signatures.count((s2, t2, phi2, psi2))
+                    yield ((tuple(s2.mor(u) for u in mors), tuple(t2.mor(u) for u in mors),
+                            tuple(phi2.at(k) for k in KP.objects),
+                            tuple(psi2.at(k) for k in KP.objects)), n)
+                    if n != 1:
+                        return
+
+    seen = []
+
+    def verify(kd, f):
+        looked_up.clear()
+        res = verify_kernel_universal(kd, f, apexes)
+        expected = list(walked(kd, f))
+        assert looked_up == expected
+        seen.extend(n for _, n in expected)
+        return res
+
     for f in all_functors:
-        assert verify_kernel_universal(bof_kernel(f), f, apexes)
+        assert verify(bof_kernel(f), f)
     collapse = corpus.collapse_functor()
     pick = Functor(cats["one"], cats["p"], {"*": "a"}, {"id": "ida"})
     unit = oracles.identity_nat(pick)
     small = KernelData(cats["one"], pick, pick, unit, unit)
-    assert verify_kernel_universal(small, collapse, apexes).witness["mediators"] == 0
+    assert verify(small, collapse).witness == {
+        "apex": "one", "s": {"*": "a"}, "t": {"*": "b"},
+        "phi": {"*": "u"}, "psi": {"*": "u"}, "mediators": 0}
     doubled = _doubled(bof_kernel(collapse))
-    assert verify_kernel_universal(doubled, collapse, apexes).witness["mediators"] == 2
-    signatures = {}
-    for kd, KP, datum, n in seen:
-        key = (id(kd), KP)
-        if key not in signatures:
-            signatures[key] = oracles.mediator_signatures(kd, KP)
-        assert n == signatures[key].count(datum)
+    assert verify(doubled, collapse).witness == {
+        "apex": "one", "s": {"*": "a"}, "t": {"*": "a"},
+        "phi": {"*": "ida"}, "psi": {"*": "ida"}, "mediators": 2}
     assert len(seen) == 4611
-    assert {n for *_, n in seen} == {0, 1, 2}
+    assert set(seen) == {0, 1, 2}
 
 
 def test_coequifies_matches_whisker_equality(all_functors):

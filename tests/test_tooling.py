@@ -1,6 +1,7 @@
 """Checks on the repository itself: the demos run, no correctness
 condition in the package relies on `assert`, which `python -O` removes,
-trusted builders stay behind the input boundary and under strict mode, every
+trusted builders stay behind the input boundary and under strict mode, strict
+mode hides every table of kept search results, every
 JSON field is read by one checker, and the benchmark's tracer names only
 functions and classes that exist."""
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import strict_patches
+from birkhoff2d import fincat
+from conftest import KEPT_TABLES, strict_patches
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -123,6 +125,18 @@ def test_strict_mode_patches_every_trusted_builder():
     builders = _trusted_builders()
     assert ("birkhoff2d.fincat", "Functor", "_trusted") in builders
     assert builders - patched == set()
+
+
+def test_strict_mode_hides_every_kept_table(cats):
+    """The tables made on first use that read empty on a fresh category are
+    those in which it keeps search results for later calls, and the strict
+    fixture hides exactly those; a new kept table it does not hide fails
+    here."""
+    two = cats["two"]
+    fresh = fincat.FinCategory._trusted(two.objects, two.morphisms, two.identities, two.composition)
+    empty = [name for name, attr in vars(fincat.FinCategory).items()
+             if isinstance(attr, fincat._made_on_first_use) and getattr(fresh, name) == {}]
+    assert sorted(empty) == sorted(KEPT_TABLES)
 
 
 def test_strict_mode_patches_modules_not_imported_yet():

@@ -36,6 +36,7 @@ from birkhoff2d.fincat import (
     lifts,
     product_category,
 )
+from birkhoff2d.kernel import bof_kernel
 from birkhoff2d.theory import (
     Algebra,
     AlgebraHom,
@@ -280,6 +281,32 @@ def test_functors_with_one_kernel_get_equal_middles_that_are_not_shared(cats):
     assert M.identity(a) in M.hom(a, a)
     assert set(vars(M)) == CATEGORY_FIELDS | {"_hom"}
     assert all(set(vars(x.middle)) == CATEGORY_FIELDS for x in facts[1:])
+
+
+def test_functors_with_one_kernel_get_equal_kernel_data_that_is_not_shared(cats):
+    """The kernel data of a kernel partition are built once, yet each call
+    gets a new apex, new legs and new cells with fields of their own."""
+    P = product_category(cats["z2"], cats["two"])[0]
+    by_kernel = {}
+    for f in enumerate_functors(P, cats["z2"]):
+        projection = oracles.factor_bof_uncached(f).left.on_morphisms
+        by_kernel.setdefault(tuple(sorted(projection.items())), []).append(f)
+    f, g = next(fs for fs in by_kernel.values() if len(fs) > 1)[:2]
+    assert f != g
+    kds = (bof_kernel(f), bof_kernel(g), bof_kernel(f))
+    for x, y in itertools.combinations(kds, 2):
+        assert (x.apex, x.s, x.t, x.phi, x.psi) == (y.apex, y.s, y.t, y.phi, y.psi)
+        for u, v in zip((x.apex, x.s, x.t, x.phi, x.psi), (y.apex, y.s, y.t, y.phi, y.psi)):
+            assert u is not v
+        fields = [(k.apex.identities, k.apex.composition, k.s.on_objects, k.s.on_morphisms,
+                   k.t.on_objects, k.t.on_morphisms, k.phi.components, k.psi.components)
+                  for k in (x, y)]
+        for u, v in zip(*fields):
+            assert u is not v
+    K = kds[0].apex
+    a = K.objects[0]
+    assert K.identity(a) in K.hom(a, a)
+    assert all(set(vars(k.apex)) == CATEGORY_FIELDS for k in kds[1:])
 
 
 def _assert_equality_follows_the_key(values):
