@@ -19,6 +19,7 @@ from .fincat import (
     DEFAULT_SEARCH_LIMIT,
     Congruence,
     _differ,
+    _whisker_fibres,
     classify,
     lifts,
 )
@@ -73,8 +74,8 @@ def check_algebra_orthogonal(
     """Is B orthogonal to eta in the algebra sense?
 
     Precomposition with eta must be a bijection from homs out of eta's
-    target to homs out of eta's source, and a bijection on algebra
-    2-cells between every pair of such homs.
+    target to homs out of eta's source, and w |-> w * eta a bijection on
+    algebra 2-cells between every pair of such homs.
     """
     upper = enumerate_algebra_homs(eta.target, B, limit=limit)
     restricted: List[AlgebraHom] = []  # h.eta for each h in upper
@@ -92,29 +93,25 @@ def check_algebra_orthogonal(
             return CheckResult(
                 False, {"kind": "no factorisation", "hom": g.functor.on_objects}
             )
-    # every cell compared below runs h.eta => k.eta, so it is compared by its
-    # components: w * eta by w's components at the eta-images
-    objects = eta.functor.source.objects
-    images = [eta.obj(c) for c in objects]
     for h, h_eta in zip(upper, restricted):
         for k, k_eta in zip(upper, restricted):
             up_cells = algebra_two_cells(h, k, limit=limit)
-            whiskered = {tuple(w.components[b] for b in images) for w in up_cells}
+            whiskered = _whisker_fibres(eta.functor, up_cells)
             if len(whiskered) != len(up_cells):
                 return CheckResult(
                     False, {"kind": "non-unique 2-cell factorisation", "pair": (h.name, k.name)}
                 )
             down_cells = {
-                tuple(w.components[c] for c in objects)
+                tuple(w.components[c] for c in eta.functor.source.objects)
                 for w in algebra_two_cells(h_eta, k_eta, limit=limit)
             }
-            if whiskered != down_cells:
+            if whiskered.keys() != down_cells:
                 return CheckResult(
                     False,
                     {
                         "kind": "2-cell does not descend",
                         "pair": (h.name, k.name),
-                        "missing": len(down_cells - whiskered),
+                        "missing": len(down_cells - whiskered.keys()),
                     },
                 )
     return CheckResult(True, {"homs": len(upper)})

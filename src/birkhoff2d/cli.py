@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import LabError, UsageError, ValidationError
 from .factor import FACTOR_SYSTEMS, check_orthogonal_morphisms, check_orthogonal_object
-from .fincat import DEFAULT_SEARCH_LIMIT, classify
+from .fincat import DEFAULT_SEARCH_LIMIT, _kernel_classes, classify
 from .jsonio import (
     Workspace,
     algebra_to_json,
@@ -169,7 +169,7 @@ def cmd_coequify(args, ws: Workspace):
     psi = ws.nat(args.psi)
     q, C = coequify(phi, psi)
     bo_full = classify(q).bo_full
-    merged = [sorted(cl) for cl in _merged_classes(q)]
+    merged = [sorted(cl) for cl in sorted(cl for cl in _kernel_classes(q) if len(cl) > 1)]
     if args.out:
         apath = ws.path_of(phi.source.target)
         out = Path(args.out)
@@ -186,14 +186,6 @@ def cmd_coequify(args, ws: Workspace):
         "merged classes: %s" % (_show(merged) if merged else "none"),
         "projection classifies b.o. full: %s" % _yes(bo_full),
     ]
-
-
-def _merged_classes(q):
-    """Fibres of a quotient functor's morphism map with more than one member."""
-    fibres = {}
-    for m in q.source.morphisms:
-        fibres.setdefault(q.mor(m.name), []).append(m.name)
-    return sorted(v for v in fibres.values() if len(v) > 1)
 
 
 def cmd_converges(args, ws: Workspace):

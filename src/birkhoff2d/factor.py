@@ -29,6 +29,7 @@ from .fincat import (
     Morphism,
     _differ,
     _kernel_classes,
+    _whisker_fibres,
     compose_functors,
     enumerate_functors,
     enumerate_nat_transformations,
@@ -233,7 +234,7 @@ def check_orthogonal_morphisms(
         filled.append((x, y, ds[0]))
     for (x, y, d), (x2, y2, d2) in itertools.product(filled, repeat=2):
         for alpha in enumerate_nat_transformations(x, x2, limit=limit):
-            for beta in nat_lifts(f, whisker(g, alpha, "left"), y, y2, limit=limit):
+            for beta in nat_lifts(f, whisker(g, alpha), y, y2, limit=limit):
                 deltas = nat_lifts(f, alpha.components, d, d2, g, beta, limit=limit)
                 if len(deltas) != 1:
                     return CheckResult(
@@ -249,7 +250,7 @@ def check_orthogonal_object(
 ) -> CheckResult:
     """f is orthogonal to the object C: precomposition with f is an
     isomorphism between the functor category out of f's target and the one
-    out of f's source, bijective on functors and on transformations."""
+    out of f's source: h |-> h.f and alpha |-> alpha * f are bijective."""
     hs = enumerate_functors(f.target, C, limit=limit)
     gs = enumerate_functors(f.source, C, limit=limit)
     restricted = [compose_functors(h, f) for h in hs]
@@ -268,7 +269,8 @@ def check_orthogonal_object(
     for (h, hf), (h2, h2f) in itertools.product(zip(hs, restricted), repeat=2):
         upstairs = enumerate_nat_transformations(h, h2, limit=limit)
         downstairs = enumerate_nat_transformations(hf, h2f, limit=limit)
-        if any(len(nat_lifts(f, alpha.components, h, h2, limit=limit)) != 1
+        fibres = _whisker_fibres(f, upstairs)
+        if any(fibres.get(tuple([alpha.components[a] for a in f.source.objects]), 0) != 1
                for alpha in downstairs):
             return CheckResult(
                 False,

@@ -12,8 +12,8 @@ search visit only composable data, and a category that is only built and
 compared never pays for them.  Functors are searched by :func:`functor_maps`
 (enumeration, :func:`lifts`, kernel mediators, algebra homomorphisms),
 transformations by one search over component lists (enumeration,
-:func:`nat_lifts`, algebra 2-cells) that decides naturality with
-:func:`naturality_witness`.  Both searches take optional
+algebra 2-cells, the two-sided lift :func:`nat_lifts`) that decides
+naturality with :func:`naturality_witness`.  Both searches take optional
 laws, equations ``table[images of args] == image of result``: the functor
 search checks each at the step that assigns its last morphism, the
 transformation search with naturality on each choice.
@@ -26,10 +26,10 @@ are immutable afterwards.  Equality is decided by comparing the fields
 that make up a value, ignoring the display name; the sorted identity key
 ``_key`` and the hash are made from the same fields on first use, so a
 value that is never hashed never pays for them.  A whisker, and each
-lift :func:`nat_lifts` finds, is only its component map: every caller
-counts these maps or reads their components, so no 2-cell is built for
-them and no boundary functor is composed.  2-cells with one common
-boundary are compared by their component maps.
+lift :func:`nat_lifts` finds, is only its component map, so no 2-cell is
+built for it and no boundary functor is composed.  2-cells with one
+common boundary are compared by their component maps, and the lifts of
+a 2-cell along one functor are counted in :func:`_whisker_fibres`.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -295,10 +295,8 @@ class FinCategory:
 
     def _validate(self) -> None:
         mor, objset = self._mor, self._objset
-        if len(objset) != len(self.objects):
-            raise ValidationError("duplicate object names", witness=self.objects)
-        if len(mor) != len(self.morphisms):
-            raise ValidationError("duplicate morphism names")
+        _require_distinct(self.objects, "object")
+        _require_distinct([m.name for m in self.morphisms], "morphism")
         for m in self.morphisms:
             if m.dom not in objset or m.cod not in objset:
                 raise ValidationError(
@@ -315,14 +313,14 @@ class FinCategory:
                 )
         for a in self.identities:
             if a not in objset:
-                raise ValidationError("identity listed for unknown object %s" % a, witness=a)
+                raise ValidationError("identity listed for unknown object %r" % a, witness=a)
         comp = self.composition
         ending_at = self._ending_at
         # table keys refer to known composable morphisms
         for (g, f) in comp:
             if g not in mor or f not in mor:
                 raise IllTypedComposition(
-                    "composition entry over unknown morphisms", witness=(g, f)
+                    "composition entry %r over unknown morphisms" % ((g, f),), witness=(g, f)
                 )
             if mor[f].cod != mor[g].dom:
                 raise IllTypedComposition(
@@ -482,6 +480,15 @@ def _differ(x, y) -> bool:
     return x is not y and x != y
 
 
+def _require_distinct(names: Iterable[str], kind: str, error=ValidationError) -> None:
+    """Raise ``error`` naming the first of ``names`` that an earlier one repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error("duplicate %s name %r" % (kind, name), witness=name)
+        seen.add(name)
+
+
 def _stray_key(mapping, domain):
     """The first key of ``mapping`` outside ``domain``, or None."""
     return next((k for k in mapping if k not in domain), None)
@@ -515,7 +522,7 @@ def functor_law_witness(source, target, on_objects, on_morphisms):
         return ("on_morphisms maps %r, which is not a source morphism" % stray, stray)
     for a in source.objects:
         if on_morphisms[source.identities[a]] != target.identities[on_objects[a]]:
-            return ("identity of %s not preserved" % a, a)
+            return ("identity of %r not preserved" % a, a)
     # boundaries are preserved, so every image pair is composable in target
     target_comp = target.composition
     for (g, f, h) in source._triples:
@@ -629,25 +636,28 @@ def naturality_witness(F: Functor, G: Functor, components: Dict[str, str]):
     return None
 
 
-def whisker(h: Functor, alpha: NatTransformation, side: str) -> Dict[str, str]:
-    """The components of a transformation whiskered with a functor.
+def whisker(h: Functor, alpha: NatTransformation) -> Dict[str, str]:
+    """The components of the whisker h * alpha: h applied to each component
+    of alpha.  Only the component map is made; its boundaries would be the
+    composites of h with alpha's source and target.  The other whisker,
+    alpha * h, is read in bulk by :func:`_whisker_fibres`."""
+    if _differ(alpha.source.target, h.source):
+        raise BoundaryMismatch("left whisker: functor must start at alpha's target category")
+    hm, comps = h.on_morphisms, alpha.components
+    return {a: hm[comps[a]] for a in alpha.source.source.objects}
 
-    ``side == "left"``: h * alpha, components h(alpha_a).
-    ``side == "right"``: alpha * h, components alpha at h-images.
-    Only the component map is made; its boundaries would be the composites
-    of h with alpha's source and target.
-    """
-    if side == "left":
-        if _differ(alpha.source.target, h.source):
-            raise BoundaryMismatch("left whisker: functor must start at alpha's target category")
-        hm, comps = h.on_morphisms, alpha.components
-        return {a: hm[comps[a]] for a in alpha.source.source.objects}
-    if side == "right":
-        if _differ(h.target, alpha.source.source):
-            raise BoundaryMismatch("right whisker: functor must land in alpha's source category")
-        ho, comps = h.on_objects, alpha.components
-        return {c: comps[ho[c]] for c in h.source.objects}
-    raise ValueError("side must be 'left' or 'right'")
+
+def _whisker_fibres(h: Functor, cells) -> Dict[tuple, int]:
+    """How many of ``cells`` have each whisker alpha * h, keyed by its
+    components at the h-images of ``h.source.objects`` in order; a 2-cell
+    below lifts along h to as many cells as its key counts.  A plain dict:
+    most calls count at most one cell, and a Counter costs more to make."""
+    images = [h.on_objects[c] for c in h.source.objects]
+    fibres: Dict[tuple, int] = {}
+    for a in cells:
+        key = tuple([a.components[b] for b in images])
+        fibres[key] = fibres.get(key, 0) + 1
+    return fibres
 
 
 # -- products, coproducts, powers -------------------------------------

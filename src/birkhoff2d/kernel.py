@@ -35,6 +35,7 @@ from .fincat import (
     NatTransformation,
     _differ,
     _kernel_classes,
+    _whisker_fibres,
     classify,
     compose_functors,
     congruence_closure,
@@ -44,7 +45,6 @@ from .fincat import (
     functor_maps,
     identity_functor,
     lifts,
-    nat_lifts,
     quotient_by_congruence,
 )
 
@@ -201,7 +201,8 @@ def verify_coequifier_2d(
 
     Level 1: every functor h out of q's source into a test category with
     h * phi == h * psi factors through q exactly once.  Level 2: every
-    2-cell between two such functors factors uniquely as well.
+    2-cell between two such functors is bar * q for exactly one of the
+    2-cells bar between their factorisations, all enumerated under ``limit``.
     """
     A = q.source
     C = q.target
@@ -222,13 +223,14 @@ def verify_coequifier_2d(
             factor_of[h] = hbars[0]
         items = sorted(factor_of.items(), key=lambda kv: kv[0]._key)
         for (h1, hb1), (h2, hb2) in itertools.product(items, repeat=2):
+            fibres = _whisker_fibres(q, enumerate_nat_transformations(hb1, hb2, limit=limit))
             for gamma in enumerate_nat_transformations(h1, h2, limit=limit):
-                bars = nat_lifts(q, gamma.components, hb1, hb2, limit=limit)
-                if len(bars) != 1:
+                count = fibres.get(tuple([gamma.components[a] for a in A.objects]), 0)
+                if count != 1:
                     return CheckResult(
                         False,
                         {"level": 2, "test_category": X.name,
-                         "gamma": gamma.components, "factorizations": len(bars)},
+                         "gamma": gamma.components, "factorizations": count},
                     )
     return CheckResult(True)
 
@@ -438,13 +440,14 @@ def lemma_cancel_two_cells(
 ) -> CheckResult:
     """For every b.o. full h among the functors and every parallel pair
     f, g out of h's target into a test category, every 2-cell f.h => g.h
-    has exactly one lift f => g along h (whiskering with h is bijective)."""
+    is the whisker alpha * h of exactly one 2-cell alpha: f => g."""
     checked = cells = 0
     for h, X, f, g, alphas in _parallel_pairs_below(functors, "bo_full", targets, limit):
         betas = enumerate_nat_transformations(
             compose_functors(f, h), compose_functors(g, h), limit=limit
         )
-        if any(len(nat_lifts(h, beta.components, f, g, limit=limit)) != 1
+        fibres = _whisker_fibres(h, alphas)
+        if any(fibres.get(tuple([beta.components[a] for a in h.source.objects]), 0) != 1
                for beta in betas):
             return CheckResult(
                 False,
@@ -463,13 +466,11 @@ def lemma_so_faithful(
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> CheckResult:
     """For every surjective-on-objects h among the functors, whiskering
-    with h never identifies two distinct parallel 2-cells.  The whiskers
-    alpha * h of 2-cells f => g all run f.h => g.h, so they are compared
-    by their components alpha at the h-images."""
+    with h never identifies two distinct parallel 2-cells: the whiskers
+    alpha * h of the 2-cells f => g are as many as the cells."""
     checked = cells = 0
     for h, X, f, g, alphas in _parallel_pairs_below(functors, "so", targets, limit):
-        images = [h.on_objects[c] for c in h.source.objects]
-        whiskered = {tuple(a.components[b] for b in images) for a in alphas}
+        whiskered = _whisker_fibres(h, alphas)
         if len(whiskered) != len(alphas):
             return CheckResult(
                 False,

@@ -65,6 +65,7 @@ from .fincat import (
     _differ,
     _made_on_first_use,
     _natural_components,
+    _require_distinct,
     classify,
     compose_functors,
     congruence_closure,
@@ -115,7 +116,7 @@ def term_to_json(t: Term):
 
 def term_from_json(data) -> Term:
     if not isinstance(data, (list, tuple)) or not data:
-        raise ValidationError("term must be a non-empty array", witness=data)
+        raise ValidationError("term must be a non-empty array, not %r" % (data,), witness=data)
     head = data[0]
     if head == "var":
         if len(data) != 2 or type(data[1]) is not int or data[1] < 1:  # bool is no index
@@ -232,12 +233,10 @@ class TwoCellGenerator:
 class Signature:
     def __init__(self, operations: Sequence[Operation]):
         self.operations: Tuple[Operation, ...] = tuple(operations)
-        names = [op.name for op in self.operations]
-        if len(set(names)) != len(names):
-            raise SignatureMismatch("duplicate operation names", witness=names)
+        _require_distinct([op.name for op in self.operations], "operation", SignatureMismatch)
         for op in self.operations:
             if op.arity < 0:
-                raise SignatureMismatch("negative arity for %s" % op.name, witness=op)
+                raise SignatureMismatch("negative arity for %r" % op.name, witness=op)
         self.arity: Dict[str, int] = {op.name: op.arity for op in self.operations}
 
     def check_term(self, t: Term, arity: int) -> None:
@@ -285,9 +284,7 @@ class Presentation:
             (l, r) for (l, r) in two_cell_equations
         )
         self.name = name
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise SignatureMismatch("duplicate generator names", witness=names)
+        _require_distinct([g.name for g in self.generators], "generator", SignatureMismatch)
         self.generator: Dict[str, TwoCellGenerator] = {g.name: g for g in self.generators}
         for g in self.generators:
             signature.check_term(g.source, g.arity)

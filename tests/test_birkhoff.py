@@ -3,6 +3,7 @@ import pytest
 
 from birkhoff2d import corpus
 from birkhoff2d.birkhoff import (
+    Reflection,
     audit_closure,
     algebras_isomorphic,
     check_algebra_orthogonal,
@@ -82,6 +83,38 @@ def test_freeness_over_member_probes(catalog, coherence, sigma_reflection):
 def test_freeness_rejects_probes_outside_the_subclass(catalog, coherence, sigma_reflection):
     with pytest.raises(ValidationError):
         verify_reflection_free(sigma_reflection, coherence, [catalog["sigma_assoc"]])
+
+
+def test_freeness_names_the_failing_probe(catalog, coherence):
+    """Every hom between catalog algebras, taken as a unit and checked
+    against the member z2_strict: the failures and the witnesses of those
+    at the 2-cell level are pinned as the version that compared whisker
+    tuples gave them."""
+    kinds, two_cell = {}, []
+    for A in catalog.values():
+        for B in catalog.values():
+            for eta in enumerate_algebra_homs(A, B):
+                res = verify_reflection_free(Reflection(eta, B, None), coherence,
+                                             [catalog["z2_strict"]])
+                kind = res.witness.get("kind", "ok")
+                kinds[kind] = kinds.get(kind, 0) + 1
+                if "2-cell" in kind:
+                    two_cell.append((A.name, B.name, eta.functor.on_objects, res.witness))
+    assert kinds == {"ok": 11, "non-unique factorisation": 14, "no factorisation": 4,
+                     "non-unique 2-cell factorisation": 4, "2-cell does not descend": 4}
+    unique = {"kind": "non-unique 2-cell factorisation", "pair": ("", ""), "probe": "z2_strict"}
+    descend = {"kind": "2-cell does not descend", "pair": ("", ""), "missing": 1,
+               "probe": "z2_strict"}
+    assert two_cell == [
+        ("sigma_assoc", "sigma_assoc", {"0": "0", "1": "0"}, unique),
+        ("sigma_assoc", "terminal_alg", {"0": "*", "1": "*"}, descend),
+        ("sigma_assoc", "two_max", {"0": "0", "1": "0"}, descend),
+        ("sigma_assoc", "z2_sigma", {"0": "*", "1": "*"}, descend),
+        ("xor_strict", "xor_strict", {"0": "0", "1": "0"}, unique),
+        ("xor_strict", "z2_strict", {"0": "*", "1": "*"}, descend),
+        ("z2_sigma", "sigma_assoc", {"*": "0"}, unique),
+        ("z2_strict", "xor_strict", {"*": "0"}, unique),
+    ]
 
 
 @pytest.mark.parametrize("mode", ["trusted", "strict"])

@@ -116,6 +116,12 @@ def _one_sided_equation(data):
     return data
 
 
+def _identity_sent_to_a_generator(data):
+    """The functor p -> z2 sending the identity of a to the generator s."""
+    return {"source": "p.json", "target": "z2.json", "on_objects": {"a": "*", "b": "*"},
+            "on_morphisms": {"ida": "s", "idb": "1", "u": "s", "v": "s"}}
+
+
 @pytest.mark.parametrize("flag,name,break_it,field", [
     ("--functor", "collapse.json", _pop("on_morphisms"), "on_morphisms"),
     ("--functor", "collapse.json", _set("on_objects", [1, 2]), "on_objects"),
@@ -163,6 +169,15 @@ def _one_sided_equation(data):
     ("--algebra", "monoidal/xor_strict.json", _set("generator", {}), "generator"),
     ("--algebra", "monoidal/xor_strict.json", _set("operations", "tensor", "on_object", []),
      "on_object"),
+    ("--category", "p.json", _set("objects", ["a", "b", "b"]), "b"),
+    ("--category", "p.json", _set("morphisms", 3, "id", "u"), "u"),
+    ("--presentation", "monoidal.json", _set("operations", 0, "name", "tensor"), "tensor"),
+    ("--presentation", "monoidal.json", _set("generators", 2, "name", "lunit"), "lunit"),
+    ("--category", "p.json", _set("identities", "c", "ida"), "c"),
+    ("--category", "p.json", _set("composition", [["x", "y", "u"]]), ("x", "y")),
+    ("--functor", "collapse.json", _identity_sent_to_a_generator, "a"),
+    ("--presentation", "monoidal.json", _set("operations", 0, "arity", -1), "unit"),
+    ("--presentation", "monoidal.json", _set("generators", 0, "source", []), []),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
         "category-objects-string", "category-composition-number",
         "operation-without-name", "operation-arity-string", "generator-without-arity",
@@ -175,12 +190,17 @@ def _one_sided_equation(data):
         "variable-index-boolean", "generator-name-list", "generator-invertable",
         "category-stray-morphism", "morphism-stray-name", "functor-stray-field",
         "nat-stray-field", "presentation-stray-field", "operation-stray-field",
-        "extension-stray-field", "algebra-stray-field", "operation-table-stray-field"])
+        "extension-stray-field", "algebra-stray-field", "operation-table-stray-field",
+        "object-name-repeated", "morphism-name-repeated", "operation-name-repeated",
+        "generator-name-repeated", "identity-of-unknown-object",
+        "composition-over-unknown-morphisms", "functor-moves-an-identity",
+        "arity-negative", "term-empty"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
     wrong shape, one field the format does not have, one map entry for
-    nothing in the source, one table row listed twice, or one malformed
-    term, it is invalid input (exit 2) naming that field or entry or showing
+    nothing in the source, one table row listed twice, one name listed twice,
+    one entry over unknown names, one broken functor law, one negative arity
+    or one malformed term, it is invalid input (exit 2) naming that field or entry or showing
     that term."""
     shutil.copytree(ROOT, tmp_path, dirs_exist_ok=True)
     cell = {"from": "collapse.json", "to": "collapse.json",

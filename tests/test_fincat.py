@@ -1,4 +1,5 @@
 """Category layer: validation, closure, quotients, enumeration."""
+import collections
 import gc
 import itertools
 import weakref
@@ -544,7 +545,11 @@ def test_whiskers_are_natural_and_match_the_definition(cats, all_functors):
     between functors of corpus categories that it fits: the public
     constructor accepts each component map as a transformation between the
     composites, and the result is the whole whisker read off the definition.
-    A 2-cell it does not fit is refused."""
+    On the left the map is whisker(h, alpha); on the right it is the key
+    under which _whisker_fibres files alpha, read in the order of h's source
+    objects, and the fibres of all 2-cells between functors out of h's
+    target count their whole whiskers.  A 2-cell the whisker does not fit
+    is refused."""
     cells = {}
     counts = {"left": 0, "right": 0}
     for h in all_functors:
@@ -554,28 +559,32 @@ def test_whiskers_are_natural_and_match_the_definition(cats, all_functors):
                     found = enumerate_functors(A, B)
                     cells[(A, B)] = [alpha for F in found for G in found
                                      for alpha in enumerate_nat_transformations(F, G)]
+                wholes = collections.Counter()
                 for alpha in cells[(A, B)]:
+                    want = oracles.whole_whisker(h, alpha, side)
                     if side == "left":
                         F, G = compose_functors(h, alpha.source), compose_functors(h, alpha.target)
+                        components = whisker(h, alpha)
                     else:
                         F, G = compose_functors(alpha.source, h), compose_functors(alpha.target, h)
-                    w = NatTransformation(F, G, whisker(h, alpha, side))
-                    assert w == oracles.whole_whisker(h, alpha, side), (h, alpha, side)
+                        (key,) = fincat._whisker_fibres(h, [alpha])
+                        components = dict(zip(h.source.objects, key))
+                        wholes[tuple(want.components[c] for c in h.source.objects)] += 1
+                    assert NatTransformation(F, G, components) == want, (h, alpha, side)
                     counts[side] += 1
+                if side == "right":
+                    assert fincat._whisker_fibres(h, cells[(A, B)]) == wholes, (h, X)
     assert counts == {"left": 7682, "right": 7676}
     h = identity_functor(cats["two"])
     alpha = oracles.identity_nat(identity_functor(cats["z2"]))
     with pytest.raises(BoundaryMismatch, match="left whisker"):
-        whisker(h, alpha, "left")
-    with pytest.raises(BoundaryMismatch, match="right whisker"):
-        whisker(h, alpha, "right")
-    with pytest.raises(ValueError, match="side"):
-        whisker(h, alpha, "up")
+        whisker(h, alpha)
 
 
 def test_whisker_by_identity_is_trivial(cats):
     z2z2 = cats["z2z2"]
     idf = identity_functor(z2z2)
     for a in enumerate_nat_transformations(idf, idf):
-        assert whisker(idf, a, "left") == a.components
-        assert whisker(idf, a, "right") == a.components
+        assert whisker(idf, a) == a.components
+        assert fincat._whisker_fibres(idf, [a]) == {
+            tuple(a.components[c] for c in z2z2.objects): 1}

@@ -1,10 +1,13 @@
 """Kernel data, coequifiers, reflexivization and convergence."""
+import collections
+import hashlib
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from birkhoff2d import corpus, kernel
+from birkhoff2d import corpus, fincat, kernel
 from birkhoff2d.errors import BoundaryMismatch, SizeLimitExceeded
 from birkhoff2d.factor import factor_bof
 from birkhoff2d.fincat import (
@@ -18,7 +21,6 @@ from birkhoff2d.fincat import (
     enumerate_nat_transformations,
     identity_functor,
     lifts,
-    nat_lifts,
 )
 from birkhoff2d.kernel import (
     KernelData,
@@ -109,6 +111,24 @@ def test_overcollapsing_candidate_fails_verification(cats, walking_pair):
     assert not res
     assert res.witness["level"] == 1
     assert res.witness["factorizations"] == 0
+
+
+def test_two_cell_factorisations_are_counted_under_the_limit(cats):
+    """Level 2 enumerates every 2-cell between two factorisations, so a limit
+    below that component space raises, on a cold call and again after a warm
+    one.  Here q adds an isolated object to z2, where a 2-cell into z2 may
+    take either morphism: each gamma has two factorisations."""
+    z2 = cats["z2"]
+    unit = oracles.identity_nat(identity_functor(z2))
+    C, q, _ = coproduct_category(z2, cats["one"])
+    message = "component space exceeds limit 3"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        verify_coequifier_2d(q, unit, unit, [z2], limit=3)
+    assert verify_coequifier_2d(q, unit, unit, [z2], limit=4) == kernel.CheckResult(
+        False, {"level": 2, "test_category": "z2", "gamma": {"*": "1"}, "factorizations": 2})
+    assert C._nats_between
+    with pytest.raises(SizeLimitExceeded, match=message):
+        verify_coequifier_2d(q, unit, unit, [z2], limit=3)
 
 
 def test_kernel_quotient_equals_bof_left_leg(all_functors):
@@ -290,9 +310,10 @@ def test_non_parallel_cells_are_never_coequified(cats, walking_pair):
 
 
 def test_coequifier_two_cell_factorisations_match_enumerate_then_filter(cats):
-    """Every 2-cell factorisation that verify_coequifier_2d asks for on the
-    corpus coequifier data over one, two and p is the tuple the old whisker
-    filter keeps."""
+    """Every 2-cell factorisation count that verify_coequifier_2d reads on
+    the corpus coequifier data over one, two and p, the fibre of gamma's
+    components among the whiskers bar * q, is the number of lifts the old
+    whisker filter keeps."""
     counts = {}
     for phi, psi in corpus.coequifier_data():
         q, _ = coequify(phi, psi)
@@ -300,10 +321,11 @@ def test_coequifier_two_cell_factorisations_match_enumerate_then_filter(cats):
             bars = [(h, lifts(q, h)[0]) for h in enumerate_functors(q.source, X)
                     if coequifies(h, phi, psi)]
             for (h1, hb1), (h2, hb2) in itertools.product(bars, repeat=2):
+                fibres = fincat._whisker_fibres(q, enumerate_nat_transformations(hb1, hb2))
                 for gamma in enumerate_nat_transformations(h1, h2):
-                    got = nat_lifts(q, gamma.components, hb1, hb2)
-                    assert got == oracles.nat_lifts_by_filter(q, gamma.components, hb1, hb2)
-                    counts[len(got)] = counts.get(len(got), 0) + 1
+                    got = fibres.get(tuple(gamma.components[a] for a in q.source.objects), 0)
+                    assert got == len(oracles.nat_lifts_by_filter(q, gamma.components, hb1, hb2))
+                    counts[got] = counts.get(got, 0) + 1
     assert counts == {1: 2223}
 
 
@@ -467,6 +489,35 @@ def test_surjective_whiskering_suite_on_sample(cats, all_functors):
     res = lemma_so_faithful(sample, [cats["two"], cats["z2"]])
     assert res
     assert res.witness["cells"] >= 0
+
+
+def test_whiskering_lemmas_keep_their_failure_witnesses(cats, all_functors, monkeypatch):
+    """With the class filter patched to let every functor through, both
+    whiskering lemmas fail on functors outside their class.  The first
+    witness over all corpus functors, the pass/fail split per functor and a
+    digest of every per-functor witness are pinned as the lift-search
+    version of both lemmas gave them."""
+    monkeypatch.setattr(kernel, "classify", lambda h: SimpleNamespace(bo_full=True, so=True))
+    targets = list(cats.values())
+    assert lemma_cancel_two_cells(all_functors, targets) == kernel.CheckResult(False, {
+        "functor": {"*": "0"}, "test_category": "two",
+        "pair": ({"0": "0", "1": "1"}, {"0": "0", "1": "0"}), "upstairs": 0, "downstairs": 1})
+    assert lemma_so_faithful(all_functors, targets) == kernel.CheckResult(False, {
+        "functor": {"*": "x"}, "test_category": "p",
+        "pair": ({"x": "a", "y": "a"}, {"x": "a", "y": "b"}), "cells": 2, "images": 1})
+    pinned = {
+        lemma_cancel_two_cells: (
+            {False: 97, True: 17},
+            "e554a523aadcf362d847fdb5aa7540996fdddb057c58c10dda4204b06d7faaa7"),
+        lemma_so_faithful: (
+            {False: 40, True: 74},
+            "8c3d765fded82ea871a3414657aec92a7aca5e6d5dea3bdd26b9ffaee57d9c35"),
+    }
+    for lemma, (split, digest) in pinned.items():
+        results = [lemma([h], targets) for h in all_functors]
+        assert collections.Counter(r.ok for r in results) == split
+        witnesses = repr([r.witness for r in results]).encode()
+        assert hashlib.sha256(witnesses).hexdigest() == digest, lemma.__name__
 
 
 def test_reflexivization_suite_on_sample():
