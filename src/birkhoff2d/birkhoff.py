@@ -99,7 +99,8 @@ def check_algebra_orthogonal(
             whiskered = _whisker_fibres(eta.functor, up_cells)
             if len(whiskered) != len(up_cells):
                 return CheckResult(
-                    False, {"kind": "non-unique 2-cell factorisation", "pair": (h.name, k.name)}
+                    False, {"kind": "non-unique 2-cell factorisation",
+                            "pair": (h.functor.on_morphisms, k.functor.on_morphisms)}
                 )
             down_cells = {
                 tuple(w.components[c] for c in eta.functor.source.objects)
@@ -110,7 +111,7 @@ def check_algebra_orthogonal(
                     False,
                     {
                         "kind": "2-cell does not descend",
-                        "pair": (h.name, k.name),
+                        "pair": (h.functor.on_morphisms, k.functor.on_morphisms),
                         "missing": len(down_cells - whiskered.keys()),
                     },
                 )

@@ -34,7 +34,6 @@ from .fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     lifts,
-    nat_lifts,
     quotient_by_congruence,
     whisker,
 )
@@ -219,6 +218,13 @@ def check_orthogonal_morphisms(
     d, d' and every pair of 2-cells alpha: x => x', beta: y => y' with
     g * alpha == beta * f, there is exactly one delta: d => d' with
     delta * f == alpha and g * delta == beta.
+
+    Level 2 is read from fibres.  For each pair of squares with some alpha,
+    every beta is filed under beta * f and every delta is counted under
+    (delta * f, g * delta), both keyed by components as
+    :func:`birkhoff2d.fincat._whisker_fibres` keys them; each alpha then
+    takes the betas filed under g * alpha and looks up its count.  So
+    ``limit`` bounds the whole component spaces of y => y' and d => d'.
     """
     squares = [(x, y) for x in enumerate_functors(f.source, g.source, limit=limit)
                for y in lifts(f, compose_functors(g, x), limit=limit)]
@@ -232,15 +238,31 @@ def check_orthogonal_morphisms(
                  "fillins": len(ds)},
             )
         filled.append((x, y, ds[0]))
+    A, B = f.source, f.target
+    images = [f.on_objects[a] for a in A.objects]
+    gm = g.on_morphisms
     for (x, y, d), (x2, y2, d2) in itertools.product(filled, repeat=2):
-        for alpha in enumerate_nat_transformations(x, x2, limit=limit):
-            for beta in nat_lifts(f, whisker(g, alpha), y, y2, limit=limit):
-                deltas = nat_lifts(f, alpha.components, d, d2, g, beta, limit=limit)
-                if len(deltas) != 1:
+        alphas = enumerate_nat_transformations(x, x2, limit=limit)
+        if not alphas:
+            continue
+        betas: Dict[tuple, list] = {}
+        for beta in enumerate_nat_transformations(y, y2, limit=limit):
+            betas.setdefault(tuple([beta.components[b] for b in images]), []).append(beta)
+        deltas: Dict[tuple, int] = {}
+        for delta in enumerate_nat_transformations(d, d2, limit=limit):
+            c = delta.components
+            key = (tuple([c[b] for b in images]), tuple([gm[c[b]] for b in B.objects]))
+            deltas[key] = deltas.get(key, 0) + 1
+        for alpha in alphas:
+            g_alpha = whisker(g, alpha)
+            alpha_key = tuple([alpha.components[a] for a in A.objects])
+            for beta in betas.get(tuple([g_alpha[a] for a in A.objects]), ()):
+                n = deltas.get((alpha_key, tuple([beta.components[b] for b in B.objects])), 0)
+                if n != 1:
                     return CheckResult(
                         False,
                         {"level": 2, "alpha": alpha.components,
-                         "beta": beta, "fillins": len(deltas)},
+                         "beta": beta.components, "fillins": n},
                     )
     return CheckResult(True)
 

@@ -11,12 +11,11 @@ are made on first use, so the law checks, congruence closure and functor
 search visit only composable data, and a category that is only built and
 compared never pays for them.  Functors are searched by :func:`functor_maps`
 (enumeration, :func:`lifts`, kernel mediators, algebra homomorphisms),
-transformations by one search over component lists (enumeration,
-algebra 2-cells, the two-sided lift :func:`nat_lifts`) that decides
-naturality with :func:`naturality_witness`.  Both searches take optional
-laws, equations ``table[images of args] == image of result``: the functor
-search checks each at the step that assigns its last morphism, the
-transformation search with naturality on each choice.
+transformations by one search over whole hom-sets (enumeration, algebra
+2-cells) that decides naturality with :func:`naturality_witness`.  Both
+searches take optional laws, equations ``table[images of args] == image
+of result``: the functor search checks each at the step that assigns its
+last morphism, the transformation search with naturality on each choice.
 Values from outside, given to the public constructors (and so every
 value loaded from JSON), are validated.  Constructions from validated
 parts (search results, composites, whiskers, products, quotients,
@@ -25,11 +24,11 @@ which does the constructor's bookkeeping without the law check.  Values
 are immutable afterwards.  Equality is decided by comparing the fields
 that make up a value, ignoring the display name; the sorted identity key
 ``_key`` and the hash are made from the same fields on first use, so a
-value that is never hashed never pays for them.  A whisker, and each
-lift :func:`nat_lifts` finds, is only its component map, so no 2-cell is
-built for it and no boundary functor is composed.  2-cells with one
-common boundary are compared by their component maps, and the lifts of
-a 2-cell along one functor are counted in :func:`_whisker_fibres`.
+value that is never hashed never pays for them.  A whisker is only its
+component map, so no 2-cell is built for it and no boundary functor is
+composed.  2-cells with one common boundary are compared by their
+component maps, and the lifts of a 2-cell along one functor are counted
+in :func:`_whisker_fibres`: no search is pinned to a 2-cell.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -1128,12 +1127,12 @@ def lifts(
     return tuple(Functor._trusted(B, C, o, m) for o, m in maps)
 
 
-def _natural_components(F: Functor, G: Functor, slots: Sequence[Sequence[str]], limit: int,
-                        laws=None):
-    """Natural choices from ``slots`` (per object, a subsequence of its hom-set
-    F a -> G a) in product order that also satisfy ``laws``, equations
+def _natural_components(F: Functor, G: Functor, limit: int, laws=None):
+    """The component maps of every natural F => G, in product order over the
+    hom-sets F a -> G a, that also satisfy ``laws``, equations
     ``table[components at args] == component at result`` over the source
-    objects, and the peak partial product of slot sizes."""
+    objects, and the peak partial product of the hom-set sizes."""
+    slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
     peak = max(itertools.accumulate(map(len, slots), operator.mul, initial=1))
     _component_limit_check(peak, limit)
     choices = (dict(zip(F.source.objects, c)) for c in itertools.product(*slots))
@@ -1151,36 +1150,8 @@ def enumerate_nat_transformations(
         raise BoundaryMismatch("need parallel functors")
     kept = F.source._nats_between.get((F, G))
     if kept is None:
-        slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
-        found, peak = _natural_components(F, G, slots, limit)
+        found, peak = _natural_components(F, G, limit)
         kept = F.source._nats_between[(F, G)] = (
             tuple(NatTransformation._trusted(F, G, c) for c in found), peak)
     _component_limit_check(kept[1], limit)  # a cold search has already raised here
     return kept[0]
-
-
-def nat_lifts(f: Functor, alpha: Dict[str, str], d: Functor, d2: Functor,
-              g: Optional[Functor] = None, beta: Optional[Dict[str, str]] = None,
-              limit: int = DEFAULT_SEARCH_LIMIT) -> Tuple[Dict[str, str], ...]:
-    """The component map of every delta: d => d2 with delta * f == alpha
-    and, when g is given, g * delta == beta, for alpha: d.f => d2.f and
-    beta: g.d => g.d2 given by their components; in
-    enumerate_nat_transformations order.
-
-    The 2-cell twin of :func:`lifts`: alpha pins delta on the image of f and
-    g restricts the other components, so the search never stops at a limit
-    that enumerating every d => d2 and filtering would have passed.  Only
-    component maps go in and come out, so a whisker is passed as the map
-    :func:`whisker` returns and no lift is built as a 2-cell.
-    """
-    pin: Dict[str, str] = {}
-    for a, c in alpha.items():
-        if pin.setdefault(f.on_objects[a], c) != c:
-            return ()
-    C = d.target
-    slots = []
-    for b in d.source.objects:
-        cands = (pin[b],) if b in pin else C.hom(d.obj(b), d2.obj(b))
-        slots.append([c for c in cands if g is None or g.on_morphisms[c] == beta[b]])
-    found, _ = _natural_components(d, d2, slots, limit)
-    return tuple(found)

@@ -148,7 +148,8 @@ def validate_category(raw: dict, name: str = "") -> FinCategory:
     composition: Dict[Tuple[str, str], str] = {}
     for g, f, h in _field(raw, "composition", kind, "triples", []):
         if (g, f) in composition:
-            raise ValidationError("duplicate composition entry", witness=(g, f))
+            raise ValidationError("%s field 'composition' repeats the entry %r"
+                                  % (kind, (g, f)), witness=(g, f))
         composition[(g, f)] = h
     # fill identity-forced entries that were left implicit
     names = {m.name for m in morphisms}

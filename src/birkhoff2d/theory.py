@@ -930,8 +930,7 @@ def algebra_two_cells(
         raise BoundaryMismatch("need parallel functors")
     A, B = h.source, h.target
     laws = [(B._op_mor[op], t, v) for op, table in A._op_obj.items() for t, v in table.items()]
-    slots = [B.carrier.hom(F.obj(a), G.obj(a)) for a in A.carrier.objects]
-    found, _ = _natural_components(F, G, slots, limit, laws)
+    found, _ = _natural_components(F, G, limit, laws)
     return tuple(NatTransformation._trusted(F, G, c) for c in found)
 
 

@@ -32,7 +32,6 @@ from birkhoff2d.fincat import (
     enumerate_nat_transformations,
     functor_maps,
     lifts,
-    nat_lifts,
     power_span,
     quotient_by_congruence,
 )
@@ -398,9 +397,9 @@ def whisker_once(h, alpha, side):
 
 
 def nat_lifts_by_filter(f, alpha, d, d2, g=None, beta=None):
-    """nat_lifts by its definition: the component map of every delta:
-    d => d2 whose whole whisker delta * f has the components alpha (and
-    g * delta the components beta), kept from the full enumeration."""
+    """The 2-cell lifts by their definition: the component map of every
+    delta: d => d2 whose whole whisker delta * f has the components alpha
+    (and g * delta the components beta), kept from the full enumeration."""
     return tuple(
         delta.components for delta in enumerate_nat_transformations(d, d2)
         if whisker_once(f, delta, "right").components == alpha
@@ -413,8 +412,8 @@ def coequifies_by_whiskers(h, phi, psi):
 
 
 # The checks that compared whole whiskers, as the package stated them
-# before 2-cells with one common boundary were compared by components and
-# nat_lifts took and returned component maps.
+# before 2-cells with one common boundary were compared by components,
+# each 2-cell lift kept from the full enumeration by nat_lifts_by_filter.
 
 
 def orthogonal_by_whiskers(f, g):
@@ -434,8 +433,9 @@ def orthogonal_by_whiskers(f, g):
     for (x, y), (x2, y2) in itertools.product(squares, repeat=2):
         d, d2 = diag[(x, y)], diag[(x2, y2)]
         for alpha in enumerate_nat_transformations(x, x2):
-            for beta in nat_lifts(f, whole_whisker(g, alpha, "left").components, y, y2):
-                deltas = nat_lifts(f, alpha.components, d, d2, g, beta)
+            g_alpha = whole_whisker(g, alpha, "left").components
+            for beta in nat_lifts_by_filter(f, g_alpha, y, y2):
+                deltas = nat_lifts_by_filter(f, alpha.components, d, d2, g, beta)
                 if len(deltas) != 1:
                     return CheckResult(
                         False,
@@ -465,7 +465,8 @@ def orthogonal_object_by_recomposing(f, C):
         upstairs = enumerate_nat_transformations(h, h2)
         downstairs = enumerate_nat_transformations(
             compose_functors(h, f), compose_functors(h2, f))
-        if any(len(nat_lifts(f, alpha.components, h, h2)) != 1 for alpha in downstairs):
+        if any(len(nat_lifts_by_filter(f, alpha.components, h, h2)) != 1
+               for alpha in downstairs):
             return CheckResult(
                 False,
                 {"level": 2, "pair": (h.on_objects, h2.on_objects),
@@ -573,14 +574,16 @@ def algebra_orthogonal_by_whiskers(eta, B):
                          for w in algebra_two_cells_by_filter(h, k)]
             if len(set(whiskered)) != len(whiskered):
                 return CheckResult(
-                    False, {"kind": "non-unique 2-cell factorisation", "pair": (h.name, k.name)}
+                    False, {"kind": "non-unique 2-cell factorisation",
+                            "pair": (h.functor.on_morphisms, k.functor.on_morphisms)}
                 )
             down_cells = set(algebra_two_cells_by_filter(compose_algebra_homs(h, eta),
                                                          compose_algebra_homs(k, eta)))
             if set(whiskered) != down_cells:
                 return CheckResult(
                     False,
-                    {"kind": "2-cell does not descend", "pair": (h.name, k.name),
+                    {"kind": "2-cell does not descend",
+                     "pair": (h.functor.on_morphisms, k.functor.on_morphisms),
                      "missing": len(down_cells - set(whiskered))},
                 )
     return CheckResult(True, {"homs": len(upper)})

@@ -89,7 +89,8 @@ def test_freeness_names_the_failing_probe(catalog, coherence):
     """Every hom between catalog algebras, taken as a unit and checked
     against the member z2_strict: the failures and the witnesses of those
     at the 2-cell level are pinned as the version that compared whisker
-    tuples gave them."""
+    tuples gave them, each hom of the failing pair named by its morphism
+    map."""
     kinds, two_cell = {}, []
     for A in catalog.values():
         for B in catalog.values():
@@ -102,18 +103,26 @@ def test_freeness_names_the_failing_probe(catalog, coherence):
                     two_cell.append((A.name, B.name, eta.functor.on_objects, res.witness))
     assert kinds == {"ok": 11, "non-unique factorisation": 14, "no factorisation": 4,
                      "non-unique 2-cell factorisation": 4, "2-cell does not descend": 4}
-    unique = {"kind": "non-unique 2-cell factorisation", "pair": ("", ""), "probe": "z2_strict"}
-    descend = {"kind": "2-cell does not descend", "pair": ("", ""), "missing": 1,
-               "probe": "z2_strict"}
+
+    def unique(*morphisms):
+        h = dict.fromkeys(morphisms, "1")
+        return {"kind": "non-unique 2-cell factorisation", "pair": (h, h), "probe": "z2_strict"}
+
+    def descend(*morphisms):
+        h = dict.fromkeys(morphisms, "1")
+        return {"kind": "2-cell does not descend", "pair": (h, h), "missing": 1,
+                "probe": "z2_strict"}
+
+    # each pair names the hom into z2_strict that sends every morphism to 1
     assert two_cell == [
-        ("sigma_assoc", "sigma_assoc", {"0": "0", "1": "0"}, unique),
-        ("sigma_assoc", "terminal_alg", {"0": "*", "1": "*"}, descend),
-        ("sigma_assoc", "two_max", {"0": "0", "1": "0"}, descend),
-        ("sigma_assoc", "z2_sigma", {"0": "*", "1": "*"}, descend),
-        ("xor_strict", "xor_strict", {"0": "0", "1": "0"}, unique),
-        ("xor_strict", "z2_strict", {"0": "*", "1": "*"}, descend),
-        ("z2_sigma", "sigma_assoc", {"*": "0"}, unique),
-        ("z2_strict", "xor_strict", {"*": "0"}, unique),
+        ("sigma_assoc", "sigma_assoc", {"0": "0", "1": "0"}, unique("id0", "id1", "s0", "s1")),
+        ("sigma_assoc", "terminal_alg", {"0": "*", "1": "*"}, descend("id")),
+        ("sigma_assoc", "two_max", {"0": "0", "1": "0"}, descend("id0", "id1", "t")),
+        ("sigma_assoc", "z2_sigma", {"0": "*", "1": "*"}, descend("1", "s")),
+        ("xor_strict", "xor_strict", {"0": "0", "1": "0"}, unique("id0", "id1", "s0", "s1")),
+        ("xor_strict", "z2_strict", {"0": "*", "1": "*"}, descend("1", "s")),
+        ("z2_sigma", "sigma_assoc", {"*": "0"}, unique("id0", "id1", "s0", "s1")),
+        ("z2_strict", "xor_strict", {"*": "0"}, unique("id0", "id1", "s0", "s1")),
     ]
 
 

@@ -178,6 +178,8 @@ def _identity_sent_to_a_generator(data):
     ("--functor", "collapse.json", _identity_sent_to_a_generator, "a"),
     ("--presentation", "monoidal.json", _set("operations", 0, "arity", -1), "unit"),
     ("--presentation", "monoidal.json", _set("generators", 0, "source", []), []),
+    ("--category", "p.json", _set("composition", [["u", "ida", "u"], ["u", "ida", "u"]]),
+     ("u", "ida")),
 ], ids=["functor-without-on_morphisms", "functor-on_objects-list", "nat-without-components",
         "category-objects-string", "category-composition-number",
         "operation-without-name", "operation-arity-string", "generator-without-arity",
@@ -194,7 +196,7 @@ def _identity_sent_to_a_generator(data):
         "object-name-repeated", "morphism-name-repeated", "operation-name-repeated",
         "generator-name-repeated", "identity-of-unknown-object",
         "composition-over-unknown-morphisms", "functor-moves-an-identity",
-        "arity-negative", "term-empty"])
+        "arity-negative", "term-empty", "composition-entry-repeated"])
 def test_validate_names_the_malformed_field(capsys, tmp_path, flag, name, break_it, field):
     """Each file validates as written; with one field missing or of the
     wrong shape, one field the format does not have, one map entry for

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from birkhoff2d import corpus
-from birkhoff2d.errors import BoundaryMismatch
+from birkhoff2d.errors import BoundaryMismatch, SizeLimitExceeded
 from birkhoff2d.factor import (
     FACTOR_SYSTEMS,
     check_orthogonal_morphisms,
@@ -23,7 +23,6 @@ from birkhoff2d.fincat import (
     enumerate_nat_transformations,
     identity_functor,
     lifts,
-    nat_lifts,
     product_category,
     quotient_by_congruence,
 )
@@ -234,8 +233,9 @@ def test_square_that_does_not_commute_is_refused(cats):
 def test_two_cell_fillins_match_enumerate_then_filter(all_functors):
     """Every level-2 problem of every quotient/mono pair, and of every
     functor against every quotient, whose squares all have one diagonal:
-    the betas compatible with each alpha, and the fill-ins of each
-    (alpha, beta), are the tuples the old whisker filter keeps."""
+    the fill-ins of each compatible (alpha, beta), kept by the whisker
+    filter, number as the census says, and the check passes exactly where
+    every count is 1, naming the first other count as its witness."""
     quotients = [f for f in all_functors if classify(f).bo_full]
     monos = [g for g in all_functors if classify(g).faithful]
     pairs = [(f, g) for f in quotients for g in monos]
@@ -247,17 +247,47 @@ def test_two_cell_fillins_match_enumerate_then_filter(all_functors):
                 for y in lifts(f, compose_functors(g, x))}
         if any(len(ds) != 1 for ds in diag.values()):
             continue  # the check stops at level 1
+        first = None
         for ((x, y), (d,)), ((x2, y2), (d2,)) in itertools.product(diag.items(), repeat=2):
             for alpha in enumerate_nat_transformations(x, x2):
                 g_alpha = oracles.whisker_once(g, alpha, "left")
-                betas = nat_lifts(f, g_alpha.components, y, y2)
-                assert betas == oracles.nat_lifts_by_filter(f, g_alpha.components, y, y2)
-                for beta in betas:
-                    deltas = nat_lifts(f, alpha.components, d, d2, g, beta)
-                    assert deltas == oracles.nat_lifts_by_filter(f, alpha.components, d, d2,
-                                                                 g, beta)
-                    counts[len(deltas)] = counts.get(len(deltas), 0) + 1
+                for beta in oracles.nat_lifts_by_filter(f, g_alpha.components, y, y2):
+                    n = len(oracles.nat_lifts_by_filter(f, alpha.components, d, d2, g, beta))
+                    counts[n] = counts.get(n, 0) + 1
+                    if n != 1 and first is None:
+                        first = {"level": 2, "alpha": alpha.components, "beta": beta,
+                                 "fillins": n}
+        got = check_orthogonal_morphisms(f, g)
+        assert (got.ok, got.witness) == (first is None, first), (f, g)
     assert counts == {0: 164, 1: 19748, 2: 232}
+
+
+@pytest.mark.parametrize("bound", ["beta", "delta"])
+def test_two_cells_are_enumerated_whole_under_the_limit(bound, monkeypatch):
+    """Level 2 enumerates every beta: y => y' and every delta: d => d' under
+    ``limit``, pinned nowhere.  Below the component space 4 of y => y' (the
+    quotient of the parallel pair against one -> z2) or of d => d'
+    (one -> d2 against z2 -> one) the check raises, cold and with the kept
+    results filled; at 4 it gives the verdict of the default limit."""
+    one, z2, d2 = (corpus.category(name) for name in ("one", "z2", "d2"))
+    if bound == "beta":
+        f, _ = coequify(*corpus.coequifier_data()[0])
+        (g,) = enumerate_functors(one, z2)
+        verdict = (True, None)
+    else:
+        f = enumerate_functors(one, d2)[0]
+        (g,) = enumerate_functors(z2, one)
+        verdict = (False, {"level": 2, "alpha": {"*": "1"}, "beta": {"x": "id", "y": "id"},
+                           "fillins": 2})
+    for C in (f.source, f.target):
+        monkeypatch.setattr(C, "_nats_between", {})
+    with pytest.raises(SizeLimitExceeded, match="component space exceeds limit 3"):
+        check_orthogonal_morphisms(f, g, limit=3)
+    got = check_orthogonal_morphisms(f, g)
+    assert (got.ok, got.witness) == verdict
+    with pytest.raises(SizeLimitExceeded, match="component space exceeds limit 3"):
+        check_orthogonal_morphisms(f, g, limit=3)
+    assert check_orthogonal_morphisms(f, g, limit=4) == got
 
 
 @pytest.mark.parametrize("mode", ["trusted", "strict"])

@@ -33,7 +33,6 @@ from birkhoff2d.fincat import (
     enumerate_nat_transformations,
     identity_functor,
     lifts,
-    nat_lifts,
     product_category,
     quotient_by_congruence,
     whisker,
@@ -343,47 +342,6 @@ def test_pinned_search_stays_under_a_limit_the_full_search_passes(cats):
     assert found == len(everything) == 4
     with pytest.raises(SizeLimitExceeded):
         enumerate_functors(Q, z2z2, limit=limit)
-
-
-def test_pinned_two_cell_search_stays_under_a_limit_the_full_search_passes(cats):
-    """Lifts of 2-cells along the quotient of the parallel pair pin every
-    component: under a limit below the component space of the quotient's
-    functors into z2 they still come out as the whisker filter keeps them,
-    while enumerating every transformation raises, cold and warm."""
-    q, Q = coequify(*corpus.coequifier_data()[0])
-    z2 = cats["z2"]
-    ds = enumerate_functors(Q, z2)
-    limit = len(z2.morphisms) ** len(Q.objects) - 1
-    found = 0
-    for d in ds:
-        for d2 in ds:
-            Q._nats_between.pop((d, d2), None)
-            with pytest.raises(SizeLimitExceeded):
-                enumerate_nat_transformations(d, d2, limit=limit)
-            for alpha in enumerate_nat_transformations(
-                    compose_functors(d, q), compose_functors(d2, q)):
-                got = nat_lifts(q, alpha.components, d, d2, limit=limit)
-                assert got == oracles.nat_lifts_by_filter(q, alpha.components, d, d2)
-                found += len(got)
-            with pytest.raises(SizeLimitExceeded):
-                enumerate_nat_transformations(d, d2, limit=limit)
-    assert found == sum(len(enumerate_nat_transformations(d, d2)) for d in ds for d2 in ds)
-    assert found > 0
-
-
-def test_conflicting_pins_admit_no_two_cell_lift(cats):
-    """A 2-cell on the discrete d2 whose components at x and y differ has no
-    lift along the functor that sends x and y to one object."""
-    d2, one, z2 = cats["d2"], cats["one"], cats["z2"]
-    crush = Functor(d2, one, {"x": "*", "y": "*"}, {"idx": "id", "idy": "id"})
-    d = Functor(one, z2, {"*": "*"}, {"id": "1"})
-    dc = compose_functors(d, crush)
-    lifted = {}
-    for alpha in enumerate_nat_transformations(dc, dc):
-        got = nat_lifts(crush, alpha.components, d, d)
-        assert got == oracles.nat_lifts_by_filter(crush, alpha.components, d, d)
-        lifted[(alpha.at("x"), alpha.at("y"))] = len(got)
-    assert lifted == {("1", "1"): 1, ("1", "s"): 0, ("s", "1"): 0, ("s", "s"): 1}
 
 
 def test_enumeration_contains_identity_and_is_cached(cats):

@@ -2,9 +2,8 @@
 condition in the package relies on `assert`, which `python -O` removes,
 trusted builders stay behind the input boundary and under strict mode, strict
 mode hides every table of kept search results, every
-JSON field is read by one checker, only the two-sided lift searches for
-2-cell lifts, and the benchmark's tracer names only functions and classes
-that exist."""
+JSON field is read by one checker, no search is pinned to a 2-cell, and the
+benchmark's tracer names only functions and classes that exist."""
 import ast
 import importlib
 import os
@@ -119,26 +118,26 @@ def test_fincat_and_factor_keep_no_other_module_level_dict():
     assert _module_dicts(package / "factor.py") == {"FACTOR_SYSTEMS"}
 
 
-def test_only_the_two_sided_lift_searches_for_2_cell_lifts():
-    """``nat_lifts`` is named in the package only by its own definition and
-    by ``factor.check_orthogonal_morphisms`` (and the import that serves
-    it): every other unique 2-cell factorisation is read off
-    ``fincat._whisker_fibres``.  ``fincat.whisker`` is one-sided and takes
-    no ``side``."""
+def _parameters(module: str, function: str):
+    node = next(node for node in _tree(SRC / "birkhoff2d" / (module + ".py")).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    return [a.arg for a in args]
+
+
+def test_no_2_cell_search_is_pinned():
+    """Every unique 2-cell factorisation is read from fibres of whole
+    hom-set searches: no module of the package names ``nat_lifts``, the
+    transformation search ``fincat._natural_components`` takes no
+    ``slots`` to pin it, and ``fincat.whisker`` is one-sided and takes no
+    ``side``."""
     fields = ("id", "attr", "name", "asname")
-    found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        for top in _tree(path).body:
-            owner = getattr(top, "name", type(top).__name__)
-            for node in ast.walk(top):
-                if "nat_lifts" in [getattr(node, field, None) for field in fields]:
-                    found.add((path.stem, owner))
-    assert found == {("fincat", "nat_lifts"), ("factor", "ImportFrom"),
-                     ("factor", "check_orthogonal_morphisms")}
-    whisker = next(node for node in _tree(SRC / "birkhoff2d" / "fincat.py").body
-                   if isinstance(node, ast.FunctionDef) and node.name == "whisker")
-    args = whisker.args.posonlyargs + whisker.args.args + whisker.args.kwonlyargs
-    assert "side" not in [a.arg for a in args]
+    found = [(path.stem, node.lineno) for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(_tree(path))
+             if "nat_lifts" in [getattr(node, field, None) for field in fields]]
+    assert found == []
+    assert "slots" not in _parameters("fincat", "_natural_components")
+    assert "side" not in _parameters("fincat", "whisker")
 
 
 def test_strict_mode_patches_every_trusted_builder():

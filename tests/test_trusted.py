@@ -139,7 +139,8 @@ def test_strict_mode_catches_a_class_that_is_not_closed(cats, monkeypatch, reque
 
 
 def test_strict_mode_catches_a_component_that_is_not_natural(cats, monkeypatch, request):
-    def unfiltered(F, G, slots, limit):
+    def unfiltered(F, G, limit, laws=None):
+        slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
         return [dict(zip(F.source.objects, c)) for c in itertools.product(*slots)], 1
 
     monkeypatch.setattr(fincat, "_natural_components", unfiltered)
