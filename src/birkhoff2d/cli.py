@@ -304,8 +304,7 @@ def cmd_lemmas(args, ws: Workspace):
     suites = [
         ("cancel-2-cells", lambda: lemma_cancel_two_cells(functors, cats, limit=args.limit)),
         ("so-faithful", lambda: lemma_so_faithful(functors, cats, limit=args.limit)),
-        ("coeq-refl", lambda: lemma_coeq_refl(corpus.coequifier_data(limit=args.limit),
-                                              limit=args.limit)),
+        ("coeq-refl", lambda: lemma_coeq_refl(corpus.coequifier_data(limit=args.limit))),
         ("immediate-convergence", lambda: lemma_immediate_convergence(functors)),
     ]
     results = []

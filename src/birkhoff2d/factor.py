@@ -15,25 +15,23 @@ All checks run on the functor and transformation searches of :mod:`fincat`.
 """
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BoundaryMismatch, LabError
+from .errors import LabError
 from .fincat import (
     DEFAULT_SEARCH_LIMIT,
     Congruence,
     FinCategory,
     Functor,
     Morphism,
-    _differ,
     _kernel_classes,
+    _precomposition_fibres,
     _whisker_fibres,
     compose_functors,
     enumerate_functors,
     enumerate_nat_transformations,
-    lifts,
     quotient_by_congruence,
     whisker,
 )
@@ -191,21 +189,21 @@ FACTOR_SYSTEMS = {
 
 
 def diagonal_fillins(
-    f: Functor, g: Functor, x: Functor, y: Functor,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> Tuple[Functor, ...]:
-    """All d with d after f == x and g after d == y, for a commuting
-    square y.f == g.x around f: A -> B and g: C -> D.
-
-    The square is compared pointwise, on every object and morphism of A,
-    without building either composite.
-    """
-    if (_differ(f.source, x.source) or _differ(f.target, y.source)
-            or _differ(x.target, g.source) or _differ(y.target, g.target)
-            or any(y.obj(f.obj(a)) != g.obj(x.obj(a)) for a in f.source.objects)
-            or any(y.mor(f.mor(u.name)) != g.mor(x.mor(u.name)) for u in f.source.morphisms)):
-        raise BoundaryMismatch("square does not commute")
-    return lifts(f, x, g, y, limit=limit)
+    f: Functor, g: Functor, limit: int = DEFAULT_SEARCH_LIMIT
+) -> Dict[Tuple[tuple, tuple], List[Functor]]:
+    """The diagonals of every commuting square around f: A -> B and
+    g: C -> D in one table: each d: B -> C, in enumeration order, filed
+    under the square (d.f, g.d) it fills, keyed by the morphism maps on A's
+    and on B's morphisms.  Every key commutes; a square not in it has no
+    diagonal."""
+    mors = [u.name for u in f.target.morphisms]
+    gm = g.on_morphisms
+    table: Dict[Tuple[tuple, tuple], List[Functor]] = {}
+    ds = enumerate_functors(f.target, g.source, limit=limit)
+    for d_f, fibre in _precomposition_fibres(f, ds).items():
+        for d in fibre:
+            table.setdefault((d_f, tuple([gm[d.on_morphisms[v]] for v in mors])), []).append(d)
+    return table
 
 
 def check_orthogonal_morphisms(
@@ -219,6 +217,13 @@ def check_orthogonal_morphisms(
     g * alpha == beta * f, there is exactly one delta: d => d' with
     delta * f == alpha and g * delta == beta.
 
+    Level 1 takes each y from the fibre of g.x among all functors B -> D
+    (:func:`birkhoff2d.fincat._precomposition_fibres`) and the diagonals
+    from the table of :func:`diagonal_fillins`, so ``limit`` bounds the
+    whole spaces A -> C, B -> D and B -> C: 5,644 of the 114 x 114 corpus
+    pairs need a larger least limit than a search pinned to f's image
+    (at most 24, as before), none a smaller one.
+
     Level 2 is read from fibres.  For each pair of squares with some alpha,
     every beta is filed under beta * f and every delta is counted under
     (delta * f, g * delta), both keyed by components as
@@ -226,21 +231,24 @@ def check_orthogonal_morphisms(
     takes the betas filed under g * alpha and looks up its count.  So
     ``limit`` bounds the whole component spaces of y => y' and d => d'.
     """
-    squares = [(x, y) for x in enumerate_functors(f.source, g.source, limit=limit)
-               for y in lifts(f, compose_functors(g, x), limit=limit)]
-    filled = []
-    for (x, y) in squares:
-        ds = diagonal_fillins(f, g, x, y, limit=limit)
-        if len(ds) != 1:
-            return CheckResult(
-                False,
-                {"level": 1, "square": (x.on_objects, y.on_objects),
-                 "fillins": len(ds)},
-            )
-        filled.append((x, y, ds[0]))
     A, B = f.source, f.target
-    images = [f.on_objects[a] for a in A.objects]
+    a_mors, b_mors = [u.name for u in A.morphisms], [u.name for u in B.morphisms]
     gm = g.on_morphisms
+    ys = _precomposition_fibres(f, enumerate_functors(B, g.target, limit=limit))
+    fillins = diagonal_fillins(f, g, limit=limit)
+    filled = []
+    for x in enumerate_functors(A, g.source, limit=limit):
+        x_key = tuple([x.on_morphisms[u] for u in a_mors])
+        for y in ys.get(tuple([gm[v] for v in x_key]), ()):
+            ds = fillins.get((x_key, tuple([y.on_morphisms[v] for v in b_mors])), ())
+            if len(ds) != 1:
+                return CheckResult(
+                    False,
+                    {"level": 1, "square": (x.on_objects, y.on_objects),
+                     "fillins": len(ds)},
+                )
+            filled.append((x, y, ds[0]))
+    images = [f.on_objects[a] for a in A.objects]
     for (x, y, d), (x2, y2, d2) in itertools.product(filled, repeat=2):
         alphas = enumerate_nat_transformations(x, x2, limit=limit)
         if not alphas:
@@ -275,20 +283,20 @@ def check_orthogonal_object(
     out of f's source: h |-> h.f and alpha |-> alpha * f are bijective."""
     hs = enumerate_functors(f.target, C, limit=limit)
     gs = enumerate_functors(f.source, C, limit=limit)
-    restricted = [compose_functors(h, f) for h in hs]
-    times = collections.Counter(restricted)
-    if len(times) != len(restricted):
-        dup = [hf for hf in restricted if times[hf] > 1]
+    above = _precomposition_fibres(f, hs)
+    if len(above) != len(hs):
         return CheckResult(False, {"level": 1, "reason": "not injective on functors",
-                                   "count": len(dup)})
-    if times.keys() != set(gs):
-        missing = [g for g in gs if g not in times]
+                                   "count": sum(len(ds) for ds in above.values() if len(ds) > 1)})
+    mors = [u.name for u in f.source.morphisms]
+    below = {tuple([g.on_morphisms[u] for u in mors]): g for g in gs}
+    if below.keys() != above.keys():
         return CheckResult(
             False,
             {"level": 1, "reason": "not surjective on functors",
-             "missing": [g.on_objects for g in missing]},
+             "missing": [g.on_objects for key, g in below.items() if key not in above]},
         )
-    for (h, hf), (h2, h2f) in itertools.product(zip(hs, restricted), repeat=2):
+    restricted = [(h, below[key]) for key, (h,) in above.items()]  # (h, h.f), hs order
+    for (h, hf), (h2, h2f) in itertools.product(restricted, repeat=2):
         upstairs = enumerate_nat_transformations(h, h2, limit=limit)
         downstairs = enumerate_nat_transformations(hf, h2f, limit=limit)
         fibres = _whisker_fibres(f, upstairs)

@@ -10,12 +10,13 @@ plan, and the search results, bof middles and kernel data kept on it)
 are made on first use, so the law checks, congruence closure and functor
 search visit only composable data, and a category that is only built and
 compared never pays for them.  Functors are searched by :func:`functor_maps`
-(enumeration, :func:`lifts`, kernel mediators, algebra homomorphisms),
-transformations by one search over whole hom-sets (enumeration, algebra
-2-cells) that decides naturality with :func:`naturality_witness`.  Both
-searches take optional laws, equations ``table[images of args] == image
-of result``: the functor search checks each at the step that assigns its
-last morphism, the transformation search with naturality on each choice.
+over whole functor spaces (enumeration, kernel mediators, algebra
+homomorphisms), transformations by one search over whole hom-sets
+(enumeration, algebra 2-cells) that decides naturality with
+:func:`naturality_witness`.  Both searches take optional laws, equations
+``table[images of args] == image of result``: the functor search checks
+each at the step that assigns its last morphism, the transformation
+search with naturality on each choice.
 Values from outside, given to the public constructors (and so every
 value loaded from JSON), are validated.  Constructions from validated
 parts (search results, composites, whiskers, products, quotients,
@@ -27,8 +28,9 @@ that make up a value, ignoring the display name; the sorted identity key
 value that is never hashed never pays for them.  A whisker is only its
 component map, so no 2-cell is built for it and no boundary functor is
 composed.  2-cells with one common boundary are compared by their
-component maps, and the lifts of a 2-cell along one functor are counted
-in :func:`_whisker_fibres`: no search is pinned to a 2-cell.
+component maps.  No search is pinned to a lift: lifts of a functor are
+read from :func:`_precomposition_fibres` or forced by
+:func:`_through_quotient`, and lifts of a 2-cell from :func:`_whisker_fibres`.
 
 Identifiers (object and morphism names) are opaque strings.  Iteration
 everywhere follows declaration order, and canonical representatives are
@@ -38,10 +40,9 @@ byte-identical results.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AssociativityViolation,
@@ -659,6 +660,33 @@ def _whisker_fibres(h: Functor, cells) -> Dict[tuple, int]:
     return fibres
 
 
+def _precomposition_fibres(f: Functor, functors) -> Dict[tuple, List[Functor]]:
+    """The 1-cell twin of :func:`_whisker_fibres`: ``functors`` in the
+    order given, each d filed under d after f keyed by its morphism map on
+    ``f.source.morphisms``, which fixes the object map as identities are
+    distinct."""
+    images = [f.on_morphisms[u.name] for u in f.source.morphisms]
+    fibres: Dict[tuple, List[Functor]] = {}
+    for d in functors:
+        dm = d.on_morphisms
+        fibres.setdefault(tuple([dm[v] for v in images]), []).append(d)
+    return fibres
+
+
+def _through_quotient(e: Functor, x: Functor) -> Optional[Functor]:
+    """The one d with d after e == x, for e bijective on objects and full
+    (so onto morphisms): d(e u) = x(u), or None when e identifies two
+    morphisms that x keeps apart.  It is a functor because e and x are."""
+    xm = x.on_morphisms
+    on_morphisms: Dict[str, str] = {}
+    for u, v in e.on_morphisms.items():
+        if on_morphisms.setdefault(v, xm[u]) != xm[u]:
+            return None
+    xo = x.on_objects
+    return Functor._trusted(e.target, x.target,
+                            {b: xo[a] for a, b in e.on_objects.items()}, on_morphisms)
+
+
 # -- products, coproducts, powers -------------------------------------
 
 
@@ -1015,19 +1043,15 @@ def functor_maps(
     A: FinCategory,
     B: FinCategory,
     limit: int = DEFAULT_SEARCH_LIMIT,
-    objects: Optional[Dict[str, Sequence[str]]] = None,
-    accept: Optional[Callable[[str, str], bool]] = None,
     laws: Optional[Tuple[list, List[list]]] = None,
 ) -> Tuple[List[Tuple[Dict[str, str], Dict[str, str]]], int]:
     """The functor search: the (object map, morphism map) pair of every
-    functor A -> B whose object images come from ``objects`` (per object of
-    A, a subsequence of B.objects; all of B.objects when omitted), whose
-    non-identity morphism images pass ``accept(u, image)`` and whose
-    morphism map satisfies ``laws``, together with the nodes visited.
+    functor A -> B whose morphism map satisfies ``laws``, together with
+    the nodes visited.
 
     Backtracking over object maps then morphism maps, in declaration
-    order, so a constrained search returns its results in the order the
-    unconstrained one lists them.  Each composition triple is checked
+    order, so a search with laws returns its results in the order the
+    search without them lists them.  Each composition triple is checked
     once per node, at the step that assigns its last non-identity
     morphism; identities are fixed by the object map, so a triple of
     identities always holds.  ``laws`` is ``A._file_laws`` of equations
@@ -1036,8 +1060,7 @@ def functor_maps(
     all its members are identities.  Raises SizeLimitExceeded when the
     object-map space or the nodes visited pass ``limit``.
     """
-    slots = [B.objects if objects is None else objects[a] for a in A.objects]
-    _functor_limit_check(math.prod(len(s) for s in slots), 0, limit)
+    _functor_limit_check(len(B.objects) ** len(A.objects), 0, limit)
     non_identity, checks = A._search_plan
     fixed, step_laws = (None, None) if laws is None else laws
     B_comp, B_hom = B.composition, B._hom
@@ -1056,8 +1079,6 @@ def functor_maps(
             visited += 1
             if visited > limit:
                 _functor_limit_check(0, visited, limit)
-            if accept is not None and not accept(m.name, cand):
-                continue
             mmap[m.name] = cand
             for (g, f, h) in checks[k]:
                 if B_comp[(mmap[g], mmap[f])] != mmap[h]:
@@ -1067,7 +1088,7 @@ def functor_maps(
                     backtrack(k + 1)
             del mmap[m.name]
 
-    for combo in itertools.product(*slots):
+    for combo in itertools.product(B.objects, repeat=len(A.objects)):
         omap = dict(zip(A.objects, combo))
         mmap = {A.identity(a): B.identity(omap[a]) for a in A.objects}
         if fixed is None or _laws_hold(fixed, mmap):
@@ -1085,46 +1106,6 @@ def enumerate_functors(
         kept = A._functors_to[B] = (tuple(Functor._trusted(A, B, o, m) for o, m in maps), visited)
     _functor_limit_check(len(B.objects) ** len(A.objects), kept[1], limit)
     return kept[0]
-
-
-def lifts(
-    f: Functor,
-    x: Functor,
-    g: Optional[Functor] = None,
-    y: Optional[Functor] = None,
-    limit: int = DEFAULT_SEARCH_LIMIT,
-) -> Tuple[Functor, ...]:
-    """Every d: f.target -> x.target with d after f == x and, when g is
-    given, g after d == y; in enumerate_functors order.
-
-    The image of f pins d there; g restricts every other object and
-    morphism to those g sends where y does.  The search visits a subset of
-    the nodes of the unconstrained one, so it never stops at a limit that
-    enumerating every functor and filtering would have passed.
-    """
-    B, C = f.target, x.target
-    if _differ(f.source, x.source) or (
-            g is not None and (_differ(g.source, C) or _differ(y.source, B))):
-        raise BoundaryMismatch("lift problem does not fit together")
-    obj_pin: Dict[str, str] = {}
-    for a, b in f.on_objects.items():
-        if obj_pin.setdefault(b, x.obj(a)) != x.obj(a):
-            return ()
-    mor_pin: Dict[str, str] = {}
-    for u, v in f.on_morphisms.items():
-        if mor_pin.setdefault(v, x.mor(u)) != x.mor(u):
-            return ()
-    # d(id_b) is pinned only where b is, and there to the identity of d(b)
-    objects = {}
-    for b in B.objects:
-        cands = [obj_pin[b]] if b in obj_pin else C.objects
-        objects[b] = [c for c in cands if g is None or g.obj(c) == y.obj(b)]
-
-    def accept(u: str, cand: str) -> bool:
-        return mor_pin.get(u, cand) == cand and (g is None or g.mor(cand) == y.mor(u))
-
-    maps, _ = functor_maps(B, C, limit, objects, accept)
-    return tuple(Functor._trusted(B, C, o, m) for o, m in maps)
 
 
 def _natural_components(F: Functor, G: Functor, limit: int, laws=None):

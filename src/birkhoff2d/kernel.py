@@ -35,6 +35,8 @@ from .fincat import (
     NatTransformation,
     _differ,
     _kernel_classes,
+    _precomposition_fibres,
+    _through_quotient,
     _whisker_fibres,
     classify,
     compose_functors,
@@ -44,7 +46,6 @@ from .fincat import (
     enumerate_nat_transformations,
     functor_maps,
     identity_functor,
-    lifts,
     quotient_by_congruence,
 )
 
@@ -203,17 +204,26 @@ def verify_coequifier_2d(
     h * phi == h * psi factors through q exactly once.  Level 2: every
     2-cell between two such functors is bar * q for exactly one of the
     2-cells bar between their factorisations, all enumerated under ``limit``.
+
+    Level 1 takes the factorisations of h from its fibre
+    (:func:`birkhoff2d.fincat._precomposition_fibres`) among all functors
+    out of q's target, enumerated under ``limit``.  Over the 115 corpus
+    coequifier data against the 6 corpus categories no least limit rises
+    (each q is a quotient); a q that adds objects needs more than a search
+    pinned to q's image did.
     """
     A = q.source
     C = q.target
     if not coequifies(q, phi, psi):
         return CheckResult(False, {"reason": "q does not coequify the data"})
+    mors = [u.name for u in A.morphisms]
     for X in test_categories:
+        lifted = _precomposition_fibres(q, enumerate_functors(C, X, limit=limit))
         factor_of: Dict[Functor, Functor] = {}
         for h in enumerate_functors(A, X, limit=limit):
             if not coequifies(h, phi, psi):
                 continue
-            hbars = lifts(q, h, limit=limit)
+            hbars = lifted.get(tuple([h.on_morphisms[u] for u in mors]), ())
             if len(hbars) != 1:
                 return CheckResult(
                     False,
@@ -485,23 +495,21 @@ def lemma_so_faithful(
 
 def lemma_coeq_refl(
     data: Sequence[Tuple[NatTransformation, NatTransformation]],
-    limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> CheckResult:
     """Reflexivizing a coequifier datum does not change the coequifier:
     for each (phi, psi) the quotients by the original and by the
     reflexivized datum are isomorphic, with the isomorphism constructed
-    from the induced functors in both directions."""
+    from the induced functors in both directions, each forced through a
+    quotient by :func:`birkhoff2d.fincat._through_quotient`."""
     for i, (phi, psi) in enumerate(data):
         q1, C1 = coequify(phi, psi)
         rd = make_reflexive(phi, psi)
         q2, C2 = coequify(rd.phi, rd.psi)
-        # both quotients are onto, so each lift is unique when it exists
-        us, vs = lifts(q1, q2, limit=limit), lifts(q2, q1, limit=limit)
-        if not us or not vs:
+        u, v = _through_quotient(q1, q2), _through_quotient(q2, q1)
+        if u is None or v is None:
             return CheckResult(
                 False, {"datum": i, "reason": "quotients identify different morphisms"}
             )
-        u, v = us[0], vs[0]
         if (
             compose_functors(v, u) != identity_functor(C1)
             or compose_functors(u, v) != identity_functor(C2)

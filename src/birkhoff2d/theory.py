@@ -1005,13 +1005,13 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
         raise NotFaithful("witness functor is not faithful")
     S = m.source
 
-    def in_image(op: str, t: Tuple[str, ...], target: str, lifts: List[str]) -> List[str]:
-        if not lifts:
+    def in_image(op: str, t: Tuple[str, ...], target: str, preimages: List[str]) -> List[str]:
+        if not preimages:
             raise NotClosedUnderOperations(
                 "operation %s at %r lands at %s, outside the image" % (op, t, target),
                 witness=(op, t, target),
             )
-        return lifts
+        return preimages
 
     def lift_obj(op: str, t: Tuple[str, ...]) -> str:
         target = A.op_obj(op, tuple(m.obj(x) for x in t))
@@ -1025,13 +1025,13 @@ def subalgebra_check(m: Functor, A: Algebra) -> Algebra:
 
     def lift_gen(g: str, t: Tuple[str, ...]) -> str:
         target = A.gen_at(g, tuple(m.obj(x) for x in t))
-        lifts = [w.name for w in S.morphisms if m.mor(w.name) == target]
-        if not lifts:
+        preimages = [w.name for w in S.morphisms if m.mor(w.name) == target]
+        if not preimages:
             raise GeneratorComponentEscapes(
                 "generator %s component at %r is not in the image" % (g, t),
                 witness=(g, t, target),
             )
-        return min(lifts)
+        return min(preimages)
 
     # lift_* pick preimages of exactly the values m must reach, so m is a
     # homomorphism from the induced algebra by construction

@@ -16,7 +16,7 @@ from birkhoff2d.errors import (
     NotOperationClosed,
     ValidationError,
 )
-from birkhoff2d.factor import FACTOR_SYSTEMS, CheckResult, Factorisation, diagonal_fillins
+from birkhoff2d.factor import FACTOR_SYSTEMS, CheckResult, Factorisation
 from birkhoff2d.fincat import (
     DEFAULT_SEARCH_LIMIT,
     Congruence,
@@ -30,8 +30,6 @@ from birkhoff2d.fincat import (
     congruence_closure,
     enumerate_functors,
     enumerate_nat_transformations,
-    functor_maps,
-    lifts,
     power_span,
     quotient_by_congruence,
 )
@@ -308,37 +306,38 @@ def bof_congruence_by_closure(f):
         A, [(u, v) for (u, v) in A.parallel_pairs() if f.mor(u) == f.mor(v)])
 
 
-# Enumerate-then-filter definitions of the lift searches, as the package
-# stated them before every such search ran on one constrained backtracker.
-# They list every functor with the package's enumerator and keep the ones
-# with the prescribed restriction.
+# Enumerate-then-filter definitions of 1-cell lifts, fill-ins and kernel
+# mediators, as the package stated them before it searched them pinned and
+# then read them from fibres.  They list every functor with the package's
+# enumerator and keep the ones with the prescribed restriction.
+
+
+def lifts_by_filter(f, x):
+    """Every d out of f's target into x's target with d.f == x, in
+    enumeration order."""
+    return tuple(d for d in enumerate_functors(f.target, x.target)
+                 if compose_functors(d, f) == x)
 
 
 def fillins_by_filter(f, g, x, y):
     """Every d out of f's target into g's source with d.f == x and
     g.d == y, in enumeration order."""
-    return tuple(
-        d for d in enumerate_functors(f.target, g.source)
-        if compose_functors(d, f) == x and compose_functors(g, d) == y
-    )
+    return tuple(d for d in lifts_by_filter(f, x) if compose_functors(g, d) == y)
 
 
 def count_mediators(kd, KP, s2, t2, phi2, psi2):
     """Number of functors m: KP -> apex with s.m == s2, t.m == t2,
-    phi * m == phi2 and psi * m == psi2, by one constrained search per
-    datum, as the package counted them before it searched once per apex
-    category: each object of KP is pinned to the apex objects with its
-    phi2 and psi2 components, and each morphism image must have the s2 and
-    t2 images."""
-    apex_by_cells = {}
-    for o in kd.apex.objects:
-        apex_by_cells.setdefault((kd.phi.at(o), kd.psi.at(o)), []).append(o)
-    objects = {k: apex_by_cells.get((phi2.at(k), psi2.at(k)), ()) for k in KP.objects}
+    phi * m == phi2 and psi * m == psi2, read pointwise per datum as the
+    package counted them before it searched once per apex category: each
+    object of KP must go to an apex object with its phi2 and psi2
+    components, and each morphism to one with its s2 and t2 images."""
+    def serves(m):
+        return (all(kd.phi.at(m.obj(k)) == phi2.at(k) and kd.psi.at(m.obj(k)) == psi2.at(k)
+                    for k in KP.objects)
+                and all(kd.s.mor(m.mor(u.name)) == s2.mor(u.name)
+                        and kd.t.mor(m.mor(u.name)) == t2.mor(u.name) for u in KP.morphisms))
 
-    def accept(u, cand):
-        return kd.s.mor(cand) == s2.mor(u) and kd.t.mor(cand) == t2.mor(u)
-
-    return len(functor_maps(KP, kd.apex, DEFAULT_SEARCH_LIMIT, objects, accept)[0])
+    return sum(map(serves, enumerate_functors(KP, kd.apex)))
 
 
 def mediator_signatures(kd, KP):
@@ -419,10 +418,10 @@ def coequifies_by_whiskers(h, phi, psi):
 def orthogonal_by_whiskers(f, g):
     """check_orthogonal_morphisms, building each whisker g * alpha whole."""
     squares = [(x, y) for x in enumerate_functors(f.source, g.source)
-               for y in lifts(f, compose_functors(g, x))]
+               for y in lifts_by_filter(f, compose_functors(g, x))]
     diag = {}
     for (x, y) in squares:
-        ds = diagonal_fillins(f, g, x, y)
+        ds = fillins_by_filter(f, g, x, y)
         if len(ds) != 1:
             return CheckResult(
                 False,
@@ -548,7 +547,8 @@ def algebra_two_cells_by_filter(h, k, limit=DEFAULT_SEARCH_LIMIT):
 def unit_lifts_by_filter(R, Q, h):
     """The lifts of the quotient map h: A -> Q along the unit of the
     reflection R that pass is_algebra_hom."""
-    return [u for u in lifts(R.unit.functor, h.functor) if is_algebra_hom(u, R.reflected, Q)]
+    return [u for u in lifts_by_filter(R.unit.functor, h.functor)
+            if is_algebra_hom(u, R.reflected, Q)]
 
 
 def algebra_orthogonal_by_whiskers(eta, B):
@@ -560,13 +560,13 @@ def algebra_orthogonal_by_whiskers(eta, B):
         c = compose_algebra_homs(h, eta)
         if c in down_of:
             return CheckResult(
-                False, {"kind": "non-unique factorisation", "through": c.functor.on_objects}
+                False, {"kind": "non-unique factorisation", "through": c.functor.on_morphisms}
             )
         down_of[c] = h
     for g in algebra_homs_by_filter(eta.source, B):
         if g not in down_of:
             return CheckResult(
-                False, {"kind": "no factorisation", "hom": g.functor.on_objects}
+                False, {"kind": "no factorisation", "hom": g.functor.on_morphisms}
             )
     for h in upper:
         for k in upper:

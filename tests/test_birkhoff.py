@@ -1,7 +1,10 @@
 """Reflections, quotient enumeration, the closure audit and its converse."""
+import collections
+import hashlib
+
 import pytest
 
-from birkhoff2d import corpus
+from birkhoff2d import corpus, fincat
 from birkhoff2d.birkhoff import (
     Reflection,
     audit_closure,
@@ -14,7 +17,7 @@ from birkhoff2d.birkhoff import (
     verify_unit_terminal,
 )
 from birkhoff2d.errors import SizeLimitExceeded, ValidationError
-from birkhoff2d.fincat import classify, lifts
+from birkhoff2d.fincat import classify
 from birkhoff2d.theory import enumerate_algebra_homs, product_algebra, satisfies
 
 import oracles
@@ -70,7 +73,41 @@ def test_members_are_orthogonal_to_the_unit(catalog, sigma_reflection):
 def test_twisted_algebra_is_not_orthogonal(catalog, sigma_reflection):
     res = check_algebra_orthogonal(sigma_reflection.unit, catalog["sigma_assoc"])
     assert not res
-    assert res.witness == {"kind": "no factorisation", "hom": {"0": "0", "1": "0"}}
+    assert res.witness == {"kind": "no factorisation",
+                           "hom": {"id0": "id0", "id1": "id0", "s0": "s0", "s1": "s0"}}
+
+
+def test_level_1_witnesses_name_one_hom(catalog):
+    """Every hom between catalog algebras, taken as eta, against every
+    catalog algebra B: each level-1 witness names a hom eta.source -> B
+    by its morphism map, which no other such hom shares.  21 of the 74
+    would be ambiguous by object map, as they were named before; those are
+    pinned by digest."""
+    algebras = list(catalog.values())
+    homs = [eta for A in algebras for B in algebras for eta in enumerate_algebra_homs(A, B)]
+    kinds, ambiguous = {}, []
+    for eta in homs:
+        for B in algebras:
+            witness = check_algebra_orthogonal(eta, B).witness
+            named = witness.get("through", witness.get("hom"))
+            if named is None:
+                continue
+            below = enumerate_algebra_homs(eta.source, B)
+            (hom,) = [h for h in below if h.functor.on_morphisms == named]
+            kinds[witness["kind"]] = kinds.get(witness["kind"], 0) + 1
+            if [h.functor.on_objects for h in below].count(hom.functor.on_objects) > 1:
+                ambiguous.append((eta.source.name, eta.target.name, B.name, witness))
+    assert kinds == {"non-unique factorisation": 40, "no factorisation": 34}
+    assert collections.Counter(w["kind"] for *_, w in ambiguous) == {
+        "non-unique factorisation": 12, "no factorisation": 9}
+    # xor_strict -> xor_strict has two homs with the object map {0: 0, 1: 0}
+    assert ambiguous[0] == ("xor_strict", "terminal_alg", "xor_strict", {
+        "kind": "no factorisation", "hom": {"id0": "id0", "id1": "id0", "s0": "s0", "s1": "s0"}})
+    assert ("xor_strict", "xor_strict", "xor_strict", {
+        "kind": "non-unique factorisation",
+        "through": {"id0": "id0", "id1": "id0", "s0": "id0", "s1": "id0"}}) in ambiguous
+    assert hashlib.sha256(repr(ambiguous).encode()).hexdigest() == (
+        "49ee88dfeaaed84d2c9603d382399a56147cdb151d80e53bf2f10e5f092fa127")
 
 
 def test_freeness_over_member_probes(catalog, coherence, sigma_reflection):
@@ -358,18 +395,22 @@ def test_unit_is_terminal_among_subclass_quotients(catalog, coherence):
 
 
 def test_every_lift_along_the_unit_is_a_hom(catalog, coherence):
-    """verify_unit_terminal counts the lifts along the unit without testing
-    them: the unit is onto objects and morphisms, so each lift of a
-    homomorphism is one.  Here every lift of every quotient map passes the
-    homomorphism filter, and the quotients in the subclass each have one."""
+    """verify_unit_terminal reads the one lift along the unit, forced by
+    _through_quotient, without testing it: the unit is onto objects and
+    morphisms, so each lift of a homomorphism is one.  Here every lift of
+    every quotient map passes the homomorphism filter, the forced lift is
+    the one the filter keeps, and the quotients in the subclass each have
+    one."""
     counts = {}
     for name in ("sigma_assoc", "xor_strict", "two_max"):
         A = catalog[name]
         R = reflect(A, coherence)
         counts[name] = 0
         for _, Q, h in enumerate_quotient_algebras(A):
-            got = lifts(R.unit.functor, h.functor)
+            got = oracles.lifts_by_filter(R.unit.functor, h.functor)
             assert list(got) == oracles.unit_lifts_by_filter(R, Q, h), name
+            forced = fincat._through_quotient(R.unit.functor, h.functor)
+            assert got == (() if forced is None else (forced,)), name
             if satisfies(Q, coherence):
                 assert len(got) == 1, name
                 counts[name] += 1

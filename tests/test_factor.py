@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 import oracles
-from birkhoff2d import corpus
-from birkhoff2d.errors import BoundaryMismatch, SizeLimitExceeded
+from birkhoff2d import corpus, fincat
+from birkhoff2d.errors import SizeLimitExceeded
 from birkhoff2d.factor import (
     FACTOR_SYSTEMS,
     check_orthogonal_morphisms,
@@ -22,7 +22,6 @@ from birkhoff2d.fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     identity_functor,
-    lifts,
     product_category,
     quotient_by_congruence,
 )
@@ -149,7 +148,7 @@ def test_factorisations_agree_up_to_comparison_isomorphism(all_functors):
         fact = factor_bof(f)
         kd = bof_kernel(f)
         q, _ = coequify(kd.phi, kd.psi)
-        (u,), (v,) = lifts(fact.left, q), lifts(q, fact.left)
+        (u,), (v,) = oracles.lifts_by_filter(fact.left, q), oracles.lifts_by_filter(q, fact.left)
         uf, vf = classify(u), classify(v)
         assert uf.bo and uf.ff and vf.bo and vf.ff
 
@@ -189,45 +188,59 @@ def test_left_and_right_classes_are_orthogonal_sample(all_functors):
             assert res, (e.name, m.name, res.witness)
 
 
+def _corpus_square_pairs(all_functors):
+    """Every quotient/mono pair, and every functor against every quotient."""
+    quotients = [f for f in all_functors if classify(f).bo_full]
+    monos = [g for g in all_functors if classify(g).faithful]
+    return ([(f, g) for f in quotients for g in monos]
+            + [(f, g) for f in all_functors for g in quotients])
+
+
+def _morphism_map(F):
+    return tuple(F.mor(u.name) for u in F.source.morphisms)
+
+
 def test_fillins_match_enumerate_then_filter(all_functors):
     """Every commuting square of every quotient/mono pair (one fill-in
     each), and of every functor against every quotient (none, one, two or
-    four), gets the fill-ins of the old filter, as the same tuple.  The
-    squares on x are exactly those whose y lifts g.x along f, so the
-    squares check_orthogonal_morphisms lists all commute."""
-    quotients = [f for f in all_functors if classify(f).bo_full]
-    monos = [g for g in all_functors if classify(g).faithful]
-    pairs = [(f, g) for f in quotients for g in monos]
-    pairs += [(f, g) for f in all_functors for g in quotients]
+    four): the y filed under g.x among the functors f.target -> g.target
+    are those that lift g.x by the filter, and the fill-in table holds the
+    fill-ins of the filter under (x, y), as the same sequence."""
     counts = {}
-    for f, g in pairs:
+    for f, g in _corpus_square_pairs(all_functors):
+        ys_of = fincat._precomposition_fibres(f, enumerate_functors(f.target, g.target))
+        table = diagonal_fillins(f, g)
         for x in enumerate_functors(f.source, g.source):
             gx = compose_functors(g, x)
-            ys = [y for y in enumerate_functors(f.target, g.target)
-                  if compose_functors(y, f) == gx]
-            assert ys == list(lifts(f, gx))
+            ys = ys_of.get(_morphism_map(gx), [])
+            assert tuple(ys) == oracles.lifts_by_filter(f, gx)
             for y in ys:
-                ds = diagonal_fillins(f, g, x, y)
+                ds = tuple(table.get((_morphism_map(x), _morphism_map(y)), ()))
                 assert ds == oracles.fillins_by_filter(f, g, x, y)
                 counts[len(ds)] = counts.get(len(ds), 0) + 1
     assert counts == {0: 1080, 1: 7488, 2: 534, 4: 240}
 
 
-def test_square_that_does_not_commute_is_refused(cats):
-    """Around f = g = an identity, y.f == g.x exactly when x == y, and then
-    x is the one fill-in.  Every other square raises, also the squares on
-    p whose sides agree on objects and differ only on u and v."""
-    refused = 0
+def test_every_square_in_the_fillin_table_commutes(cats, all_functors):
+    """The table files each functor d: f.target -> g.source once, under
+    (d.f, g.d), which always commute, so it holds no square that does not
+    commute and none can be refused.  Around f = g = an identity it is
+    the squares (x, x), each filled by x alone."""
+    for f, g in _corpus_square_pairs(all_functors):
+        table = diagonal_fillins(f, g)
+        B = f.target
+        at = {u.name: i for i, u in enumerate(B.morphisms)}
+        for (x_key, y_key), ds in table.items():
+            # y.f == g.x on every morphism of f.source
+            assert [y_key[at[f.mor(u.name)]] for u in f.source.morphisms] == [
+                g.mor(v) for v in x_key]
+            assert all((_morphism_map(compose_functors(d, f)), _morphism_map(
+                compose_functors(g, d))) == (x_key, y_key) for d in ds)
+        assert sum(map(len, table.values())) == len(enumerate_functors(B, g.source))
     for C in cats.values():
         ident = identity_functor(C)
-        for x, y in itertools.product(enumerate_functors(C, C), repeat=2):
-            if x == y:
-                assert diagonal_fillins(ident, ident, x, y) == (x,)
-                continue
-            with pytest.raises(BoundaryMismatch, match="square does not commute"):
-                diagonal_fillins(ident, ident, x, y)
-            refused += 1
-    assert refused == 290
+        assert diagonal_fillins(ident, ident) == {
+            (_morphism_map(x), _morphism_map(x)): [x] for x in enumerate_functors(C, C)}
 
 
 def test_two_cell_fillins_match_enumerate_then_filter(all_functors):
@@ -236,15 +249,11 @@ def test_two_cell_fillins_match_enumerate_then_filter(all_functors):
     the fill-ins of each compatible (alpha, beta), kept by the whisker
     filter, number as the census says, and the check passes exactly where
     every count is 1, naming the first other count as its witness."""
-    quotients = [f for f in all_functors if classify(f).bo_full]
-    monos = [g for g in all_functors if classify(g).faithful]
-    pairs = [(f, g) for f in quotients for g in monos]
-    pairs += [(f, g) for f in all_functors for g in quotients]
     counts = {}
-    for f, g in pairs:
-        diag = {(x, y): lifts(f, x, g, y)
+    for f, g in _corpus_square_pairs(all_functors):
+        diag = {(x, y): oracles.fillins_by_filter(f, g, x, y)
                 for x in enumerate_functors(f.source, g.source)
-                for y in lifts(f, compose_functors(g, x))}
+                for y in oracles.lifts_by_filter(f, compose_functors(g, x))}
         if any(len(ds) != 1 for ds in diag.values()):
             continue  # the check stops at level 1
         first = None
@@ -288,6 +297,25 @@ def test_two_cells_are_enumerated_whole_under_the_limit(bound, monkeypatch):
     with pytest.raises(SizeLimitExceeded, match="component space exceeds limit 3"):
         check_orthogonal_morphisms(f, g, limit=3)
     assert check_orthogonal_morphisms(f, g, limit=4) == got
+
+
+def test_squares_are_enumerated_whole_under_the_limit(cats, monkeypatch):
+    """Level 1 reads each y from all functors f.target -> g.target and each
+    d from all functors f.target -> g.source, enumerated under ``limit``,
+    not from a search pinned to the image of f.  Around the identity of
+    one and a functor one -> two, a pinned y had one object to choose;
+    the whole space has two, so limit 1 raises, cold and after a
+    default-limit run, and limit 2 gives the verdict."""
+    one = cats["one"]
+    f, g = identity_functor(one), enumerate_functors(one, cats["two"])[0]
+    monkeypatch.setattr(one, "_functors_to", {})
+    message = "object-map space 2 exceeds limit 1"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        check_orthogonal_morphisms(f, g, limit=1)
+    assert check_orthogonal_morphisms(f, g)
+    with pytest.raises(SizeLimitExceeded, match=message):
+        check_orthogonal_morphisms(f, g, limit=1)
+    assert check_orthogonal_morphisms(f, g, limit=2)
 
 
 @pytest.mark.parametrize("mode", ["trusted", "strict"])

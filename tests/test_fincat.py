@@ -32,14 +32,13 @@ from birkhoff2d.fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     identity_functor,
-    lifts,
     product_category,
     quotient_by_congruence,
     whisker,
 )
 from birkhoff2d.factor import factor_bof
 from birkhoff2d.jsonio import category_to_json, validate_category
-from birkhoff2d.kernel import bof_kernel, coequify
+from birkhoff2d.kernel import bof_kernel
 
 import oracles
 
@@ -323,25 +322,21 @@ def test_search_results_are_released_with_their_source_category(cats):
     assert released() is None
 
 
-def test_pinned_search_stays_under_a_limit_the_full_search_passes(cats):
-    """Lifts along the quotient of the parallel pair visit a subset of the
-    nodes of the full search: with a limit below the object-map space of
-    the quotient's functors into z2z2 they still come out, in the order of
-    enumerating and filtering, while the full enumeration raises."""
-    q, Q = coequify(*corpus.coequifier_data()[0])
-    z2z2 = cats["z2z2"]
-    limit = len(z2z2.objects) ** len(Q.objects) - 1
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_functors(Q, z2z2, limit=limit)
-    everything = enumerate_functors(Q, z2z2)
-    found = 0
-    for x in enumerate_functors(cats["p"], z2z2):
-        got = lifts(q, x, limit=limit)
-        assert got == tuple(d for d in everything if compose_functors(d, q) == x)
-        found += len(got)
-    assert found == len(everything) == 4
-    with pytest.raises(SizeLimitExceeded):
-        enumerate_functors(Q, z2z2, limit=limit)
+def test_forced_lifts_through_a_quotient_match_enumerate_then_filter(all_functors):
+    """For every b.o. full corpus functor e and every corpus functor x with
+    its source, _through_quotient gives the one lift of x along e that the
+    filter keeps, or None where the filter keeps none."""
+    found = collections.Counter()
+    for e in all_functors:
+        if not classify(e).bo_full:
+            continue
+        for x in all_functors:
+            if x.source != e.source:
+                continue
+            d = fincat._through_quotient(e, x)
+            assert (() if d is None else (d,)) == oracles.lifts_by_filter(e, x), (e, x)
+            found[d is not None] += 1
+    assert found == {True: 251, False: 41}
 
 
 def test_enumeration_contains_identity_and_is_cached(cats):

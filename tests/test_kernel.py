@@ -20,7 +20,6 @@ from birkhoff2d.fincat import (
     enumerate_functors,
     enumerate_nat_transformations,
     identity_functor,
-    lifts,
 )
 from birkhoff2d.kernel import (
     KernelData,
@@ -129,6 +128,29 @@ def test_two_cell_factorisations_are_counted_under_the_limit(cats):
     assert C._nats_between
     with pytest.raises(SizeLimitExceeded, match=message):
         verify_coequifier_2d(q, unit, unit, [z2], limit=3)
+
+
+def test_factorisations_are_enumerated_whole_under_the_limit(cats, monkeypatch):
+    """Level 1 reads the factorisations of each h from all functors out of
+    q's target, enumerated under ``limit``, not from a search pinned to the
+    image of q.  Here q adds an isolated object to z2, so against two a
+    pinned search chose the image of that object alone (2 object maps)
+    and the whole space chooses both (4): limit 3 raises, cold and after
+    a default-limit run, and limit 4 gives the verdict."""
+    z2 = cats["z2"]
+    unit = oracles.identity_nat(identity_functor(z2))
+    C, q, _ = coproduct_category(z2, cats["one"])
+    for category in (z2, C):
+        monkeypatch.setattr(category, "_functors_to", {})
+    message = "object-map space 4 exceeds limit 3"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        verify_coequifier_2d(q, unit, unit, [cats["two"]], limit=3)
+    verdict = kernel.CheckResult(False, {"level": 1, "test_category": "two",
+                                         "functor": {"*": "0"}, "factorizations": 2})
+    assert verify_coequifier_2d(q, unit, unit, [cats["two"]]) == verdict
+    with pytest.raises(SizeLimitExceeded, match=message):
+        verify_coequifier_2d(q, unit, unit, [cats["two"]], limit=3)
+    assert verify_coequifier_2d(q, unit, unit, [cats["two"]], limit=4) == verdict
 
 
 def test_kernel_quotient_equals_bof_left_leg(all_functors):
@@ -318,7 +340,7 @@ def test_coequifier_two_cell_factorisations_match_enumerate_then_filter(cats):
     for phi, psi in corpus.coequifier_data():
         q, _ = coequify(phi, psi)
         for X in (cats["one"], cats["two"], cats["p"]):
-            bars = [(h, lifts(q, h)[0]) for h in enumerate_functors(q.source, X)
+            bars = [(h, oracles.lifts_by_filter(q, h)[0]) for h in enumerate_functors(q.source, X)
                     if coequifies(h, phi, psi)]
             for (h1, hb1), (h2, hb2) in itertools.product(bars, repeat=2):
                 fibres = fincat._whisker_fibres(q, enumerate_nat_transformations(hb1, hb2))
@@ -431,8 +453,10 @@ def test_induced_functor_direction(walking_pair):
     phi, psi = walking_pair
     fine, _ = coequify(phi, phi)
     coarse, _ = coequify(phi, psi)
-    assert len(lifts(fine, coarse)) == 1
-    assert lifts(coarse, fine) == ()
+    assert len(oracles.lifts_by_filter(fine, coarse)) == 1
+    assert oracles.lifts_by_filter(coarse, fine) == ()
+    assert fincat._through_quotient(fine, coarse) is not None
+    assert fincat._through_quotient(coarse, fine) is None
 
 
 def test_induced_functor_matches_pointwise_definition(walking_pair):
@@ -441,7 +465,8 @@ def test_induced_functor_matches_pointwise_definition(walking_pair):
     coarse, _ = coequify(phi, psi)
     for q1, q2 in ((fine, coarse), (coarse, fine)):
         expected = oracles.induced_by_hand(q1, q2)
-        assert lifts(q1, q2) == (() if expected is None else (expected,))
+        assert oracles.lifts_by_filter(q1, q2) == (() if expected is None else (expected,))
+        assert fincat._through_quotient(q1, q2) == expected
 
 
 @pytest.mark.parametrize("mode", ["trusted", "strict"])
@@ -524,11 +549,6 @@ def test_reflexivization_suite_on_sample():
     res = lemma_coeq_refl(corpus.coequifier_data()[:6])
     assert res
     assert res.witness["data"] == 6
-
-
-def test_reflexivization_suite_searches_under_its_limit():
-    with pytest.raises(SizeLimitExceeded):
-        lemma_coeq_refl(corpus.coequifier_data()[:1], limit=0)
 
 
 def test_convergence_suite_on_sample(all_functors):

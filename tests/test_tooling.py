@@ -2,8 +2,8 @@
 condition in the package relies on `assert`, which `python -O` removes,
 trusted builders stay behind the input boundary and under strict mode, strict
 mode hides every table of kept search results, every
-JSON field is read by one checker, no search is pinned to a 2-cell, and the
-benchmark's tracer names only functions and classes that exist."""
+JSON field is read by one checker, no search is pinned to a functor or a
+2-cell, and the benchmark's tracer names only functions and classes that exist."""
 import ast
 import importlib
 import os
@@ -138,6 +138,19 @@ def test_no_2_cell_search_is_pinned():
     assert found == []
     assert "slots" not in _parameters("fincat", "_natural_components")
     assert "side" not in _parameters("fincat", "whisker")
+
+
+def test_no_functor_search_is_pinned():
+    """Every 1-cell lift is read from fibres of whole functor spaces or
+    forced through a quotient: no module of the package names ``lifts``,
+    and the functor search ``fincat.functor_maps`` takes no ``objects`` or
+    ``accept`` to pin it."""
+    fields = ("id", "attr", "name", "asname")
+    found = [(path.stem, node.lineno) for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(_tree(path))
+             if "lifts" in [getattr(node, field, None) for field in fields]]
+    assert found == []
+    assert _parameters("fincat", "functor_maps") == ["A", "B", "limit", "laws"]
 
 
 def test_strict_mode_patches_every_trusted_builder():

@@ -33,7 +33,6 @@ from birkhoff2d.fincat import (
     coproduct_category,
     enumerate_functors,
     enumerate_nat_transformations,
-    lifts,
     product_category,
 )
 from birkhoff2d.kernel import bof_kernel
@@ -220,7 +219,7 @@ def test_fincat_constructions_match_public_builds(cats, all_functors):
     for f in all_functors:
         closure = congruence_closure(
             f.source, [(u, v) for (u, v) in f.source.parallel_pairs() if f.mor(u) == f.mor(v)])
-        _assert_same_as_public(closure, *lifts(f, f))
+        _assert_same_as_public(closure, *oracles.lifts_by_filter(f, f))
         for G in enumerate_functors(f.source, f.target):
             _assert_same_as_public(*enumerate_nat_transformations(f, G))
 
