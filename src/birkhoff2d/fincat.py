@@ -192,11 +192,17 @@ class FinCategory:
         They live as long as the category does.  Each entry keeps the size
         of the search that filled it (nodes visited; the peak partial
         product of the component space), so a kept result raises exactly
-        where a cold search would."""
+        where a cold search would.  The verdicts of
+        :func:`birkhoff2d.kernel.verify_kernel_universal` on this category
+        as an apex are kept the same way (:attr:`_universality`)."""
         return {}
 
     @_made_on_first_use
     def _nats_between(self) -> Dict[tuple, tuple]:
+        return {}
+
+    @_made_on_first_use
+    def _universality(self) -> Dict[tuple, tuple]:
         return {}
 
     @_made_on_first_use
@@ -1108,13 +1114,19 @@ def enumerate_functors(
     return kept[0]
 
 
+def _component_slots(F: Functor, G: Functor):
+    """The hom-sets F a -> G a over F's source objects, and the peak partial
+    product of their sizes: the component space of the 2-cells F => G."""
+    slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
+    return slots, max(itertools.accumulate(map(len, slots), operator.mul, initial=1))
+
+
 def _natural_components(F: Functor, G: Functor, limit: int, laws=None):
     """The component maps of every natural F => G, in product order over the
     hom-sets F a -> G a, that also satisfy ``laws``, equations
     ``table[components at args] == component at result`` over the source
     objects, and the peak partial product of the hom-set sizes."""
-    slots = [F.target.hom(F.obj(a), G.obj(a)) for a in F.source.objects]
-    peak = max(itertools.accumulate(map(len, slots), operator.mul, initial=1))
+    slots, peak = _component_slots(F, G)
     _component_limit_check(peak, limit)
     choices = (dict(zip(F.source.objects, c)) for c in itertools.product(*slots))
     if laws is None:

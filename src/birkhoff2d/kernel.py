@@ -17,7 +17,11 @@ kernel's fields are built once per kernel partition of the source and
 kept there, as the bof middle is.  Universality is decided with one
 mediator search per apex category: each functor into the kernel apex is
 counted under the datum it serves, and each candidate datum looks up its
-count.
+count.  The verdict is kept on the apex category, keyed by the kernel
+datum (compared by content, so equal kernels built by separate calls
+share it) and the kernel partition of the functor, the only part of the
+functor the decision reads.  A kept verdict replays the limits of the
+searches that made it, in the order a cold call meets them.
 """
 from __future__ import annotations
 
@@ -33,7 +37,10 @@ from .fincat import (
     Functor,
     Morphism,
     NatTransformation,
+    _component_limit_check,
+    _component_slots,
     _differ,
+    _functor_limit_check,
     _kernel_classes,
     _precomposition_fibres,
     _through_quotient,
@@ -264,58 +271,87 @@ def verify_kernel_universal(
     ``limit`` like every other search here.  The data are then walked in
     enumeration order (s2, t2, phi2, psi2), and the first whose count is
     not 1 is the witness.
+
+    The walk reads f only through its kernel partition: phi2 and psi2
+    have parallel components, which have equal f-images exactly when they
+    lie in one kernel class.  So the verdict on KP is decided once per
+    kernel datum (compared by content) and kernel partition, and kept on
+    KP (``KP._universality``) with the size of the searches that made it.
+    A kept verdict replays their limits in the order a cold call meets
+    them: the mediator search's object-map space and nodes visited, the
+    functors KP -> f.source, then the largest component space among the
+    2-cells walked, up to the witness.
     """
     A = f.source
     if _differ(kd.target, A):
         return CheckResult(False, {"reason": "kernel data does not target f's source"})
     if not coequifies(f, kd.phi, kd.psi):
         return CheckResult(False, {"reason": "f does not coequify the data"})
-    fm = f.on_morphisms
+    partition = _kernel_classes(f)
     for KP in apexes:
-        counts = _mediator_counts(kd, KP, limit)
-        objects, mors = KP.objects, [u.name for u in KP.morphisms]
-        for s2 in enumerate_functors(KP, A, limit=limit):
-            s_key = tuple([s2.on_morphisms[u] for u in mors])
-            for t2 in enumerate_functors(KP, A, limit=limit):
-                t_key = tuple([t2.on_morphisms[u] for u in mors])
-                nats = enumerate_nat_transformations(s2, t2, limit=limit)
-                cells = [tuple([alpha.components[k] for k in objects]) for alpha in nats]
-                # f coequifies phi2 and psi2 when their components have equal
-                # f-images, so each phi2 is paired with its bucket, in order
-                buckets: Dict[Tuple[str, ...], list] = {}
-                for psi2, psi_key in zip(nats, cells):
-                    buckets.setdefault(tuple([fm[c] for c in psi_key]), []).append(
-                        (psi2, psi_key))
-                for phi2, phi_key in zip(nats, cells):
-                    for psi2, psi_key in buckets[tuple([fm[c] for c in phi_key])]:
-                        n = counts.get((s_key, t_key, phi_key, psi_key), 0)
-                        if n != 1:
-                            return CheckResult(
-                                False,
-                                {"apex": KP.name, "s": s2.on_objects,
-                                 "t": t2.on_objects,
-                                 "phi": phi2.components, "psi": psi2.components,
-                                 "mediators": n},
-                            )
+        kept = KP._universality.get((kd, partition))
+        if kept is None:
+            kept = KP._universality[(kd, partition)] = _universality_on(kd, partition, KP, limit)
+        witness, visited, peak = kept
+        _functor_limit_check(len(kd.apex.objects) ** len(KP.objects), visited, limit)
+        enumerate_functors(KP, A, limit=limit)
+        _component_limit_check(peak, limit)
+        if witness is not None:
+            return CheckResult(False, dict(witness))  # no caller edits the kept one
     return CheckResult(True)
 
 
-def _mediator_counts(kd: KernelData, KP: FinCategory, limit: int) -> Dict[tuple, int]:
+def _universality_on(kd: KernelData, partition, KP: FinCategory, limit: int):
+    """The first candidate datum over KP, among those coequified by the
+    functors with this kernel partition, whose mediators into kd are not
+    exactly one, as a witness (None when there is none), with the nodes
+    the mediator search visited and the largest component space walked."""
+    A = kd.target
+    counts, visited = _mediator_counts(kd, KP, limit)
+    class_of = {u: i for i, cl in enumerate(partition) for u in cl}
+    objects, mors = KP.objects, [u.name for u in KP.morphisms]
+    peak = 0
+    for s2 in enumerate_functors(KP, A, limit=limit):
+        s_key = tuple([s2.on_morphisms[u] for u in mors])
+        for t2 in enumerate_functors(KP, A, limit=limit):
+            t_key = tuple([t2.on_morphisms[u] for u in mors])
+            nats = enumerate_nat_transformations(s2, t2, limit=limit)
+            peak = max(peak, _component_slots(s2, t2)[1])
+            cells = [tuple([alpha.components[k] for k in objects]) for alpha in nats]
+            # each phi2 is paired with the psi2 in its bucket of kernel
+            # classes, in order: those f coequifies with it
+            buckets: Dict[Tuple[int, ...], list] = {}
+            for psi2, psi_key in zip(nats, cells):
+                buckets.setdefault(tuple([class_of[c] for c in psi_key]), []).append(
+                    (psi2, psi_key))
+            for phi2, phi_key in zip(nats, cells):
+                for psi2, psi_key in buckets[tuple([class_of[c] for c in phi_key])]:
+                    n = counts.get((s_key, t_key, phi_key, psi_key), 0)
+                    if n != 1:
+                        return ({"apex": KP.name, "s": s2.on_objects, "t": t2.on_objects,
+                                 "phi": phi2.components, "psi": psi2.components,
+                                 "mediators": n}, visited, peak)
+    return None, visited, peak
+
+
+def _mediator_counts(kd: KernelData, KP: FinCategory, limit: int):
     """How many functors m: KP -> kd.apex serve each datum (s2, t2, phi2,
     psi2) with s.m == s2, t.m == t2, phi * m == phi2 and psi * m == psi2,
     keyed by the images of s2 and t2 on KP.morphisms and the components of
-    phi2 and psi2 on KP.objects, each in declaration order.  A functor's
-    morphism map fixes its object map, since identities are distinct."""
+    phi2 and psi2 on KP.objects, each in declaration order, and the nodes
+    the search visited.  A functor's morphism map fixes its object map,
+    since identities are distinct."""
     sm, tm = kd.s.on_morphisms, kd.t.on_morphisms
     phi_at, psi_at = kd.phi.components, kd.psi.components
     objects, mors = KP.objects, [u.name for u in KP.morphisms]
     counts: Dict[tuple, int] = {}
-    for omap, mmap in functor_maps(KP, kd.apex, limit)[0]:
+    mediators, visited = functor_maps(KP, kd.apex, limit)
+    for omap, mmap in mediators:
         key = (tuple([sm[mmap[u]] for u in mors]), tuple([tm[mmap[u]] for u in mors]),
                tuple([phi_at[omap[k]] for k in objects]),
                tuple([psi_at[omap[k]] for k in objects]))
         counts[key] = counts.get(key, 0) + 1
-    return counts
+    return counts, visited
 
 
 @dataclass(frozen=True)

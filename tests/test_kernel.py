@@ -235,13 +235,21 @@ def _doubled(kd):
     return KernelData(KK, S, T, cell(kd.phi), cell(kd.psi))
 
 
+def _fresh(*categories):
+    """Copies of the categories that keep nothing yet."""
+    return [FinCategory._trusted(C.objects, C.morphisms, C.identities, C.composition,
+                                 name=C.name) for C in categories]
+
+
 def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeypatch):
     """Checking the kernels of all corpus functors over one, two and p, and
     two data that fail with zero and two mediators: the mediator counts are
     looked up for the data an enumerate-then-filter walk reaches, in its
     order and up to its first count other than 1, and each equals the count
     of one constrained search for that datum and the number of functors
-    into the apex that the old signature filter keeps."""
+    into the apex that the old signature filter keeps.  Each datum is
+    checked over fresh copies of one, two and p, so that no verdict kept
+    from an equal datum spares its walk."""
     looked_up = []
     counts_of = kernel._mediator_counts
 
@@ -250,11 +258,13 @@ def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeyp
             looked_up.append((key, dict.get(self, key, default)))
             return looked_up[-1][1]
 
-    monkeypatch.setattr(kernel, "_mediator_counts",
-                        lambda kd, KP, limit: Recording(counts_of(kd, KP, limit)))
-    apexes = [cats["one"], cats["two"], cats["p"]]
+    def recorded(kd, KP, limit):
+        counts, visited = counts_of(kd, KP, limit)
+        return Recording(counts), visited
 
-    def walked(kd, f):
+    monkeypatch.setattr(kernel, "_mediator_counts", recorded)
+
+    def walked(kd, f, apexes):
         for KP in apexes:
             signatures = oracles.mediator_signatures(kd, KP)
             mors = [u.name for u in KP.morphisms]
@@ -275,8 +285,9 @@ def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeyp
 
     def verify(kd, f):
         looked_up.clear()
+        apexes = _fresh(cats["one"], cats["two"], cats["p"])
         res = verify_kernel_universal(kd, f, apexes)
-        expected = list(walked(kd, f))
+        expected = list(walked(kd, f, apexes))
         assert looked_up == expected
         seen.extend(n for _, n in expected)
         return res
@@ -296,6 +307,102 @@ def test_mediator_counts_match_enumerate_then_filter(cats, all_functors, monkeyp
         "phi": {"*": "ida"}, "psi": {"*": "ida"}, "mediators": 2}
     assert len(seen) == 4611
     assert set(seen) == {0, 1, 2}
+
+
+def test_kept_verdicts_raise_and_pass_where_cold_ones_do(cats):
+    """For the collapse kernel, the undersized datum and the doubled kernel,
+    and an undersized datum on z2 checked against the identity, at every
+    limit from 1 to one past the least that passes, the outcome (verdict
+    and witness, or the limit's message) over fresh copies of one, two and
+    p is the same on cold apexes, on apexes that keep the verdict from a
+    call at the default limit, and for an equal datum rebuilt after that
+    call.  The mediator search binds first for both kernels, the functors
+    into f's source for the undersized datum on p, and the 2-cells walked
+    for the one on z2."""
+    collapse = corpus.collapse_functor()
+    one, P, Z = cats["one"], cats["p"], cats["z2"]
+
+    def undersized(X, a):
+        pick = Functor(one, X, {"*": a}, {"id": X.identity(a)}, name="pick")
+        trivial = oracles.identity_nat(pick)
+        return KernelData(one, pick, pick, trivial, trivial)
+
+    def outcome(kd, f, apexes, limit):
+        try:
+            res = verify_kernel_universal(kd, f, apexes, limit=limit)
+        except SizeLimitExceeded as exc:
+            return str(exc)
+        return res.ok, res.witness
+
+    def warm(build, f):
+        apexes = _fresh(one, cats["two"], P)
+        verify_kernel_universal(build(), f, apexes)
+        return apexes
+
+    least, first = {}, {}
+    for name, f, build in (
+            ("collapse", collapse, lambda: bof_kernel(collapse)),
+            ("undersized", collapse, lambda: undersized(P, "a")),
+            ("doubled", collapse, lambda: _doubled(bof_kernel(collapse))),
+            ("undersized on z2", identity_functor(Z), lambda: undersized(Z, "*"))):
+        limit, cold = 0, "none yet"
+        while isinstance(cold, str):
+            limit += 1
+            kd = build()
+            cold = outcome(kd, f, _fresh(one, cats["two"], P), limit)
+            first.setdefault(name, cold)
+            assert outcome(kd, f, warm(build, f), limit) == cold
+            apexes = warm(build, f)
+            held = [len(KP._universality) for KP in apexes]
+            assert outcome(build(), f, apexes, limit) == cold
+            assert [len(KP._universality) for KP in apexes] == held != [0, 0, 0]
+        assert outcome(build(), f, warm(build, f), limit + 1) == cold
+        least[name] = limit
+    assert least == {"collapse": 36, "undersized": 2, "doubled": 12, "undersized on z2": 2}
+    assert first == {"collapse": "object-map space 6 exceeds limit 1",
+                     "undersized": "object-map space 2 exceeds limit 1",
+                     "doubled": "object-map space 12 exceeds limit 1",
+                     "undersized on z2": "component space exceeds limit 1"}
+
+
+def test_kept_verdicts_are_shared_by_content(cats, all_functors, monkeypatch):
+    """The 114 corpus functors have 11 kernel partitions, so checking each
+    new kernel against each of six fresh corpus categories makes 66
+    mediator searches, a second sweep makes none, and each category keeps
+    11 verdicts."""
+    searches = []
+    search = kernel.functor_maps
+
+    def counted(A, B, limit=fincat.DEFAULT_SEARCH_LIMIT, laws=None):
+        searches.append((A, B))
+        return search(A, B, limit, laws)
+
+    monkeypatch.setattr(kernel, "functor_maps", counted)
+    apexes = _fresh(*cats.values())
+    for sweep in (66, 0):
+        searches.clear()
+        for f in all_functors:
+            kd = bof_kernel(f)
+            for KP in apexes:
+                assert verify_kernel_universal(kd, f, [KP])
+        assert len(searches) == sweep
+    assert [len(KP._universality) for KP in apexes] == [11] * 6
+
+
+def test_kept_verdicts_are_kept_per_kernel_partition(cats):
+    """The diagonal kernel of P is coequified by every functor out of P:
+    it is terminal for the identity, but not for the collapse functor,
+    whose candidate picking u and v apart has no mediator.  A verdict kept
+    for the identity is not read for the collapse."""
+    P, collapse = cats["p"], corpus.collapse_functor()
+    kd = bof_kernel(identity_functor(P))
+    apexes = _fresh(cats["one"], cats["two"], P)
+    assert verify_kernel_universal(kd, identity_functor(P), apexes)
+    res = verify_kernel_universal(kd, collapse, apexes)
+    assert res == verify_kernel_universal(kd, collapse, _fresh(cats["one"]))
+    assert res.witness == {"apex": "one", "s": {"*": "a"}, "t": {"*": "b"},
+                           "phi": {"*": "u"}, "psi": {"*": "v"}, "mediators": 0}
+    assert [len(KP._universality) for KP in apexes] == [2, 1, 1]
 
 
 def test_coequifies_matches_whisker_equality(all_functors):
